@@ -46,19 +46,22 @@ def cdf_descend_py(x, eps, max_depth, root_next, root_mass, succ, step_prob,
 
     At each level, siblings lying entirely left of x contribute their full
     mass; the unique child containing x is entered (ties at shared endpoints
-    count the left cylinder as passed).  Stops once the containing mass drops
-    below eps, closing with a linear interpolation of the remainder.
+    count the left cylinder as passed).  x is carried as y, its preimage in
+    the current cylinder's own coordinates, so every comparison is made at the
+    scale of that cylinder; absolute endpoints s*u + t round onto x once the
+    cylinder is narrower than the float spacing near x (about 53 halvings).
+    Stops once the containing mass drops below eps, closing with a linear
+    interpolation of the remainder.
     """
     acc = 0.0
     state = np.int64(-1)
     mass = 1.0
-    s = 1.0
-    t = 0.0
+    y = x
     for _ in range(max_depth):
         chosen = np.int64(-1)
         child_mass = 0.0
-        cs = 1.0
-        ct = 0.0
+        cr = 1.0
+        co = 0.0
         for oi in range(order.shape[0]):
             b = order[oi]
             if state < 0:
@@ -69,28 +72,23 @@ def cdf_descend_py(x, eps, max_depth, root_next, root_mass, succ, step_prob,
                 if nxt < 0:
                     continue
                 m = mass * step_prob[state, b]
-            s2 = s * rates[b]
-            t2 = s * offsets[b] + t
-            lo = s2 * u + t2
-            hi = s2 * v + t2
-            if hi <= x:
+            r = rates[b]
+            o = offsets[b]
+            if r * v + o <= y:
                 acc += m
-            elif lo <= x:
+            elif r * u + o <= y:
                 chosen = nxt
                 child_mass = m
-                cs = s2
-                ct = t2
+                cr = r
+                co = o
         if chosen < 0:
             return acc  # x fell in a gap between sibling cylinders
         state = chosen
         mass = child_mass
-        s = cs
-        t = ct
+        y = (y - co) / cr
         if mass < eps:
             break
-    lo = s * u + t
-    hi = s * v + t
-    frac = (x - lo) / (hi - lo) if hi > lo else 0.5
+    frac = (y - u) / (v - u)
     if frac < 0.0:
         frac = 0.0
     if frac > 1.0:

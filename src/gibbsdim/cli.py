@@ -17,16 +17,17 @@ from . import __version__
 from .errors import ToolkitError, ValidationError
 from .massdist import build_mass_distribution
 from .model import ModelBundle, load_model
-from .thermo import (LEGENDRE_CONVENTION, alpha_range, beta, beta_prime,
+from .thermo import (ALPHA_RANGE_TOL, BETA_PRESSURE_TOL, LEGENDRE_CONVENTION,
+                     PRESSURE_RTOL, QALPHA_TOL, alpha_range, beta, beta_prime,
                      full_dim_alpha, pressure, spectrum_at, subaction)
 from .wordsets import (build_postfix_set, counterexample_word, separating_word,
                        verify_postfix, window_family)
 
 TOLERANCES = {
-    "pressure_rtol": 1e-13,
-    "beta_pressure_tol": 1e-11,
-    "alpha_range_tol": 1e-10,
-    "q_alpha_tol": 1e-9,
+    "pressure_rtol": PRESSURE_RTOL,
+    "beta_pressure_tol": BETA_PRESSURE_TOL,
+    "alpha_range_tol": ALPHA_RANGE_TOL,
+    "q_alpha_tol": QALPHA_TOL,
 }
 
 

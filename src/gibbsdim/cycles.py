@@ -3,6 +3,8 @@
 Graphs arrive as a boolean adjacency matrix plus one or two weight matrices.
 All routines assume every vertex has an outgoing edge; the specs feeding them
 are strongly connected (mixing), which Karp's formula additionally needs.
+Every walk search here, and the ones in ``thermo`` and ``wordsets``, is built
+on the max-plus step ``relax``.
 """
 
 from __future__ import annotations
@@ -12,74 +14,73 @@ import numpy as np
 from .errors import NumericalError
 
 
+def relax(adj: np.ndarray, w: np.ndarray, f: np.ndarray):
+    """One max-plus step: g[v] = max over edges u -> v of f[u] + w[u, v].
+
+    Returns (g, parent) with parent[v] the first maximising u.  Where no edge
+    from a finite f[u] enters v, g[v] = -inf and parent[v] = -1.  A min-plus
+    step is the negation of ``relax`` on negated arguments, and a backward
+    step (maximising over the edges leaving each vertex) is
+    ``relax(adj.T, w.T, f)``.
+    """
+    live = adj & (f > -np.inf)[:, None]
+    cand = np.where(live, f[:, None] + w, -np.inf)
+    parent = np.argmax(cand, axis=0)
+    g = cand[parent, np.arange(cand.shape[1])]
+    return g, np.where(g > -np.inf, parent, -1)
+
+
 def karp_max_cycle_mean(adj: np.ndarray, w: np.ndarray):
     """Maximum cycle mean and one attaining cycle (list of vertices)."""
     n = adj.shape[0]
-    NEG = -np.inf
-    d = np.full((n + 1, n), NEG)
+    d = np.empty((n + 1, n))
     parent = np.full((n + 1, n), -1, dtype=np.int64)
-    d[0, :] = 0.0
+    d[0] = 0.0
     for k in range(1, n + 1):
-        for v in range(n):
-            best, arg = NEG, -1
-            for u in range(n):
-                if adj[u, v] and d[k - 1, u] > NEG:
-                    cand = d[k - 1, u] + w[u, v]
-                    if cand > best:
-                        best, arg = cand, u
-            d[k, v] = best
-            parent[k, v] = arg
-    best_mean, best_v = NEG, -1
-    for v in range(n):
-        if d[n, v] == NEG:
-            continue
-        worst = np.inf
-        for k in range(n):
-            if d[k, v] > NEG:
-                worst = min(worst, (d[n, v] - d[k, v]) / (n - k))
-        if worst > best_mean:
-            best_mean, best_v = worst, v
-    if best_v < 0:
+        d[k], parent[k] = relax(adj, w, d[k - 1])
+    reach = np.flatnonzero(d[n] > -np.inf)
+    if reach.size == 0:
         raise NumericalError("graph has no cycle reachable by length-n walks")
+    # Karp: max over v of min over k of (d_n(v) - d_k(v)) / (n - k); an
+    # unreachable d_k(v) gives +inf, which the min ignores
+    means = np.min((d[n, reach] - d[:n, reach]) / (n - np.arange(n))[:, None], axis=0)
+    best = int(np.argmax(means))
+    best_v = int(reach[best])
     # walk parents from (n, best_v); a repeated vertex closes a max-mean cycle
-    path = []
-    k, v = n, best_v
-    while k > 0:
-        path.append(v)
-        v = int(parent[k, v])
-        k -= 1
-    path.append(v)
+    path = [best_v]
+    for k in range(n, 0, -1):
+        path.append(int(parent[k, path[-1]]))
     path.reverse()  # forward edge order
     seen = {}
-    cycle = None
+    cycle = [best_v]
     for i, u in enumerate(path):
         if u in seen:
             cycle = path[seen[u]:i]
             break
         seen[u] = i
-    if cycle is None:
-        cycle = [best_v]
-    return float(best_mean), cycle
+    return float(means[best]), cycle
 
 
 def find_positive_cycle(adj: np.ndarray, w: np.ndarray, tol: float):
-    """A cycle of total weight > tol if one exists, else None (Bellman-Ford)."""
+    """A cycle of total weight > tol if one exists, else None (Bellman-Ford).
+
+    Jacobi rounds: a vertex improved in round k took its parent from a vertex
+    improved in round k-1, so the n-step walk back from a vertex still
+    improving in round n only meets set parent pointers, and ends on a cycle
+    of the parent graph.  A cycle whose weight exceeds its length times tol
+    always keeps some vertex improving; one of weight at most tol never does.
+    """
     n = adj.shape[0]
     dist = np.zeros(n)
     parent = np.full(n, -1, dtype=np.int64)
-    last = -1
     for _ in range(n):
-        last = -1
-        for u in range(n):
-            for v in range(n):
-                if adj[u, v] and dist[u] + w[u, v] > dist[v] + tol:
-                    dist[v] = dist[u] + w[u, v]
-                    parent[v] = u
-                    last = v
-        if last < 0:
+        g, par = relax(adj, w, dist)
+        better = g > dist + tol
+        if not better.any():
             return None
-    # still improving after n rounds: trace back into the positive cycle
-    v = last
+        dist = np.where(better, g, dist)
+        parent = np.where(better, par, parent)
+    v = int(np.argmax(better))
     for _ in range(n):
         v = int(parent[v])
     cycle = [v]
@@ -108,10 +109,9 @@ def max_cycle_ratio(adj: np.ndarray, num: np.ndarray, den: np.ndarray,
     """
     if not adj.any():
         raise NumericalError("graph has no edges")
-    edges = np.argwhere(adj)
     if np.any(den[adj] <= 0):
         raise NumericalError("cycle-ratio denominators must be positive")
-    r = min(num[u, v] / den[u, v] for u, v in edges) - 1.0
+    r = float(np.min(num[adj] / den[adj])) - 1.0
     scale = max(1.0, float(np.max(np.abs(num[adj]))) + float(np.max(np.abs(den[adj]))))
     best_cycle = None
     for _ in range(max_rounds):
@@ -125,8 +125,3 @@ def max_cycle_ratio(adj: np.ndarray, num: np.ndarray, den: np.ndarray,
             return float(r), best_cycle  # tolerance floor reached
         r, best_cycle = r_new, cyc
     raise NumericalError("cycle-ratio iteration did not settle", bracket=(r, r))
-
-
-def min_cycle_ratio(adj: np.ndarray, num: np.ndarray, den: np.ndarray, **kw):
-    r, cyc = max_cycle_ratio(adj, -num, den, **kw)
-    return -r, cyc

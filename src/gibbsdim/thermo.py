@@ -400,17 +400,11 @@ def full_dim_alpha(phi: LocallyConstantPotential, psi: LocallyConstantPotential)
 
 def _bellman_to_targets(adj: np.ndarray, w: np.ndarray, targets) -> np.ndarray:
     """Max weight of a walk from each vertex into ``targets`` (no positive cycles)."""
-    n = adj.shape[0]
-    f = np.full(n, -math.inf)
-    f[list(targets)] = 0.0
-    base = f.copy()
-    for _ in range(n + 2):
-        nxt = base.copy()
-        for u in range(n):
-            for vtx in range(n):
-                if adj[u, vtx] and f[vtx] > -math.inf:
-                    nxt[u] = max(nxt[u], w[u, vtx] + f[vtx])
-        f = nxt
+    base = np.full(adj.shape[0], -math.inf)
+    base[list(targets)] = 0.0
+    f = base
+    for _ in range(adj.shape[0] + 2):
+        f = np.maximum(base, cycles.relax(adj.T, w.T, f)[0])
     return f
 
 
@@ -442,20 +436,5 @@ def birkhoff_sup(phi: LocallyConstantPotential) -> float:
     mean, _ = cycles.karp_max_cycle_mean(es.adj, w)
     if mean > 1e-12 * scale:
         return math.inf
-    n = es.block_spec.n
-    h = np.zeros(n)
-    for _ in range(n + 2):
-        nxt = np.zeros(n)
-        for u in range(n):
-            best = 0.0
-            for vtx in range(n):
-                if es.adj[u, vtx]:
-                    best = max(best, w[u, vtx] + h[vtx])
-            nxt[u] = best
-        h = nxt
-    best = -math.inf
-    for u in range(n):
-        for vtx in range(n):
-            if es.adj[u, vtx]:
-                best = max(best, w[u, vtx] + h[vtx])
-    return float(best)
+    h = _bellman_to_targets(es.adj, w, range(es.block_spec.n))
+    return float(cycles.relax(es.adj.T, w.T, h)[0].max())

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cycles import relax
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
 from .potentials import LocallyConstantPotential, combine
@@ -60,11 +61,14 @@ def window_family(phi: LocallyConstantPotential, bound: float, length: int,
         w = (u_word + (b,))[-d:]
         return table[w] if len(w) == d else 0.0
 
-    trans = [[None] * spec.n for _ in range(nstate)]
+    # state graph: appending symbol b moves state u to (u + b)[-swidth:]
+    adj = np.zeros((nstate, nstate), dtype=bool)
+    wt = np.zeros((nstate, nstate))
     for i, u in enumerate(states):
         for b in spec.successors(u[-1]):
-            v = (u + (b,))[-swidth:]
-            trans[i][b] = (sid[v], step(u, b))
+            j = sid[(u + (b,))[-swidth:]]
+            adj[i, j] = True
+            wt[i, j] = step(u, b)
 
     over_sup = np.zeros(nstate)
     over_inf = np.zeros(nstate)
@@ -75,22 +79,11 @@ def window_family(phi: LocallyConstantPotential, bound: float, length: int,
             over_inf[i] = bnds.inf
 
     # minsup[r][u]: least achievable (continuation sum + final sup-overhang) in r steps
-    minsup = [over_sup.copy()]
-    maxinf = [over_inf.copy()]
+    minsup = [over_sup]
+    maxinf = [over_inf]
     for _ in range(length):
-        prev_ms, prev_mi = minsup[-1], maxinf[-1]
-        ms = np.full(nstate, math.inf)
-        mi = np.full(nstate, -math.inf)
-        for i in range(nstate):
-            for b in range(spec.n):
-                tr = trans[i][b]
-                if tr is None:
-                    continue
-                j, wv = tr
-                ms[i] = min(ms[i], wv + prev_ms[j])
-                mi[i] = max(mi[i], wv + prev_mi[j])
-        minsup.append(ms)
-        maxinf.append(mi)
+        minsup.append(-relax(adj.T, -wt.T, -minsup[-1])[0])
+        maxinf.append(relax(adj.T, wt.T, maxinf[-1])[0])
 
     out = []
 
@@ -154,23 +147,14 @@ def _extremal_word(phi: LocallyConstantPotential, threshold: float, minimize: bo
     walks drifts linearly because some cycle ratio has the right sign.
     """
     es = _edge_space(phi)
-    w = es.weights[0] if minimize else -es.weights[0]
-    n = es.block_spec.n
-    adj = es.adj
-    d = np.zeros(n)
+    gain = -es.weights[0] if minimize else es.weights[0]
+    g = np.zeros(es.block_spec.n)
     parents = []
     for k in range(1, step_cap + 1):
-        nd = np.full(n, math.inf)
-        par = np.full(n, -1, dtype=np.int64)
-        for u in range(n):
-            for v in range(n):
-                if adj[u, v] and d[u] + w[u, v] < nd[v]:
-                    nd[v] = d[u] + w[u, v]
-                    par[v] = u
+        g, par = relax(es.adj, gain, g)
         parents.append(par)
-        d = nd
-        if k >= 1 and float(d.min()) < -abs(threshold):
-            v = int(np.argmin(d))
+        if float(g.max()) > abs(threshold):
+            v = int(np.argmax(g))
             path = [v]
             for back in range(k - 1, -1, -1):
                 v = int(parents[back][v])

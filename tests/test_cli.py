@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -176,6 +179,26 @@ def test_outputs_byte_identical(tmp_path, models_dir, capsys):
     assert main(argv2 + ["--out", str(d)]) == 0
     assert c.read_bytes() == d.read_bytes()
     capsys.readouterr()
+
+
+def test_readme_commands_run_as_written(capsys, monkeypatch):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    blocks = re.findall(r"```sh\n(.*?)```", (root / "README.md").read_text(), re.S)
+    lines = [l for b in blocks for l in b.splitlines() if l.startswith("gibbsdim ")]
+    assert len(lines) >= 18
+    monkeypatch.chdir(root)  # the commands name models/ relative to the repository
+    failed = []
+    for line in lines:
+        try:
+            code = main(shlex.split(line)[1:])
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        except Exception as exc:  # a raw error the CLI did not map to an exit code
+            code = repr(exc)
+        if code != 0:
+            failed.append((line, code))
+    capsys.readouterr()
+    assert failed == []
 
 
 def test_invalid_model_exit_code(tmp_path, capsys):

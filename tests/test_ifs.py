@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,30 @@ def test_curve_refinement_consistent(bin_model):
     assert len(shared) >= 100
     for x in shared:
         assert abs(c1[x] - c2[x]) <= 2 * eps
+
+
+def _bernoulli_dyadic_cdf(x: float, p0: Fraction) -> Fraction:
+    """Exact mass of [0, x] for i.i.d. binary digits with P(digit 0) = p0."""
+    x = Fraction(x)
+    if x >= 1:
+        return Fraction(1)
+    acc, weight = Fraction(0), Fraction(1)
+    while x:  # a float is dyadic, so its binary expansion ends
+        x *= 2
+        if x >= 1:
+            acc += weight * p0
+            weight *= 1 - p0
+            x -= 1
+        else:
+            weight *= p0
+    return acc
+
+
+def test_deep_curve_points_within_eps(bin_model):
+    # at x = k/255 the descent passes 53 levels before its mass drops below eps
+    eps = 1e-12
+    for x, y in bin_model.curve(256, eps):
+        assert abs(Fraction(y) - _bernoulli_dyadic_cdf(x, Fraction(1, 4))) <= eps, x
 
 
 def test_cdf_increment_equals_cylinder_mass(bin_model, full2):
