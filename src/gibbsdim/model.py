@@ -71,8 +71,11 @@ def _require(doc: dict, key: str):
 
 
 def load_model(path: str) -> ModelBundle:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read model file {path!r}: {exc.strerror}") from None
     sha = hashlib.sha256(raw).hexdigest()
     try:
         doc = json.loads(raw)

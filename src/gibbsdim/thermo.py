@@ -29,7 +29,7 @@ from .potentials import LocallyConstantPotential, combine
 from .sft import BlockCoder, SftSpec, Word, higher_block_recode
 
 PRESSURE_RTOL = 1e-13
-PRESSURE_MAX_ITER = 500_000
+PRESSURE_MAX_ITER = 10_000
 BETA_PRESSURE_TOL = 1e-11
 QALPHA_TOL = 1e-9
 ALPHA_RANGE_TOL = 1e-10
@@ -94,38 +94,82 @@ def _edge_space(*potentials: LocallyConstantPotential) -> EdgeSpace:
 def _perron(M: np.ndarray, rtol: float = PRESSURE_RTOL, max_iter: int = PRESSURE_MAX_ITER):
     """Leading eigenvalue and positive eigenvector of a primitive matrix.
 
-    Power iteration; every positive iterate yields a Collatz-Wielandt bracket
-    [min_a (Mx)_a/x_a, max_a (Mx)_a/x_a] for the eigenvalue, and successive
-    brackets are intersected until the certified width is below rtol.
+    Every positive iterate x yields a Collatz-Wielandt bracket
+    [min_a (Mx)_a/x_a, max_a (Mx)_a/x_a] for the eigenvalue; successive
+    brackets are intersected until the certified width is below rtol, and the
+    eigenvalue returned is the midpoint.  (An entry of x that underflowed to 0
+    gives an infinite or NaN ratio, which the intersection ignores.)  The
+    iterates are the all-ones vector, one power step from it, the Perron
+    vector of a dense eigensolve, and then shifted inverse-iteration steps
+    (``_perron_step``).  A bracket that is not finite and positive, or an
+    iterate that is not finite, means the matrix overflows or underflows and
+    raises NumericalError at once; a bracket still too wide after max_iter
+    iterates raises it at the end.  Both carry the bracket.
     """
     x = np.ones(M.shape[0])
     lo_best, hi_best = 0.0, math.inf
-    for _ in range(max_iter):
+    for k in range(max_iter):
         y = M @ x
         ratios = y / x
         lo, hi = float(ratios.min()), float(ratios.max())
         lo_best = max(lo_best, lo)
         hi_best = min(hi_best, hi)
+        if not 0.0 < hi_best < math.inf:
+            break
         if hi_best - lo_best <= rtol * hi_best:
             lam = 0.5 * (lo_best + hi_best)
             return lam, y / y.max(), (lo_best, hi_best)
-        x = y / y.max()
+        x = _perron_step(M, x, y, k, hi_best * (1.0 + rtol))
+        if x is None:
+            break
     raise NumericalError(
-        f"power iteration stalled; certified eigenvalue bracket {lo_best, hi_best}",
+        f"Perron solve did not certify; certified eigenvalue bracket {lo_best, hi_best}",
         bracket=(lo_best, hi_best),
     )
 
 
-def _stochasticize(es: EdgeSpace, M: np.ndarray):
-    """Perron data -> (lam, h, nu, Q, pi) with the normalizations used everywhere."""
-    lam, h, _ = _perron(M)
+def _perron_step(M: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, sigma: float):
+    """The iterate that follows iterate k of ``_perron`` (y = M @ x), or None.
+
+    After iterate 0 it is a power step.  After iterate 1 it is the Perron
+    vector of ``np.linalg.eig``.  After that it is one shifted
+    inverse-iteration step x <- (sigma I - M)^{-1} x with sigma just above the
+    bracket, so above lambda_1: the resolvent is then a positive matrix, and
+    the error shrinks by (sigma - lambda_1)/|sigma - lambda_2| per step
+    instead of lambda_2/lambda_1.  The step is solved in coordinates scaled by
+    x, as (sigma I - D^{-1} M D) z = 1 with D = diag(x), because the entries
+    of an eigenvector can span dozens of orders of magnitude and an unscaled
+    solve loses the relative accuracy of the small ones, which the bracket
+    needs.  Where the eigensolve or the step gives no positive vector, the
+    power step stands in; where that is not finite either, there is none.
+    """
+    if k > 0:
+        try:
+            if k == 1:
+                vals, vecs = np.linalg.eig(M)
+                z = np.abs(vecs[:, np.argmax(vals.real)].real)
+            else:
+                n = x.shape[0]
+                scaled = M * x[None, :] / x[:, None]
+                z = x * np.linalg.solve(sigma * np.eye(n) - scaled, np.ones(n))
+        except np.linalg.LinAlgError:
+            z = y
+        z = z / z.max()
+        if np.all(z > 0.0):
+            return z
+    power = y / y.max()
+    return power if np.all(np.isfinite(power)) else None
+
+
+def _stochasticize(M: np.ndarray, lam: float, h: np.ndarray):
+    """Right Perron data (lam, h) of M -> (nu, Q, pi) with the normalizations used everywhere."""
     _, nu, _ = _perron(M.T)
     Q = M * h[None, :] / (lam * h[:, None])
     Q = Q / Q.sum(axis=1, keepdims=True)
     nu = nu / float(nu @ h)
     pi = nu * h
     pi = pi / pi.sum()
-    return lam, h, nu, Q, pi
+    return nu, Q, pi
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +295,8 @@ def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:
     """Eigendata of the weighted transfer matrix; the equilibrium state of f."""
     es = _edge_space(f)
     M = es.matrix((1.0,))
-    lam, h, nu, Q, pi = _stochasticize(es, M)
+    lam, h, _ = _perron(M)
+    nu, Q, pi = _stochasticize(M, lam, h)
     chain = GibbsChain(
         spec=f.spec, potential=f, block_spec=es.block_spec, coder=es.coder,
         lam=lam, pressure=math.log(lam), h=h, nu=nu, Q=Q, pi=pi,
@@ -274,15 +319,32 @@ def _pair_space(phi: LocallyConstantPotential, psi: LocallyConstantPotential) ->
     return _edge_space(phi, psi)
 
 
-def _pq_pressure(es: EdgeSpace, q: float, b: float) -> float:
-    lam, _, _ = _perron(es.matrix((-q, -b)))
-    return math.log(lam)
-
-
-def _pq_chain(es: EdgeSpace, q: float, b: float):
-    M = es.matrix((-q, -b))
-    _, _, _, Q, pi = _stochasticize(es, M)
-    return pi, Q
+def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
+    """beta(q), with the edge space, matrix and right Perron data of its last step."""
+    es = _pair_space(phi, psi)
+    psi_min = psi.min_value()
+    p0 = math.log(_perron(es.matrix((-q, 0.0)))[0])
+    if p0 >= 0.0:
+        lo, hi = 0.0, p0 / psi_min + 1e-12
+    else:
+        lo, hi = p0 / psi_min - 1e-12, 0.0
+    b = 0.5 * (lo + hi)
+    for _ in range(200):
+        M = es.matrix((-q, -b))
+        lam, h, _ = _perron(M)
+        p = math.log(lam)
+        if abs(p) <= BETA_PRESSURE_TOL:
+            return b, es, M, lam, h
+        if p > 0:
+            lo = b
+        else:
+            hi = b
+        _, Q, pi = _stochasticize(M, lam, h)
+        nb = b + p / es.edge_mean(pi, Q, 1)
+        if not (lo < nb < hi):
+            nb = 0.5 * (lo + hi)
+        b = nb
+    raise NumericalError("pressure root iteration stalled", bracket=(lo, hi))
 
 
 def beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:
@@ -291,46 +353,36 @@ def beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential)
     Pressure is strictly decreasing in b because psi is positive; monotone
     bisection brackets the root and Newton steps polish it to |P| <= 1e-11.
     """
-    es = _pair_space(phi, psi)
-    psi_min = psi.min_value()
-    p0 = _pq_pressure(es, q, 0.0)
-    if p0 >= 0.0:
-        lo, hi = 0.0, p0 / psi_min + 1e-12
-    else:
-        lo, hi = p0 / psi_min - 1e-12, 0.0
-    b = 0.5 * (lo + hi)
-    for _ in range(200):
-        p = _pq_pressure(es, q, b)
-        if abs(p) <= BETA_PRESSURE_TOL:
-            return b
-        if p > 0:
-            lo = b
-        else:
-            hi = b
-        pi, Q = _pq_chain(es, q, b)
-        nb = b + p / es.edge_mean(pi, Q, 1)
-        if not (lo < nb < hi):
-            nb = 0.5 * (lo + hi)
-        b = nb
-    raise NumericalError("pressure root iteration stalled", bracket=(lo, hi))
+    return _beta(q, phi, psi)[0]
+
+
+def _beta_pair(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
+    """(beta(q), beta'(q)) from one root solve and one left Perron solve."""
+    b, es, M, lam, h = _beta(q, phi, psi)
+    _, Q, pi = _stochasticize(M, lam, h)
+    return b, -es.edge_mean(pi, Q, 0) / es.edge_mean(pi, Q, 1)
 
 
 def beta_prime(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:
     """Derivative of beta: the Birkhoff ratio -int(phi)/int(psi) at the equilibrium of q."""
-    es = _pair_space(phi, psi)
-    b = beta(q, phi, psi)
-    pi, Q = _pq_chain(es, q, b)
-    return -es.edge_mean(pi, Q, 0) / es.edge_mean(pi, Q, 1)
+    return _beta_pair(q, phi, psi)[1]
 
 
+@lru_cache(maxsize=128)
 def alpha_range(phi: LocallyConstantPotential, psi: LocallyConstantPotential):
     """Extreme asymptotic Birkhoff ratios -S(phi)/S(psi): extreme directed-cycle ratios."""
     es = _pair_space(phi, psi)
     num = -es.weights[0]
     den = es.weights[1]
-    hi, _ = cycles.max_cycle_ratio(es.adj, num, den)
-    lo_neg, _ = cycles.max_cycle_ratio(es.adj, -num, den)
+    hi, _ = cycles.max_cycle_ratio(es.adj, num, den, tol=ALPHA_RANGE_TOL)
+    lo_neg, _ = cycles.max_cycle_ratio(es.adj, -num, den, tol=ALPHA_RANGE_TOL)
     return (-lo_neg, hi)
+
+
+@lru_cache(maxsize=128)
+def _cap_probe(phi: LocallyConstantPotential, psi: LocallyConstantPotential, q: float):
+    """``_beta_pair`` at an endpoint probe q = +-q_cap, kept per (phi, psi)."""
+    return _beta_pair(q, phi, psi)
 
 
 @dataclass(frozen=True)
@@ -344,11 +396,6 @@ class SpectrumPoint:
     endpoint: bool = False
 
 
-def _chain_at_q(phi, psi, q: float) -> GibbsChain:
-    b = beta(q, phi, psi)
-    return gibbs_chain(combine(-q, phi, -b, psi))
-
-
 def spectrum_at(alpha: float, phi: LocallyConstantPotential,
                 psi: LocallyConstantPotential, q_cap: float = Q_CAP) -> SpectrumPoint:
     """Spectrum value b(alpha) = beta(q_alpha) - q_alpha*alpha.
@@ -356,35 +403,41 @@ def spectrum_at(alpha: float, phi: LocallyConstantPotential,
     Interior alpha: q_alpha solves beta'(q) = alpha (monotone root find,
     |beta' - alpha| <= 1e-9).  At the endpoints of the attainable range the
     limiting value is approximated at |q| = q_cap, where convexity makes
-    beta(q) - q*alpha monotone in |q|.
+    beta(q) - q*alpha monotone in |q|.  Each q is solved once: the probes at
+    +-q_cap are kept per (phi, psi), and the root finder's evaluations per call.
     """
     a_lo, a_hi = alpha_range(phi, psi)
     if alpha < a_lo - 1e-9 or alpha > a_hi + 1e-9:
         raise EmptyLevelSetError(
             f"ratio {alpha:g} outside the attainable range [{a_lo:.9g}, {a_hi:.9g}]"
         )
+    solved = {-q_cap: _cap_probe(phi, psi, -q_cap), q_cap: _cap_probe(phi, psi, q_cap)}
 
     def g(q):
-        return beta_prime(q, phi, psi) - alpha
+        if q not in solved:
+            solved[q] = _beta_pair(q, phi, psi)
+        return solved[q][1] - alpha
 
-    g_hi = g(q_cap)
-    g_lo = g(-q_cap)
-    if g_lo >= 0.0:   # alpha at or below the ratio reachable at -q_cap
-        value = beta(-q_cap, phi, psi) + q_cap * alpha
-        chain = _chain_at_q(phi, psi, -q_cap)
+    if g(-q_cap) >= 0.0:   # alpha at or below the ratio reachable at -q_cap
+        b = solved[-q_cap][0]
+        value = b + q_cap * alpha
+        chain = gibbs_chain(combine(q_cap, phi, -b, psi))
         return SpectrumPoint(alpha, -math.inf, max(0.0, value), chain, endpoint=True)
-    if g_hi <= 0.0:
-        value = beta(q_cap, phi, psi) - q_cap * alpha
-        chain = _chain_at_q(phi, psi, q_cap)
+    if g(q_cap) <= 0.0:
+        b = solved[q_cap][0]
+        value = b - q_cap * alpha
+        chain = gibbs_chain(combine(-q_cap, phi, -b, psi))
         return SpectrumPoint(alpha, math.inf, max(0.0, value), chain, endpoint=True)
     q_star = brentq(g, -q_cap, q_cap, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    if abs(beta_prime(q_star, phi, psi) - alpha) > QALPHA_TOL:
+    if abs(g(q_star)) > QALPHA_TOL:
         raise NumericalError("conjugate parameter did not meet tolerance",
                              bracket=(-q_cap, q_cap))
-    value = beta(q_star, phi, psi) - q_star * alpha
+    b = solved[q_star][0]
+    value = b - q_star * alpha
     if -1e-9 < value < 0.0:
         value = 0.0
-    return SpectrumPoint(alpha, float(q_star), value, _chain_at_q(phi, psi, q_star))
+    chain = gibbs_chain(combine(-q_star, phi, -b, psi))
+    return SpectrumPoint(alpha, float(q_star), value, chain)
 
 
 def full_dim_alpha(phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:

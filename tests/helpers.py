@@ -144,6 +144,27 @@ def brute_max_cycle_mean(adj, w):
     return best
 
 
+def power_perron(M, rtol=1e-13, max_iter=500_000):
+    """Power iteration with intersected Collatz-Wielandt brackets.
+
+    Returns (lo, hi, certified): the bracket once its width is at most
+    rtol*hi, or the bracket reached after max_iter iterates.  Every positive
+    iterate gives a valid bracket, so an uncertified one still contains the
+    Perron root.
+    """
+    x = np.ones(M.shape[0])
+    lo_best, hi_best = 0.0, math.inf
+    for _ in range(max_iter):
+        y = M @ x
+        ratios = y / x
+        lo_best = max(lo_best, float(ratios.min()))
+        hi_best = min(hi_best, float(ratios.max()))
+        if hi_best - lo_best <= rtol * hi_best:
+            return lo_best, hi_best, True
+        x = y / y.max()
+    return lo_best, hi_best, False
+
+
 def edge_graph(phi):
     """Depth-2 edge view of a potential: (adjacency, weight matrix) on symbols."""
     assert phi.depth <= 2

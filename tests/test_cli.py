@@ -207,3 +207,24 @@ def test_invalid_model_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "validate", "--model", str(bad))
     assert code == 2
     assert "successor" in err
+
+
+def test_missing_model_file_exit_code(tmp_path, capsys):
+    code, _, err = run(capsys, "validate", "--model", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert "absent.json" in err
+
+
+def test_overflowing_spectrum_exit_code(tmp_path, capsys):
+    # phi = (-10, -30), psi = 1: at |q| = 40 the transfer weights overflow
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps({
+        "alphabet": ["0", "1"],
+        "incidence": [[1, 1], [1, 1]],
+        "potentials": {"phi": {"depth": 1, "values": [-10.0, -30.0]},
+                       "psi": {"depth": 1, "values": [1.0, 1.0]}},
+    }))
+    code, out, err = run(capsys, "spectrum", "--alpha-grid", "20:20:1", "--model", str(path))
+    assert code == 3
+    assert out == ""
+    assert "Perron solve did not certify" in err

@@ -207,6 +207,21 @@ def test_alpha_range_oracles(bin14, phi_pm, full2):
     assert alpha_range(z, psi1) == pytest.approx((0.0, 0.0), abs=1e-12)
 
 
+def test_alpha_range_runs_at_its_stated_tolerance():
+    from gibbsdim import cycles
+    from gibbsdim.thermo import ALPHA_RANGE_TOL, _edge_space
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        spec = helpers.random_mixing_spec(rng)
+        phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)))
+        psi = LocallyConstantPotential.constant(spec, 1.0)
+        es = _edge_space(phi, psi)
+        num, den = -es.weights[0], es.weights[1]
+        hi, _ = cycles.max_cycle_ratio(es.adj, num, den, tol=ALPHA_RANGE_TOL)
+        lo_neg, _ = cycles.max_cycle_ratio(es.adj, -num, den, tol=ALPHA_RANGE_TOL)
+        assert alpha_range(phi, psi) == (-lo_neg, hi)
+
+
 def test_alpha_range_against_cycle_enumeration():
     rng = np.random.default_rng(2024)
     for _ in range(50):
@@ -397,13 +412,102 @@ def test_sample_orbit_deep_chain(gold):
 def test_perron_nonconvergence_carries_bracket():
     from gibbsdim.errors import NumericalError
     from gibbsdim.thermo import _perron
-    # nearly period-2 transition structure: the certified bracket cannot close
+    # nearly period-2 transition structure: one or two iterates cannot close it
     m = np.array([[1e-12, 2.0], [1.0, 1e-12]])
-    with pytest.raises(NumericalError) as info:
-        _perron(m, max_iter=5000)
-    lo, hi = info.value.bracket
     true_lam = math.sqrt(2.0) + 1e-12
-    assert lo <= true_lam <= hi
+    for max_iter in (1, 2):
+        with pytest.raises(NumericalError) as info:
+            _perron(m, max_iter=max_iter)
+        lo, hi = info.value.bracket
+        assert lo <= true_lam <= hi
+
+
+def test_perron_certifies_near_periodic_matrix():
+    from gibbsdim.thermo import PRESSURE_RTOL, _perron
+    # power iteration stalls here (lambda_2/lambda_1 = -1 + 1e-12); the shifted
+    # inverse step is not slowed by a negative lambda_2
+    m = np.array([[1e-12, 2.0], [1.0, 1e-12]])
+    lam, vec, (lo, hi) = _perron(m)
+    assert lo <= math.sqrt(2.0) + 1e-12 <= hi
+    assert hi - lo <= PRESSURE_RTOL * hi
+    assert lam == 0.5 * (lo + hi)
+    assert np.all(vec > 0) and vec.max() == 1.0
+
+
+def test_perron_certifies_past_an_underflowed_iterate():
+    from gibbsdim.thermo import _edge_space, _perron
+    # entries from 1e-102 to 1e160: the inverse steps give no positive vector,
+    # and the power step that stands in underflows one entry to 0; the
+    # bracket certifies from that iterate, so the solve must go on with it
+    rng = np.random.default_rng(3)
+    spec = helpers.random_mixing_spec(rng, int(rng.integers(3, 8)))
+    phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)),
+                                   scale=float(rng.choice([1, 3, 10])))
+    m = _edge_space(phi).matrix((-40.0,))
+    lam, _, (lo, hi) = _perron(m)
+    o_lo, o_hi, certified = helpers.power_perron(m, max_iter=100)
+    assert certified
+    assert max(lo, o_lo) <= min(hi, o_hi)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_perron_brackets_overlap_power_iteration(seed):
+    from gibbsdim.thermo import PRESSURE_RTOL, _edge_space, _perron
+    rng = np.random.default_rng(seed)
+    spec = helpers.random_mixing_spec(rng)
+    phi = helpers.random_potential(rng, spec, 2)
+    psi = LocallyConstantPotential.constant(spec, 1.0)
+    es = _edge_space(phi, psi)
+    for q in (0.0, 1.0, -1.0, 40.0, -40.0):
+        m = es.matrix((-q, 0.0))
+        lam, _, (lo, hi) = _perron(m)
+        o_lo, o_hi, _ = helpers.power_perron(m, max_iter=20_000)
+        assert lo <= lam <= hi
+        assert hi - lo <= PRESSURE_RTOL * hi
+        assert max(lo, o_lo) <= min(hi, o_hi), (q, (lo, hi), (o_lo, o_hi))
+
+
+def _stress_model(seed):
+    """The seeded 6-symbol model with a depth-3 phi and psi = 1 (perfbench/stress.py)."""
+    rng = np.random.default_rng(seed)
+    spec = helpers.random_mixing_spec(rng, 6)
+    phi = helpers.random_potential(rng, spec, 3)
+    return phi, LocallyConstantPotential.constant(spec, 1.0)
+
+
+def test_beta_prime_certifies_on_stress_model_seed2():
+    from gibbsdim.thermo import _edge_space
+    # power iteration stalled here at |q| = 40 and raised NumericalError
+    phi, psi = _stress_model(2)
+    assert _edge_space(phi, psi).block_spec.n == 16
+    lo, hi = alpha_range(phi, psi)
+    slope = beta_prime(-40.0, phi, psi)
+    assert lo - 1e-9 <= slope < 0.5 * (lo + hi)
+
+
+def test_stress_model_spectrum_row():
+    from gibbsdim.thermo import QALPHA_TOL
+    phi, psi = _stress_model(1)
+    lo, hi = alpha_range(phi, psi)
+    alpha = lo + 0.3 * (hi - lo)
+    pt = spectrum_at(alpha, phi, psi)
+    assert not pt.endpoint
+    assert abs(beta_prime(pt.q_alpha, phi, psi) - alpha) <= QALPHA_TOL
+    assert 0.0 <= pt.value <= beta(0.0, phi, psi) + QALPHA_TOL
+    assert pt.value == pytest.approx(beta(pt.q_alpha, phi, psi) - pt.q_alpha * alpha,
+                                     abs=1e-15)
+
+
+@pytest.mark.parametrize("values", ([-10.0, -30.0], [-20.0, -60.0]))
+def test_spectrum_overflow_raises_numerical_error(full2, values):
+    from gibbsdim.errors import NumericalError
+    # at |q| = Q_CAP the weights exp(-q*phi - b*psi) leave the float range
+    phi = LocallyConstantPotential.from_values(full2, values)
+    psi = LocallyConstantPotential.constant(full2, 1.0)
+    lo, hi = alpha_range(phi, psi)
+    with pytest.raises(NumericalError) as info:
+        spectrum_at(0.5 * (lo + hi), phi, psi)
+    assert info.value.bracket is not None
 
 
 def test_subaction_mirrored_upper(full2):
