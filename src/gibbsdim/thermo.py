@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import cycles
 from ._kernels import markov_path
@@ -56,7 +55,8 @@ class EdgeSpace:
         w = np.zeros_like(self.weights[0])
         for c, mat in zip(coeffs, self.weights):
             w = w + c * mat
-        return np.where(self.adj, np.exp(w), 0.0)
+        with np.errstate(over="ignore"):  # an overflow fails the Perron solve
+            return np.where(self.adj, np.exp(w), 0.0)
 
     def edge_mean(self, pi, Q, k: int) -> float:
         return float(np.sum(pi[:, None] * Q * self.weights[k]))
@@ -104,24 +104,26 @@ def _perron(M: np.ndarray, rtol: float = PRESSURE_RTOL, max_iter: int = PRESSURE
     (``_perron_step``).  A bracket that is not finite and positive, or an
     iterate that is not finite, means the matrix overflows or underflows and
     raises NumericalError at once; a bracket still too wide after max_iter
-    iterates raises it at the end.  Both carry the bracket.
+    iterates raises it at the end.  Both carry the bracket, and the inf and
+    NaN values on the way there raise no NumPy warnings.
     """
     x = np.ones(M.shape[0])
     lo_best, hi_best = 0.0, math.inf
-    for k in range(max_iter):
-        y = M @ x
-        ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        lo_best = max(lo_best, lo)
-        hi_best = min(hi_best, hi)
-        if not 0.0 < hi_best < math.inf:
-            break
-        if hi_best - lo_best <= rtol * hi_best:
-            lam = 0.5 * (lo_best + hi_best)
-            return lam, y / y.max(), (lo_best, hi_best)
-        x = _perron_step(M, x, y, k, hi_best * (1.0 + rtol))
-        if x is None:
-            break
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(max_iter):
+            y = M @ x
+            ratios = y / x
+            lo, hi = float(ratios.min()), float(ratios.max())
+            lo_best = max(lo_best, lo)
+            hi_best = min(hi_best, hi)
+            if not 0.0 < hi_best < math.inf:
+                break
+            if hi_best - lo_best <= rtol * hi_best:
+                lam = 0.5 * (lo_best + hi_best)
+                return lam, y / y.max(), (lo_best, hi_best)
+            x = _perron_step(M, x, y, k, hi_best * (1.0 + rtol))
+            if x is None:
+                break
     raise NumericalError(
         f"Perron solve did not certify; certified eigenvalue bracket {lo_best, hi_best}",
         bracket=(lo_best, hi_best),
@@ -396,6 +398,67 @@ class SpectrumPoint:
     endpoint: bool = False
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of f in [xa, xb] by Brent's method, step for step as scipy's ``brentq``.
+
+    A port of scipy's ``Zeros/brentq.c`` (Brent 1973, *Algorithms for
+    Minimization Without Derivatives*, ch. 4): the same order of operations,
+    the same signbit test and the same early returns on f == 0, so it
+    evaluates f at the same points and returns the same bits.  A NaN value of
+    f, a bracket without a sign change, or no convergence within maxiter
+    steps raises NumericalError carrying (xa, xb).
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise NumericalError(f"root finder met NaN at {x!r}", bracket=(xa, xb))
+        return fx
+
+    def sign(y):
+        return math.copysign(1.0, y)
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if sign(fpre) == sign(fcur):
+        raise NumericalError("root bracket has no sign change", bracket=(xa, xb))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and sign(fpre) != sign(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C gets inf or NaN, which bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericalError(f"root finder did not converge in {maxiter} steps", bracket=(xa, xb))
+
+
 def spectrum_at(alpha: float, phi: LocallyConstantPotential,
                 psi: LocallyConstantPotential, q_cap: float = Q_CAP) -> SpectrumPoint:
     """Spectrum value b(alpha) = beta(q_alpha) - q_alpha*alpha.
@@ -428,7 +491,7 @@ def spectrum_at(alpha: float, phi: LocallyConstantPotential,
         value = b - q_cap * alpha
         chain = gibbs_chain(combine(-q_cap, phi, -b, psi))
         return SpectrumPoint(alpha, math.inf, max(0.0, value), chain, endpoint=True)
-    q_star = brentq(g, -q_cap, q_cap, xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    q_star = _brentq(g, -q_cap, q_cap, 1e-12, 8.9e-16, 200)
     if abs(g(q_star)) > QALPHA_TOL:
         raise NumericalError("conjugate parameter did not meet tolerance",
                              bracket=(-q_cap, q_cap))

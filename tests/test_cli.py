@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import gibbsdim
 from gibbsdim.cli import main
 
 
@@ -215,16 +219,44 @@ def test_missing_model_file_exit_code(tmp_path, capsys):
     assert "absent.json" in err
 
 
-def test_overflowing_spectrum_exit_code(tmp_path, capsys):
-    # phi = (-10, -30), psi = 1: at |q| = 40 the transfer weights overflow
+def python(*argv):
+    """Run the interpreter on argv in a fresh process that imports this gibbsdim."""
+    src = str(pathlib.Path(gibbsdim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def steep_model(tmp_path, phi=(-10.0, -30.0)):
+    # a steep phi and psi = 1: at |q| = 40 the transfer weights leave the float range
     path = tmp_path / "steep.json"
     path.write_text(json.dumps({
         "alphabet": ["0", "1"],
         "incidence": [[1, 1], [1, 1]],
-        "potentials": {"phi": {"depth": 1, "values": [-10.0, -30.0]},
+        "potentials": {"phi": {"depth": 1, "values": list(phi)},
                        "psi": {"depth": 1, "values": [1.0, 1.0]}},
     }))
-    code, out, err = run(capsys, "spectrum", "--alpha-grid", "20:20:1", "--model", str(path))
+    return str(path)
+
+
+def test_overflowing_spectrum_exit_code(tmp_path, capsys):
+    code, out, err = run(capsys, "spectrum", "--alpha-grid", "20:20:1",
+                         "--model", steep_model(tmp_path))
     assert code == 3
     assert out == ""
     assert "Perron solve did not certify" in err
+
+
+@pytest.mark.parametrize("phi, grid", [((-10.0, -30.0), "20:20:1"), ((10.0, 30.0), "-20:-20:1")],
+                         ids=["exp-underflows", "exp-overflows"])
+def test_overflowing_spectrum_prints_only_the_error_line(tmp_path, phi, grid):
+    proc = python("-m", "gibbsdim.cli", "spectrum", f"--alpha-grid={grid}",
+                  "--model", steep_model(tmp_path, phi))
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: Perron solve did not certify"), lines
+
+
+def test_cli_import_loads_no_scipy():
+    proc = python("-c", "import gibbsdim.cli, sys; "
+                        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+    assert proc.returncode == 0, proc.stderr

@@ -533,3 +533,102 @@ def test_spectrum_concave_on_grid(bin14):
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in vals)
     for i in range(1, len(vals) - 1):
         assert vals[i] >= 0.5 * (vals[i - 1] + vals[i + 1]) - 1e-9
+
+
+# --------------------------------------------------------------------------
+# the q_alpha root: Brent's method, step for step as scipy's brentq
+# --------------------------------------------------------------------------
+
+BRENT_ARGS = (1e-12, 8.9e-16, 200)  # xtol, rtol, maxiter of spectrum_at's root
+
+
+def _recorded(f):
+    """f, and the list of the points it is evaluated at, as float.hex strings."""
+    xs = []
+
+    def g(x):
+        xs.append(float(x).hex())
+        return f(x)
+    return g, xs
+
+
+def _assert_same_as_scipy(f, xa, xb, xtol, rtol, maxiter):
+    brentq = pytest.importorskip(
+        "scipy.optimize", reason="the differential oracle is in the 'test' extra").brentq
+    from gibbsdim.thermo import _brentq
+    ours, our_xs = _recorded(f)
+    theirs, their_xs = _recorded(f)
+    root = _brentq(ours, xa, xb, xtol, rtol, maxiter)
+    expected = brentq(theirs, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    assert our_xs == their_xs
+    assert float(root).hex() == float(expected).hex()
+
+
+def _steep_zero(x):
+    """A root at 0.2 inside a band where f is exactly -0.0."""
+    return -0.0 if abs(x - 0.2) < 1e-3 else math.tanh(x - 0.2)
+
+
+def _cubic(seed, scale=1.0):
+    """A seeded cubic with its bracket, its roots spread over a few times scale."""
+    r = np.random.default_rng(seed).uniform(-3.0, 3.0, 4)
+    return (lambda x: (x / scale - r[0]) * (x / scale - r[1]) * (x / scale - r[2]) + r[3],
+            -4.0 * scale, 4.1 * scale)
+
+
+BRENT_CASES = []
+for _seed in range(8):
+    _r = np.random.default_rng(_seed).uniform(-3.0, 3.0, 4)
+    BRENT_CASES += [
+        _cubic(_seed),
+        (lambda x, s=_r[0]: math.tanh(x - s), -4.0, 4.1),
+        (lambda x, c=_r[1] / 3, k=40.0 * (1 + abs(_r[2])): math.tanh(k * (x - c)), -1.5, 2.0),
+    ]
+# cubics at the scale of xtol, picked because the "- delta" of the short-step
+# test decides one of their steps
+BRENT_CASES += [_cubic(115, 1e-12), _cubic(262, 1e-12), _cubic(128, 3e-12)]
+BRENT_CASES += [
+    (lambda x: x + 1.5, -1.5, 3.0),          # root exactly at xa
+    (lambda x: x - 3.0, -1.5, 3.0),          # root exactly at xb
+    (lambda x: -(x + 1.5), -1.5, 3.0),       # f(xa) = -0.0
+    (_steep_zero, -1.0, 1.0),
+    (lambda x: 1e-200 * (math.exp(x) - 1.4), -1.0, 2.0),  # slopes whose product underflows
+]
+
+
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+def test_brentq_matches_scipy(case):
+    f, xa, xb = BRENT_CASES[case]
+    _assert_same_as_scipy(f, xa, xb, *BRENT_ARGS)
+
+
+def test_brentq_matches_scipy_on_spectrum_root(monkeypatch):
+    from gibbsdim import thermo
+    calls = []
+    real = thermo._brentq
+
+    def spy(f, *args):
+        calls.append((f, args))
+        return real(f, *args)
+    monkeypatch.setattr(thermo, "_brentq", spy)
+    phi, psi = _stress_model(1)
+    lo, hi = alpha_range(phi, psi)
+    for t in (0.3, 0.65):
+        assert not spectrum_at(lo + t * (hi - lo), phi, psi).endpoint
+    monkeypatch.undo()
+    assert [args for _, args in calls] == [(-40.0, 40.0) + BRENT_ARGS] * 2
+    for f, args in calls:  # f keeps its evaluations, so scipy reruns are cheap
+        _assert_same_as_scipy(f, *args)
+
+
+@pytest.mark.parametrize("f, maxiter", [
+    (lambda x: math.tanh(x - 0.3), 1),
+    (lambda x, values=iter([-1.0, 1.0]): next(values, math.nan), 200),
+    (lambda x: x * x + 1.0, 200),
+], ids=["no-convergence", "nan-after-two-values", "no-sign-change"])
+def test_brentq_failure_raises_numerical_error(f, maxiter):
+    from gibbsdim.errors import NumericalError
+    from gibbsdim.thermo import _brentq
+    with pytest.raises(NumericalError) as info:
+        _brentq(f, -1.0, 2.0, 1e-12, 8.9e-16, maxiter)
+    assert info.value.bracket == (-1.0, 2.0)
