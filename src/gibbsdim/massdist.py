@@ -117,6 +117,8 @@ class MassDistribution:
         self.source_band = float(source_band)  # K'
         self.spectrum_value = float(spectrum_value)
         self._children = {}
+        self._stem_cache = {}
+        self._taus_after = postfix.followers(self.spec)
         logs = np.array([-self.s * psi.word_sum_bounds(w).sup for w in family.words])
         z = _logsumexp(logs)
         self._root_words = tuple(family.words)
@@ -139,38 +141,73 @@ class MassDistribution:
 
     # --- tree ------------------------------------------------------------
 
-    def _child_stem(self, parent: Word, member: Word) -> Word:
-        rho = self.infixes.get(parent[-1], member[0])
-        rho2 = self.infixes.get(member[-1], self.joined[0])
-        return parent + rho + member + rho2 + self.joined
+    def _stems(self, last: int):
+        """Per root word, the stem rho + member + rho' + joined of a child whose
+        parent ends in symbol ``last``; validated with that junction, memoised."""
+        stems = self._stem_cache.get(last)
+        if stems is None:
+            infixes, joined = self.infixes, self.joined
+            stems = tuple(
+                infixes.get(last, m[0]) + m + infixes.get(m[-1], joined[0]) + joined
+                for m in self._root_words)
+            for stem in stems:
+                if not self.spec.is_admissible((last,) + stem):
+                    raise ValidationError(f"child stem {stem} is not admissible")
+            self._stem_cache[last] = stems
+        return stems
 
     def _make_children(self, parent: Word):
-        chosen = []
-        for member in self._root_words:
-            stem = self._child_stem(parent, member)
+        """One child per root word: parent + stem + tau, with the first tau in
+        order that lands the child in the band and keeps the children a prefix
+        code.
+
+        Every child extends the parent's running sums of phi and psi, and each
+        stem's running sum carries over its taus, so only new windows are
+        summed and the sums equal a full re-sum bit for bit.  The parent is
+        validated here, the stems with their junction to it in ``_stems``, and
+        the taus with their junction to a stem by ``PostfixSet.followers``.
+        """
+        if not self.spec.is_admissible(parent):
+            raise ValidationError("parent word is not admissible")
+        phi, psi, band = self.phi, self.psi, self.band
+        phi_run = phi.window_sums(parent)[0]
+        phi_tail = phi.tail(parent)
+        stems = self._stems(parent[-1])
+        shortest = min(len(stem) for stem in stems)
+        chosen = set()       # suffixes (child minus parent) picked so far
+        covered = set()      # prefixes of chosen suffixes, as long as any candidate
+        lengths = set()      # lengths of the chosen suffixes
+        suffixes = []
+        for member, stem in zip(self._root_words, stems):
+            local = phi_tail + stem
+            stem_run = phi.window_sums(local, 0, phi_run)[0]
+            stem_tail = phi.tail(local)
             pick = None
-            for tau in self.postfix.words:
-                if tau and not self.spec.incidence[stem[-1], tau[0]]:
+            for tau in self._taus_after[stem[-1]]:
+                _, hi, lo = phi.window_sums(stem_tail + tau, 0, stem_run)
+                if not (hi <= band and lo >= -band):
                     continue
-                cand = stem + tau
-                if not self.phi.word_sum_bounds(cand).within(self.band):
+                suffix = stem + tau
+                if suffix in covered or any(suffix[:k] in chosen for k in lengths):
                     continue
-                clash = any(
-                    cand[:len(o)] == o or o[:len(cand)] == cand for o in chosen
-                )
-                if clash:
-                    continue
-                pick = cand
+                pick = suffix
                 break
             if pick is None:
                 raise NumericalError(
                     "no postfix returns a child into the band; "
                     f"parent length {len(parent)}, member {member}"
                 )
-            chosen.append(pick)
-        logs = np.array([-self.s * self.psi.word_sum_bounds(c).sup for c in chosen])
+            chosen.add(pick)
+            covered.update(pick[:k] for k in range(shortest, len(pick) + 1))
+            lengths.add(len(pick))
+            suffixes.append(pick)
+        psi_run = psi.window_sums(parent)[0]
+        psi_tail = psi.tail(parent)
+        logs = np.array([-self.s * psi.window_sums(psi_tail + suf, 0, psi_run)[1]
+                         for suf in suffixes])
         z = _logsumexp(logs)
-        return tuple(chosen), np.exp(logs - z), logs - z, float(z)
+        return (tuple(parent + suf for suf in suffixes), np.exp(logs - z), logs - z,
+                float(z))
 
     def children(self, parent: Word):
         key = tuple(parent)

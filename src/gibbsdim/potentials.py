@@ -60,6 +60,7 @@ class LocallyConstantPotential:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_table", dict(entries))
         object.__setattr__(self, "_distortion", None)
+        object.__setattr__(self, "_overhang", {})
 
     # --- construction -----------------------------------------------------
 
@@ -133,8 +134,15 @@ class LocallyConstantPotential:
             )
         if not self.spec.is_admissible(prefix):
             raise ValidationError("prefix is not admissible")
-        d = self.depth
-        return float(sum(self._table[prefix[k:k + d]] for k in range(n)))
+        return self.window_sums(prefix[:n + self.depth - 1])[0]
+
+    def tail(self, word: Word) -> Word:
+        """The last d-1 symbols of ``word`` (all of it when shorter).
+
+        The windows of ``word + suffix`` that are not windows of ``word`` are
+        exactly the windows of ``tail(word) + suffix``.
+        """
+        return word[max(0, len(word) - self.depth + 1):]
 
     def _overhang_bounds(self, word: Word):
         """Sup and inf over admissible continuations of the windows sliding off ``word``."""
@@ -160,16 +168,33 @@ class LocallyConstantPotential:
         walk(word, 0.0)
         return best[1], best[0]
 
+    def window_sums(self, word: Word, start: int = 0, acc: float = 0.0):
+        """Carry ``acc`` over the depth-d windows of ``word`` from index ``start``.
+
+        Returns ``(run, sup, inf)``: ``run`` adds the windows inside ``word``
+        left to right, and ``sup``/``inf`` add to it the exact overhang bounds
+        of the windows sliding off its end.  ``word`` is not validated.
+        ``word_sum_bounds`` and ``birkhoff_sum`` sum through here too, so a
+        word extended from its prefix's ``run`` (with ``tail(prefix) +
+        suffix``) sums bit for bit as the whole word does.
+        """
+        d = self.depth
+        table = self._table
+        n = len(word) - d + 1   # windows inside ``word``
+        for k in range(start, n):
+            acc += table[word[k:k + d]]
+        tail = word[n:] if n > 0 else word
+        bounds = self._overhang.get(tail)
+        if bounds is None:
+            bounds = self._overhang[tail] = self._overhang_bounds(tail)
+        return acc, acc + bounds[0], acc + bounds[1]
+
     def word_sum_bounds(self, word: Word) -> WordSumBounds:
         """Exact sup/inf of the length-|word| Birkhoff sum over the cylinder [word]."""
         if not self.spec.is_admissible(word):
             raise ValidationError("word is not admissible")
-        if len(word) == 0:
-            return WordSumBounds(0.0, 0.0, word)
-        d = self.depth
-        base = sum(self._table[word[k:k + d]] for k in range(max(0, len(word) - d + 1)))
-        hi, lo = self._overhang_bounds(word)
-        return WordSumBounds(float(base + hi), float(base + lo), word)
+        _, sup, inf = self.window_sums(word)
+        return WordSumBounds(sup, inf, word)
 
     def distortion(self) -> float:
         """Uniform bound on |S_n(xi) - S_n(xi')| over pairs sharing an n-prefix; exact."""

@@ -138,6 +138,17 @@ class PostfixSet:
     def norm(self) -> int:
         return max((len(w) for w in self.words), default=0)
 
+    def followers(self, spec: SftSpec) -> tuple:
+        """Per symbol a, the postfix words (in order) that may follow a.
+
+        Raises ValidationError unless every postfix word is admissible.
+        """
+        for tau in self.words:
+            if not spec.is_admissible(tau):
+                raise ValidationError(f"postfix word {tau} is not admissible")
+        return tuple(tuple(t for t in self.words if not t or spec.incidence[a, t[0]])
+                     for a in range(spec.n))
+
 
 def _extremal_word(phi: LocallyConstantPotential, threshold: float, minimize: bool,
                    step_cap: int = 100_000) -> Word:
@@ -226,18 +237,23 @@ class VerifyReport:
 
 def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential, max_len: int,
                    witness_cap: int = 32, cap: int = 10_000_000) -> VerifyReport:
-    """Exhaustively check the postfix property for all source words up to max_len."""
-    spec = phi.spec
+    """Exhaustively check the postfix property for all source words up to max_len.
+
+    Each source word is summed once; every ``w + tau`` extends its running sum.
+    """
+    followers = pset.followers(phi.spec)
+    band = pset.band
     checked = 0
     failures = []
     for length in range(1, max_len + 1):
         for w in window_family(phi, pset.source_band, length, cap=cap).words:
             checked += 1
+            run = phi.window_sums(w)[0]
+            tail = phi.tail(w)
             ok = False
-            for tau in pset.words:
-                if tau and not spec.incidence[w[-1], tau[0]]:
-                    continue
-                if phi.word_sum_bounds(w + tau).within(pset.band):
+            for tau in followers[w[-1]]:
+                _, hi, lo = phi.window_sums(tail + tau, 0, run)
+                if hi <= band and lo >= -band:
                     ok = True
                     break
             if not ok and len(failures) < witness_cap:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gibbsdim import LocallyConstantPotential, SftSpec
+from gibbsdim import LocallyConstantPotential, SftSpec, window_family
 
 
 def full2():
@@ -100,6 +100,52 @@ def brute_sum_range(phi, word):
     return max(values), min(values)
 
 
+def reference_children(dist, parent):
+    """Children of ``parent`` by the tree's rule, every candidate re-summed whole.
+
+    Each stem + tau goes through the public ``word_sum_bounds``, and the
+    prefix-clash test scans the whole words chosen so far.
+    """
+    spec = dist.spec
+    chosen = []
+    for member in dist.family.words:
+        rho = dist.infixes.get(parent[-1], member[0])
+        rho2 = dist.infixes.get(member[-1], dist.joined[0])
+        stem = parent + rho + member + rho2 + dist.joined
+        pick = None
+        for tau in dist.postfix.words:
+            if tau and not spec.incidence[stem[-1], tau[0]]:
+                continue
+            cand = stem + tau
+            if not dist.phi.word_sum_bounds(cand).within(dist.band):
+                continue
+            if any(cand[:len(o)] == o or o[:len(cand)] == cand for o in chosen):
+                continue
+            pick = cand
+            break
+        assert pick is not None, f"no child for member {member}"
+        chosen.append(pick)
+    logs = np.array([-dist.s * dist.psi.word_sum_bounds(c).sup for c in chosen])
+    m = float(logs.max())
+    z = m + math.log(float(np.exp(logs - m).sum()))
+    return tuple(chosen), np.exp(logs - z), logs - z, z
+
+
+def reference_verify_postfix(pset, phi, max_len, witness_cap=32):
+    """(passed, checked, failures) of the postfix check, each w + tau summed whole."""
+    checked, failures = 0, []
+    for length in range(1, max_len + 1):
+        for w in window_family(phi, pset.source_band, length).words:
+            checked += 1
+            ok = any(
+                phi.word_sum_bounds(w + tau).within(pset.band)
+                for tau in pset.words
+                if not tau or phi.spec.incidence[w[-1], tau[0]])
+            if not ok and len(failures) < witness_cap:
+                failures.append(w)
+    return not failures, checked, tuple(failures)
+
+
 def brute_simple_cycles(adj):
     """All simple directed cycles as vertex tuples (start = minimal vertex)."""
     n = adj.shape[0]
@@ -156,7 +202,10 @@ def power_perron(M, rtol=1e-13, max_iter=500_000):
     lo_best, hi_best = 0.0, math.inf
     for _ in range(max_iter):
         y = M @ x
-        ratios = y / x
+        # an iterate with a zero entry gives an inf ratio there, which cannot
+        # tighten hi; the min-ratio lower bound still holds for x >= 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = y / x
         lo_best = max(lo_best, float(ratios.min()))
         hi_best = min(hi_best, float(ratios.max()))
         if hi_best - lo_best <= rtol * hi_best:

@@ -4,14 +4,32 @@ import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import (InfeasibleError, ValidationError, add_constant,
+from gibbsdim import (InfeasibleError, ValidationError, add_constant, alpha_range,
                       build_mass_distribution, choose_base_length, combine,
-                      full_dim_alpha, in_frequent_set, window_family)
+                      full_dim_alpha, in_frequent_set, spectrum_at, window_family)
 
 
 def small_dist(phi_pm, s=0.1):
     _, pm, psi = phi_pm
     return build_mass_distribution(pm, psi, s, [pm.spec.word("01")])
+
+
+def centred_dist(depth, seed):
+    """Tree of a seeded random model with phi and psi of depth d, phi shifted
+    so that its cycle-ratio range is centred on zero; s = 0.05 * b(0)."""
+    rng = np.random.default_rng(seed)
+    spec = helpers.random_mixing_spec(rng, n=int(rng.integers(2, 4)))
+    phi = helpers.random_potential(rng, spec, depth, scale=0.5)
+    psi = add_constant(helpers.random_potential(rng, spec, depth, scale=0.2), 1.0)
+    lo, hi = alpha_range(phi, psi)
+    phi = combine(1.0, phi, (lo + hi) / 2, psi)
+    b0 = spectrum_at(0.0, phi, psi).value
+    return build_mass_distribution(phi, psi, 0.05 * b0, [(0,)], base_length_cap=8)
+
+
+# (depth, seed): the prefix-clash test moves picks at (1, 2), (2, 2) and (2, 10);
+# at (1, 2) one candidate is rejected because a chosen child is its prefix
+TREE_MODELS = [(1, 2), (2, 2), (2, 10), (3, 1), (3, 11)]
 
 
 # --------------------------------------------------------------------------
@@ -121,6 +139,8 @@ def test_mass_rejects_foreign_words(phi_pm):
     dist = small_dist(phi_pm)
     with pytest.raises(ValidationError):
         dist.mass(phi_pm[0].word("0011"))
+    with pytest.raises(ValidationError):
+        dist.children((0, 2))  # symbol 2 is not in the alphabet
 
 
 def test_levels_normalized_and_in_band(phi_pm):
@@ -156,6 +176,43 @@ def test_mass_upper_bound_from_root_ratio(phi_pm):
         for w, mass in dist.level(k).items():
             bound = math.exp(-dist.s * dist.psi.word_sum_bounds(w).sup) * root_ratio
             assert mass <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("depth,seed", TREE_MODELS)
+def test_children_match_reference_at_depth(depth, seed):
+    dist = centred_dist(depth, seed)
+    phi, band = dist.phi, dist.band
+    frontier = list(dist.family.words)
+    for _ in range(3):
+        nxt = []
+        for parent in frontier:
+            words, probs, logs, z = dist.children(parent)
+            ref_words, ref_probs, ref_logs, ref_z = helpers.reference_children(dist, parent)
+            assert words == ref_words
+            assert probs.tobytes() == ref_probs.tobytes()
+            assert logs.tobytes() == ref_logs.tobytes()
+            assert z == ref_z
+            for w in words:
+                hi, lo = helpers.brute_sum_range(phi, w)
+                assert phi.word_sum_bounds(w).within(band) == (hi <= band and lo >= -band)
+            nxt.extend(words)
+        frontier = nxt
+
+
+@pytest.mark.parametrize("depth,seed", [(1, None)] + TREE_MODELS)
+def test_children_form_a_prefix_code(depth, seed, phi_pm):
+    dist = small_dist(phi_pm) if seed is None else centred_dist(depth, seed)
+    frontier = list(dist.family.words)
+    for _ in range(3):
+        nxt = []
+        for parent in frontier:
+            words = dist.children(parent)[0]
+            assert len(set(words)) == len(words)
+            for a in words:
+                assert a[:len(parent)] == parent
+                assert not any(b != a and b[:len(a)] == a for b in words)
+            nxt.extend(words)
+        frontier = nxt
 
 
 # --------------------------------------------------------------------------

@@ -50,7 +50,7 @@ def test_word_sum_bounds(bin14):
     assert (b10.sup, b10.inf) == (1.0, 0.0)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_word_sum_bounds_against_brute_force(depth):
     rng = np.random.default_rng(depth)
     spec = helpers.random_mixing_spec(rng, n=3)
@@ -61,6 +61,31 @@ def test_word_sum_bounds_against_brute_force(depth):
             b = phi.word_sum_bounds(w)
             assert b.sup == pytest.approx(hi, abs=1e-12)
             assert b.inf == pytest.approx(lo, abs=1e-12)
+
+
+def random_admissible_word(rng, spec, length):
+    word = (int(rng.integers(spec.n)),)
+    while len(word) < length:
+        word += (int(rng.choice(spec.successors(word[-1]))),)
+    return word
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_window_sums_extend_a_prefix_bit_for_bit(depth):
+    rng = np.random.default_rng(60 + depth)
+    for _ in range(6):
+        spec = helpers.random_mixing_spec(rng)
+        phi = helpers.random_potential(rng, spec, depth, scale=3.0)
+        for length in (1, 2, 3, 7, 16):
+            word = random_admissible_word(rng, spec, length)
+            whole = phi.word_sum_bounds(word)
+            want = (whole.sup.hex(), whole.inf.hex())
+            for i in range(length + 1):
+                run = phi.window_sums(word[:i])[0]
+                _, sup, inf = phi.window_sums(phi.tail(word[:i]) + word[i:], 0, run)
+                assert (sup.hex(), inf.hex()) == want
+                _, sup, inf = phi.window_sums(word, max(0, i - depth + 1), run)
+                assert (sup.hex(), inf.hex()) == want
 
 
 def test_two_sided_bound_property():

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import (InfeasibleError, LocallyConstantPotential, PostfixSet,
-                      ValidationError, boundary_words, build_postfix_set,
+from gibbsdim import (InfeasibleError, LocallyConstantPotential, ValidationError,
+                      boundary_words, build_postfix_set,
                       counterexample_word, in_frequent_set, in_repetition_free_set,
                       separating_word, verify_postfix, window_family, word_power)
 
@@ -62,25 +63,49 @@ def test_postfix_infeasible_cases(phi_neg, phi_pm):
         build_postfix_set(pm, 2.0, 0.0)  # band below the hypothesis threshold
 
 
+def gold_edge_phi():
+    gspec = helpers.gold()
+    return LocallyConstantPotential.from_table(
+        gspec, 2,
+        {gspec.word("00"): -0.5, gspec.word("01"): 0.5, gspec.word("10"): 0.5})
+
+
+def truncated(pset, keep):
+    return replace(pset, words=tuple(w for w in pset.words if keep(w)))
+
+
+def assert_matches_brute_verify(report, pset, phi, max_len):
+    brute = helpers.reference_verify_postfix(pset, phi, max_len)
+    assert (report.passed, report.checked, report.failures) == brute
+
+
 def test_postfix_verification_exhaustive(phi_pm):
     _, pm, _ = phi_pm
-    pset = build_postfix_set(pm, 2.0, 0.6)
-    report = verify_postfix(pset, pm, 10)
-    assert report.passed
-    assert report.checked > 0
+    gold_phi = gold_edge_phi()
+    for phi, pset, max_len in ((pm, build_postfix_set(pm, 2.0, 0.6), 10),
+                               (gold_phi, build_postfix_set(gold_phi, 4.0, 3.0), 12)):
+        report = verify_postfix(pset, phi, max_len)
+        assert report.passed
+        assert report.checked > 0
+        assert_matches_brute_verify(report, pset, phi, max_len)
 
 
 def test_postfix_verification_catches_truncation(phi_pm):
     spec, pm, _ = phi_pm
     pset = build_postfix_set(pm, 2.0, 0.6)
     # drop the whole descending family: words of positive sum become unfixable
-    truncated = PostfixSet(
-        words=tuple(w for w in pset.words if 0 not in w),
-        prefixes=pset.prefixes, seg_down=pset.seg_down, seg_up=pset.seg_up,
-        band=pset.band, source_band=pset.source_band)
-    report = verify_postfix(truncated, pm, 6)
+    cut = truncated(pset, lambda w: 0 not in w)
+    report = verify_postfix(cut, pm, 6)
     assert not report.passed
     assert any(set(w) == {1} for w in report.failures)
+    assert_matches_brute_verify(report, cut, pm, 6)
+    # depth 2: without the words that hold 00, rising sums stay unfixable
+    gold_phi = gold_edge_phi()
+    cut = truncated(build_postfix_set(gold_phi, 4.0, 3.0),
+                    lambda w: (0, 0) not in zip(w, w[1:]))
+    report = verify_postfix(cut, gold_phi, 9)
+    assert not report.passed
+    assert_matches_brute_verify(report, cut, gold_phi, 9)
 
 
 def test_postfix_vacuous_when_source_family_empty(phi_pm):
@@ -91,14 +116,16 @@ def test_postfix_vacuous_when_source_family_empty(phi_pm):
 
 
 def test_postfix_on_golden_spec_edges():
-    gspec = helpers.gold()
-    phi = LocallyConstantPotential.from_table(
-        gspec, 2,
-        {gspec.word("00"): -0.5, gspec.word("01"): 0.5, gspec.word("10"): 0.5})
+    phi = gold_edge_phi()
     # hypothesis floor: 2*distortion + |connectors|*norm = 2.5 for these weights
     pset = build_postfix_set(phi, 4.0, 3.0)
     report = verify_postfix(pset, phi, 12)
     assert report.passed
+    # 11 is forbidden on the golden mean shift: no tau starting with 1 follows a 1
+    taus = ((), (0,), (1,), (1, 0))
+    assert replace(pset, words=taus).followers(phi.spec) == (taus, ((), (0,)))
+    with pytest.raises(ValidationError):
+        verify_postfix(replace(pset, words=((), (1, 1))), phi, 4)
 
 
 # --------------------------------------------------------------------------
