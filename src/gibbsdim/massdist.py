@@ -180,11 +180,11 @@ class MassDistribution:
         suffixes = []
         for member, stem in zip(self._root_words, stems):
             local = phi_tail + stem
-            stem_run = phi.window_sums(local, 0, phi_run)[0]
+            stem_run = phi.window_sums(local, phi_run)[0]
             stem_tail = phi.tail(local)
             pick = None
             for tau in self._taus_after[stem[-1]]:
-                _, hi, lo = phi.window_sums(stem_tail + tau, 0, stem_run)
+                _, hi, lo = phi.window_sums(stem_tail + tau, stem_run)
                 if not (hi <= band and lo >= -band):
                     continue
                 suffix = stem + tau
@@ -203,7 +203,7 @@ class MassDistribution:
             suffixes.append(pick)
         psi_run = psi.window_sums(parent)[0]
         psi_tail = psi.tail(parent)
-        logs = np.array([-self.s * psi.window_sums(psi_tail + suf, 0, psi_run)[1]
+        logs = np.array([-self.s * psi.window_sums(psi_tail + suf, psi_run)[1]
                          for suf in suffixes])
         z = _logsumexp(logs)
         return (tuple(parent + suf for suf in suffixes), np.exp(logs - z), logs - z,

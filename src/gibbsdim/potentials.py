@@ -168,8 +168,8 @@ class LocallyConstantPotential:
         walk(word, 0.0)
         return best[1], best[0]
 
-    def window_sums(self, word: Word, start: int = 0, acc: float = 0.0):
-        """Carry ``acc`` over the depth-d windows of ``word`` from index ``start``.
+    def window_sums(self, word: Word, acc: float = 0.0):
+        """Carry ``acc`` over the depth-d windows of ``word``.
 
         Returns ``(run, sup, inf)``: ``run`` adds the windows inside ``word``
         left to right, and ``sup``/``inf`` add to it the exact overhang bounds
@@ -181,7 +181,7 @@ class LocallyConstantPotential:
         d = self.depth
         table = self._table
         n = len(word) - d + 1   # windows inside ``word``
-        for k in range(start, n):
+        for k in range(n):
             acc += table[word[k:k + d]]
         tail = word[n:] if n > 0 else word
         bounds = self._overhang.get(tail)

@@ -252,7 +252,7 @@ def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential, max_len: int
             tail = phi.tail(w)
             ok = False
             for tau in followers[w[-1]]:
-                _, hi, lo = phi.window_sums(tail + tau, 0, run)
+                _, hi, lo = phi.window_sums(tail + tau, run)
                 if hi <= band and lo >= -band:
                     ok = True
                     break

@@ -104,7 +104,8 @@ def reference_children(dist, parent):
     """Children of ``parent`` by the tree's rule, every candidate re-summed whole.
 
     Each stem + tau goes through the public ``word_sum_bounds``, and the
-    prefix-clash test scans the whole words chosen so far.
+    prefix-clash test scans the whole words chosen so far.  Raises
+    ``LookupError(member)`` for the first member with no pick.
     """
     spec = dist.spec
     chosen = []
@@ -123,7 +124,8 @@ def reference_children(dist, parent):
                 continue
             pick = cand
             break
-        assert pick is not None, f"no child for member {member}"
+        if pick is None:
+            raise LookupError(member)
         chosen.append(pick)
     logs = np.array([-dist.s * dist.psi.word_sum_bounds(c).sup for c in chosen])
     m = float(logs.max())

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import (InfeasibleError, ValidationError, add_constant, alpha_range,
-                      build_mass_distribution, choose_base_length, combine,
+from gibbsdim import (InfeasibleError, NumericalError, ValidationError, add_constant,
+                      alpha_range, build_mass_distribution, choose_base_length, combine,
                       full_dim_alpha, in_frequent_set, spectrum_at, window_family)
 
 
@@ -30,6 +31,9 @@ def centred_dist(depth, seed):
 # (depth, seed): the prefix-clash test moves picks at (1, 2), (2, 2) and (2, 10);
 # at (1, 2) one candidate is rejected because a chosen child is its prefix
 TREE_MODELS = [(1, 2), (2, 2), (2, 10), (3, 1), (3, 11)]
+# (depth, seed) whose tree gets stuck: at some parents every in-band candidate
+# of a member clashes with a child chosen before it
+STUCK_MODELS = [(2, 0)]
 
 
 # --------------------------------------------------------------------------
@@ -178,16 +182,24 @@ def test_mass_upper_bound_from_root_ratio(phi_pm):
             assert mass <= bound * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("depth,seed", TREE_MODELS)
+@pytest.mark.parametrize("depth,seed", TREE_MODELS + STUCK_MODELS)
 def test_children_match_reference_at_depth(depth, seed):
     dist = centred_dist(depth, seed)
     phi, band = dist.phi, dist.band
     frontier = list(dist.family.words)
+    stuck = 0
     for _ in range(3):
         nxt = []
         for parent in frontier:
+            try:
+                ref_words, ref_probs, ref_logs, ref_z = helpers.reference_children(dist, parent)
+            except LookupError as e:
+                where = f"parent length {len(parent)}, member {e.args[0]}"
+                with pytest.raises(NumericalError, match=re.escape(where) + "$"):
+                    dist.children(parent)
+                stuck += 1
+                continue
             words, probs, logs, z = dist.children(parent)
-            ref_words, ref_probs, ref_logs, ref_z = helpers.reference_children(dist, parent)
             assert words == ref_words
             assert probs.tobytes() == ref_probs.tobytes()
             assert logs.tobytes() == ref_logs.tobytes()
@@ -197,6 +209,7 @@ def test_children_match_reference_at_depth(depth, seed):
                 assert phi.word_sum_bounds(w).within(band) == (hi <= band and lo >= -band)
             nxt.extend(words)
         frontier = nxt
+    assert (stuck > 0) == ((depth, seed) in STUCK_MODELS)
 
 
 @pytest.mark.parametrize("depth,seed", [(1, None)] + TREE_MODELS)
