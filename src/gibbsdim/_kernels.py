@@ -1,47 +1,49 @@
-"""Hot inner loops: Markov path sampling and CDF tree descent.
+"""Hot inner loops: Markov path sampling and CDF tree descent, in NumPy.
 
-Both kernels are written as plain Python over NumPy arrays so the same code
-either runs as-is (fallback) or compiled by numba.  Set
-
-    GIBBSDIM_DISABLE_NUMBA=1
-
-to force the pure-Python/NumPy path; the selected backend is reported in
-``BACKEND``.  Randomness enters only through pre-drawn uniforms, so both
-backends produce bit-identical results.
+``markov_path`` draws a whole orbit from pre-drawn uniforms: NumPy maps each
+uniform to its place among the chain's cumulative transition probabilities,
+and one plain loop follows the states and emits their symbols.
+``cdf_descend`` walks the cylinder tree one level at a time.  Randomness
+enters only through the uniforms, so a seed fixes the output.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+BACKEND = "numpy"  # the only backend; benchmark records report it
+CHUNK = 1 << 16  # uniforms held as Python ints at once; bounds the orbit's memory
 
-def numba_disabled() -> bool:
-    return os.environ.get("GIBBSDIM_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
 
+def markov_path(start_cum, q_cum, u, blocks):
+    """Decoded word of a state path: u[0] picks the start, u[1:] drive the transitions.
 
-def markov_path_py(start_cum, q_cum, u):
-    """Sample a state path: u[0] picks the start, u[1:] drive the transitions."""
-    m = u.shape[0]
+    From state s a uniform x moves to the first t with x <= q_cum[s, t]
+    (the last state if there is none), and start_cum plays that part for
+    u[0].  The path is decoded as it is walked: the start contributes its
+    whole block, every later state the last symbol of its block.
+    """
     n = start_cum.shape[0]
-    out = np.empty(m, dtype=np.int64)
-    s = 0
-    while s < n - 1 and u[0] > start_cum[s]:
-        s += 1
-    out[0] = s
-    for k in range(1, m):
-        x = u[k]
-        t = 0
-        while t < n - 1 and x > q_cum[s, t]:
-            t += 1
-        out[k] = t
-        s = t
-    return out
+    s = min(int(np.searchsorted(start_cum, u[0])), n - 1)
+    # Rows of q_cum are non-decreasing, so searchsorted finds that first t.
+    # Every x in (cuts[j-1], cuts[j]] takes state s to the same next state,
+    # the first t with q_cum[s, t] >= cuts[j]; table[s][j] holds it, and the
+    # extra last column holds the capped answer for x above every cut.
+    cuts = np.unique(q_cum)
+    edges = np.append(cuts, np.inf)
+    table = [np.minimum(np.searchsorted(row, edges), n - 1).tolist() for row in q_cum]
+    last = [blk[-1] for blk in blocks]
+    out = list(blocks[s])
+    append = out.append
+    for lo in range(1, u.shape[0], CHUNK):
+        for j in np.searchsorted(cuts, u[lo:lo + CHUNK]).tolist():
+            s = table[s][j]
+            append(last[s])
+    return tuple(out)
 
 
-def cdf_descend_py(x, eps, max_depth, root_next, root_mass, succ, step_prob,
-                   order, rates, offsets, u, v):
+def cdf_descend(x, eps, max_depth, root_next, root_mass, succ, step_prob,
+                order, rates, offsets, u, v):
     """Mass of (-inf, x] under the pushforward measure, by cylinder descent.
 
     At each level, siblings lying entirely left of x contribute their full
@@ -94,27 +96,3 @@ def cdf_descend_py(x, eps, max_depth, root_next, root_mass, succ, step_prob,
     if frac > 1.0:
         frac = 1.0
     return acc + mass * frac
-
-
-_PY_IMPLS = {"markov_path": markov_path_py, "cdf_descend": cdf_descend_py}
-_JIT_IMPLS = None
-
-if not numba_disabled():
-    try:
-        from numba import njit
-
-        _JIT_IMPLS = {
-            "markov_path": njit(cache=True)(markov_path_py),
-            "cdf_descend": njit(cache=True)(cdf_descend_py),
-        }
-    except ImportError:
-        _JIT_IMPLS = None
-
-if _JIT_IMPLS is not None:
-    BACKEND = "numba"
-    markov_path = _JIT_IMPLS["markov_path"]
-    cdf_descend = _JIT_IMPLS["cdf_descend"]
-else:
-    BACKEND = "numpy"
-    markov_path = markov_path_py
-    cdf_descend = cdf_descend_py

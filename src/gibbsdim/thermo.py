@@ -281,16 +281,15 @@ class GibbsChain:
 
     def sample_orbit(self, n: int, seed: int) -> Word:
         """A length-n word drawn from the stationary chain; deterministic per seed."""
-        if n < 1:
-            raise ValidationError("orbit length must be positive")
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"orbit length must be a positive integer (got {n!r})")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer (got {seed!r})")
         rng = np.random.default_rng(seed)
-        width = self.coder.width
-        steps = max(1, n - width + 1)
-        u = rng.random(steps)
+        u = rng.random(max(1, n - self.coder.width + 1))
         start_cum = np.cumsum(self.pi)
         q_cum = np.cumsum(self.Q, axis=1)
-        path = markov_path(start_cum, q_cum, u)
-        return self.coder.decode(tuple(int(s) for s in path))[:n]
+        return markov_path(start_cum, q_cum, u, self.coder.blocks)[:n]
 
 
 def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:

@@ -226,3 +226,22 @@ def edge_graph(phi):
         for b in spec.successors(a):
             w[a, b] = phi.value((a, b))
     return spec.incidence, w
+
+
+def reference_markov_path(start_cum, q_cum, u):
+    """Sample a state path: u[0] picks the start, u[1:] drive the transitions."""
+    m = u.shape[0]
+    n = start_cum.shape[0]
+    out = np.empty(m, dtype=np.int64)
+    s = 0
+    while s < n - 1 and u[0] > start_cum[s]:
+        s += 1
+    out[0] = s
+    for k in range(1, m):
+        x = u[k]
+        t = 0
+        while t < n - 1 and x > q_cum[s, t]:
+            t += 1
+        out[k] = t
+        s = t
+    return out

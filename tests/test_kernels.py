@@ -1,17 +1,9 @@
-import math
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 import helpers
 from gibbsdim import AffineIfs, CdfModel, gibbs_chain
 from gibbsdim import _kernels
-
-needs_numba = pytest.mark.skipif(_kernels._JIT_IMPLS is None,
-                                 reason="numba unavailable or disabled")
 
 
 def _model():
@@ -21,51 +13,89 @@ def _model():
     return CdfModel(ifs, phi)
 
 
-@needs_numba
-def test_markov_path_backends_agree():
-    _, phi, _ = helpers.bin14()
-    chain = gibbs_chain(phi)
-    start_cum = np.cumsum(chain.pi)
-    q_cum = np.cumsum(chain.Q, axis=1)
-    u = np.random.default_rng(0).random(10_000)
-    py = _kernels._PY_IMPLS["markov_path"](start_cum, q_cum, u)
-    jit = _kernels._JIT_IMPLS["markov_path"](start_cum, q_cum, u)
-    assert np.array_equal(py, jit)
-
-
-@needs_numba
-def test_cdf_descend_backends_agree():
-    model = _model()
-    u, v = model.ifs.interval
-    for x in np.linspace(0.0, 1.0, 257):
-        args = (float(x), 1e-12, 100_000, model._root_next, model._root_mass,
-                model._succ, model._prob, model._order,
-                model.ifs.rates, model.ifs.offsets, u, v)
-        assert _kernels._PY_IMPLS["cdf_descend"](*args) == \
-            _kernels._JIT_IMPLS["cdf_descend"](*args)
-
-
 def test_fallback_runs_standalone():
     model = _model()
     u, v = model.ifs.interval
-    val = _kernels._PY_IMPLS["cdf_descend"](
+    val = _kernels.cdf_descend(
         0.5, 1e-12, 100_000, model._root_next, model._root_mass,
         model._succ, model._prob, model._order,
         model.ifs.rates, model.ifs.offsets, u, v)
     assert val == pytest.approx(0.25, abs=1e-12)
 
 
-def test_env_flag_selects_fallback():
-    env = dict(os.environ, GIBBSDIM_DISABLE_NUMBA="1")
-    code = "from gibbsdim import _kernels; print(_kernels.BACKEND)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+# --- markov_path against the step-by-step loop ------------------------------
+
+def _bin14_chain():
+    return gibbs_chain(helpers.bin14()[1])
 
 
-def test_env_flag_off_prefers_numba():
-    env = {k: v for k, v in os.environ.items() if k != "GIBBSDIM_DISABLE_NUMBA"}
-    code = "from gibbsdim import _kernels; print(_kernels.BACKEND)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() in ("numba", "numpy")  # numpy only if numba missing
+def _gold_depth3_chain():
+    """Width-2 blocks, so the start contributes two symbols."""
+    phi = helpers.random_potential(np.random.default_rng(5), helpers.gold(), 3)
+    return gibbs_chain(phi)
+
+
+def _sparse_chain():
+    """A five-symbol chain whose rows hold zero-probability transitions."""
+    rng = np.random.default_rng(7)
+    spec = helpers.random_mixing_spec(rng, 5)
+    return gibbs_chain(helpers.random_potential(rng, spec, 2))
+
+
+CHAINS = {"bin14": _bin14_chain, "gold-depth3": _gold_depth3_chain,
+          "sparse": _sparse_chain}
+
+
+@pytest.fixture(params=sorted(CHAINS), scope="module")
+def chain(request):
+    return CHAINS[request.param]()
+
+
+def _cums(chain):
+    return np.cumsum(chain.pi), np.cumsum(chain.Q, axis=1)
+
+
+def _reference_word(chain, u):
+    path = helpers.reference_markov_path(*_cums(chain), u)
+    return chain.coder.decode(tuple(int(s) for s in path))
+
+
+def _ties(chain):
+    """0.0, every cumulative probability, and the floats either side of each."""
+    start_cum, q_cum = _cums(chain)
+    exact = np.concatenate([[0.0], start_cum, q_cum.ravel()])
+    return np.concatenate([exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf)])
+
+
+def test_chains_cover_wide_blocks_and_zero_transitions():
+    assert _gold_depth3_chain().coder.width == 2
+    assert (_sparse_chain().Q == 0.0).any()
+
+
+def test_markov_path_matches_loop_at_ties(chain):
+    ties = _ties(chain)
+    rng = np.random.default_rng(0)
+    steps = rng.permutation(np.tile(ties, 4))
+    for first in ties:
+        u = np.concatenate([[first], steps])
+        assert _kernels.markov_path(*_cums(chain), u, chain.coder.blocks) == \
+            _reference_word(chain, u)
+
+
+@pytest.mark.parametrize("length", [
+    1, 2, _kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1, 3 * _kernels.CHUNK])
+def test_markov_path_matches_loop_across_chunks(chain, length):
+    rng = np.random.default_rng(length)
+    u = rng.random(length)
+    ties = _ties(chain)
+    at = rng.integers(0, length, size=min(length, ties.size))
+    u[at] = ties[:at.size]
+    word = _kernels.markov_path(*_cums(chain), u, chain.coder.blocks)
+    assert len(word) == length + chain.coder.width - 1
+    assert word == _reference_word(chain, u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+def test_sample_orbit_matches_loop(chain, n):
+    u = np.random.default_rng(11).random(max(1, n - chain.coder.width + 1))
+    assert chain.sample_orbit(n, 11) == _reference_word(chain, u)[:n]

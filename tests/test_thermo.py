@@ -409,6 +409,13 @@ def test_sample_orbit_deep_chain(gold):
     assert gold.is_admissible(w)
 
 
+@pytest.mark.parametrize("n, seed", [(1000.0, 0), ("5", 0), (True, 0), (0, 0), (10, -1)])
+def test_sample_orbit_rejects_bad_arguments(bin14, n, seed):
+    chain = gibbs_chain(bin14[1])
+    with pytest.raises(ValidationError):
+        chain.sample_orbit(n, seed)
+
+
 def test_perron_nonconvergence_carries_bracket():
     from gibbsdim.errors import NumericalError
     from gibbsdim.thermo import _perron
