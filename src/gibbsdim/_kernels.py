@@ -18,28 +18,42 @@ CHUNK = 1 << 16  # uniforms held as Python ints at once; bounds the orbit's memo
 def markov_path(start_cum, q_cum, u, blocks):
     """Decoded word of a state path: u[0] picks the start, u[1:] drive the transitions.
 
-    From state s a uniform x moves to the first t with x <= q_cum[s, t]
-    (the last state if there is none), and start_cum plays that part for
-    u[0].  The path is decoded as it is walked: the start contributes its
-    whole block, every later state the last symbol of its block.
+    From state s a uniform x moves to the first t with x < q_cum[s, t], so
+    each state owns the half-open interval [q_cum[s, t-1], q_cum[s, t]) as
+    ``rng.random`` draws from [0, 1), and a state of probability 0 is never
+    entered.  An x above every cut (rounding can leave a row short of 1)
+    goes to the row's last state of positive probability.  start_cum plays
+    the same part for u[0].  The path is decoded as it is walked: the start
+    contributes its whole block, every later state the last symbol of its
+    block.
     """
     n = start_cum.shape[0]
-    s = min(int(np.searchsorted(start_cum, u[0])), n - 1)
+    s = int(np.searchsorted(start_cum, u[0], side="right"))
+    if s == n:
+        s = _last_positive(start_cum)
     # Rows of q_cum are non-decreasing, so searchsorted finds that first t.
-    # Every x in (cuts[j-1], cuts[j]] takes state s to the same next state,
+    # Every x in [cuts[j-1], cuts[j]) takes state s to the same next state,
     # the first t with q_cum[s, t] >= cuts[j]; table[s][j] holds it, and the
-    # extra last column holds the capped answer for x above every cut.
+    # extra last column the answer for x above every cut.
     cuts = np.unique(q_cum)
     edges = np.append(cuts, np.inf)
-    table = [np.minimum(np.searchsorted(row, edges), n - 1).tolist() for row in q_cum]
+    table = []
+    for row in q_cum:
+        nxt = np.searchsorted(row, edges)
+        table.append(np.where(nxt < n, nxt, _last_positive(row)).tolist())
     last = [blk[-1] for blk in blocks]
     out = list(blocks[s])
     append = out.append
     for lo in range(1, u.shape[0], CHUNK):
-        for j in np.searchsorted(cuts, u[lo:lo + CHUNK]).tolist():
+        for j in np.searchsorted(cuts, u[lo:lo + CHUNK], side="right").tolist():
             s = table[s][j]
             append(last[s])
     return tuple(out)
+
+
+def _last_positive(cum):
+    """Index of the last state whose interval in the cumulative row ``cum`` is not empty."""
+    return int(np.flatnonzero(np.diff(cum, prepend=0.0) > 0)[-1])
 
 
 def cdf_descend(x, eps, max_depth, root_next, root_mass, succ, step_prob,

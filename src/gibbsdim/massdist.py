@@ -3,8 +3,18 @@
 Generation 1 is a bounded-sum window family; every later generation extends a
 parent by a connector, a fresh window word, a connector, the joined marker
 word (which contains all requested pattern words), and a correcting postfix.
-Masses follow the recursive exponential weighting in the metric potential and
-are normalized within each sibling set, so they are consistent along the tree.
+The connectors all have one length, ``mixing_window() - 2``, so every child
+stem (connector + member + connector + joined) has one length too and distinct
+members give distinct stems: the children of a node form a prefix code by
+construction.  Masses follow the recursive exponential weighting in the metric
+potential and are normalized within each sibling set, so they are consistent
+along the tree.
+
+A node's postfixes are picked from arrays: the window terms of every stem and
+postfix are tabulated once per parent tail and added onto the parent's running
+sum column by column, which keeps every sum equal to a full re-sum bit for
+bit.  A node is cached as its picks and masses; child words are built only
+when asked for.
 
 All choices (connectors, member order, postfix selection) are deterministic,
 which makes masses reproducible bit for bit.
@@ -99,6 +109,39 @@ class MassCertificate:
         }
 
 
+def _window_columns(f: LocallyConstantPotential, tail: Word, stems, taus):
+    """The window terms of f on every candidate child ``parent + stem + tau``
+    of a parent whose tail is ``tail``, as column arrays.
+
+    Returns ``(stem_cols, tau_cols, tau_real, tau_bounds)``: the stems' window
+    values (stem_cols[c, i] is stem i's c-th window), the taus' window values
+    after each stem (tau_cols[c, i, j], zero-padded where tau_real is false)
+    and the sup and inf overhang bounds at the end (tau_bounds[:, i, j]).
+    Added in that order, they give ``window_sums`` of the whole candidate.
+    The tau terms depend on a stem only through its tail, so they are taken
+    once per distinct tail.
+    """
+    heads = [tail + stem for stem in stems]
+    stem_cols = np.array([f.window_terms(h)[0] for h in heads], dtype=float)
+    ends = {}
+    which = [ends.setdefault(f.tail(h), len(ends)) for h in heads]
+    terms = [[f.window_terms(end + tau) for tau in taus] for end in ends]
+    width = max(len(t[0]) for row in terms for t in row)
+    values = np.zeros((len(ends), len(taus), width))
+    count = np.zeros((len(ends), len(taus)), dtype=int)
+    bounds = np.zeros((2, len(ends), len(taus)))
+    for u, row in enumerate(terms):
+        for j, (vals, sup, inf) in enumerate(row):
+            values[u, j, :len(vals)] = vals
+            count[u, j] = len(vals)
+            bounds[:, u, j] = sup, inf
+    real = np.arange(width) < count[..., None]
+    return (np.ascontiguousarray(stem_cols.T),
+            np.ascontiguousarray(values[which].transpose(2, 0, 1)),
+            np.ascontiguousarray(real[which].transpose(2, 0, 1)),
+            bounds[:, which])
+
+
 class MassDistribution:
     """Lazy tree of bounded-sum words with consistent cylinder masses."""
 
@@ -116,9 +159,10 @@ class MassDistribution:
         self.band = float(band)               # K
         self.source_band = float(source_band)  # K'
         self.spectrum_value = float(spectrum_value)
-        self._children = {}
+        self._nodes = {}          # parent -> (picks, probs, logs, z)
         self._stem_cache = {}
-        self._taus_after = postfix.followers(self.spec)
+        self._column_cache = {}
+        self._taus = postfix.followers(self.spec)[joined[-1]]   # every stem ends in joined
         logs = np.array([-self.s * psi.word_sum_bounds(w).sup for w in family.words])
         z = _logsumexp(logs)
         self._root_words = tuple(family.words)
@@ -143,77 +187,90 @@ class MassDistribution:
 
     def _stems(self, last: int):
         """Per root word, the stem rho + member + rho' + joined of a child whose
-        parent ends in symbol ``last``; validated with that junction, memoised."""
+        parent ends in symbol ``last``, and the map from stem to member index;
+        validated with that junction, memoised.  The connectors share one
+        length, so all stems do, and distinct members give distinct stems."""
         stems = self._stem_cache.get(last)
         if stems is None:
             infixes, joined = self.infixes, self.joined
-            stems = tuple(
+            words = tuple(
                 infixes.get(last, m[0]) + m + infixes.get(m[-1], joined[0]) + joined
                 for m in self._root_words)
-            for stem in stems:
+            for stem in words:
                 if not self.spec.is_admissible((last,) + stem):
                     raise ValidationError(f"child stem {stem} is not admissible")
-            self._stem_cache[last] = stems
+            stems = self._stem_cache[last] = (words, {w: i for i, w in enumerate(words)})
         return stems
 
-    def _make_children(self, parent: Word):
-        """One child per root word: parent + stem + tau, with the first tau in
-        order that lands the child in the band and keeps the children a prefix
-        code.
+    def _columns(self, key):
+        """``_window_columns`` of phi and psi for a parent with tails and last
+        symbol ``key``; memoised."""
+        cols = self._column_cache.get(key)
+        if cols is None:
+            stems = self._stems(key[2])[0]
+            cols = self._column_cache[key] = (
+                _window_columns(self.phi, key[0], stems, self._taus),
+                _window_columns(self.psi, key[1], stems, self._taus))
+        return cols
 
-        Every child extends the parent's running sums of phi and psi, and each
-        stem's running sum carries over its taus, so only new windows are
-        summed and the sums equal a full re-sum bit for bit.  The parent is
-        validated here, the stems with their junction to it in ``_stems``, and
-        the taus with their junction to a stem by ``PostfixSet.followers``.
+    def _make_children(self, parent: Word):
+        """The node of ``parent``: ``(picks, probs, logs, z)``.
+
+        Child i is parent + stem i + ``taus[picks[i]]``, with the first tau in
+        order that lands it in the band.  The stems share one length and differ,
+        so the children form a prefix code.  Each candidate's sums extend the
+        parent's running sum column by column, in the order a full re-sum adds
+        the same terms, so every sum equals ``window_sums`` of the whole word
+        bit for bit (never ``np.sum``, which adds pairwise).  The parent is
+        validated here, the stems with their junction to it in ``_stems``,
+        and the taus with their junction to a stem by ``PostfixSet.followers``.
         """
-        if not self.spec.is_admissible(parent):
+        if not parent or not self.spec.is_admissible(parent):
             raise ValidationError("parent word is not admissible")
         phi, psi, band = self.phi, self.psi, self.band
-        phi_run = phi.window_sums(parent)[0]
-        phi_tail = phi.tail(parent)
-        stems = self._stems(parent[-1])
-        shortest = min(len(stem) for stem in stems)
-        chosen = set()       # suffixes (child minus parent) picked so far
-        covered = set()      # prefixes of chosen suffixes, as long as any candidate
-        lengths = set()      # lengths of the chosen suffixes
-        suffixes = []
-        for member, stem in zip(self._root_words, stems):
-            local = phi_tail + stem
-            stem_run = phi.window_sums(local, phi_run)[0]
-            stem_tail = phi.tail(local)
-            pick = None
-            for tau in self._taus_after[stem[-1]]:
-                _, hi, lo = phi.window_sums(stem_tail + tau, stem_run)
-                if not (hi <= band and lo >= -band):
-                    continue
-                suffix = stem + tau
-                if suffix in covered or any(suffix[:k] in chosen for k in lengths):
-                    continue
-                pick = suffix
-                break
-            if pick is None:
-                raise NumericalError(
-                    "no postfix returns a child into the band; "
-                    f"parent length {len(parent)}, member {member}"
-                )
-            chosen.add(pick)
-            covered.update(pick[:k] for k in range(shortest, len(pick) + 1))
-            lengths.add(len(pick))
-            suffixes.append(pick)
-        psi_run = psi.window_sums(parent)[0]
-        psi_tail = psi.tail(parent)
-        logs = np.array([-self.s * psi.window_sums(psi_tail + suf, psi_run)[1]
-                         for suf in suffixes])
+        (p_stem, p_vals, p_mask, p_bounds), (q_stem, q_vals, q_mask, q_bounds) = \
+            self._columns((phi.tail(parent), psi.tail(parent), parent[-1]))
+        acc = np.full(len(self._root_words), phi.window_sums(parent)[0])
+        for col in p_stem:
+            acc = acc + col
+        acc = acc[:, None]
+        for col, real in zip(p_vals, p_mask):
+            acc = np.where(real, acc + col, acc)
+        fits = (acc + p_bounds[0] <= band) & (acc + p_bounds[1] >= -band)
+        picks = fits.argmax(axis=1)
+        rows = np.arange(len(picks))
+        missing = np.flatnonzero(~fits[rows, picks])
+        if missing.size:
+            raise NumericalError(
+                "no postfix returns a child into the band; "
+                f"parent length {len(parent)}, member {self._root_words[missing[0]]}"
+            )
+        acc = np.full(len(picks), psi.window_sums(parent)[0])
+        for col in q_stem:
+            acc = acc + col
+        for col, real in zip(q_vals[:, rows, picks], q_mask[:, rows, picks]):
+            acc = np.where(real, acc + col, acc)
+        logs = -self.s * (acc + q_bounds[0][rows, picks])
         z = _logsumexp(logs)
-        return (tuple(parent + suf for suf in suffixes), np.exp(logs - z), logs - z,
-                float(z))
+        return picks, np.exp(logs - z), logs - z, float(z)
+
+    def _node(self, parent: Word):
+        node = self._nodes.get(parent)
+        if node is None:
+            node = self._nodes[parent] = self._make_children(parent)
+        return node
+
+    def _child(self, parent: Word, picks, i: int) -> Word:
+        return parent + self._stems(parent[-1])[0][i] + self._taus[picks[i]]
 
     def children(self, parent: Word):
-        key = tuple(parent)
-        if key not in self._children:
-            self._children[key] = self._make_children(key)
-        return self._children[key]
+        """``(words, probs, logs, z)``: the children of ``parent``, their
+        conditional masses and log masses, and the log normaliser."""
+        parent = tuple(parent)
+        picks, probs, logs, z = self._node(parent)
+        stems = self._stems(parent[-1])[0]
+        words = tuple(parent + stem + self._taus[j] for stem, j in zip(stems, picks.tolist()))
+        return words, probs, logs, z
 
     def _walk_to(self, word: Word):
         """Generation path from the root to ``word``; errors if it is not a node."""
@@ -225,16 +282,14 @@ class MassDistribution:
         log_mass = self._root_logmass[cur]
         path = [cur]
         while cur != word:
-            words, _, logcond, _ = self.children(cur)
-            nxt = None
-            for w, lc in zip(words, logcond):
-                if word[:len(w)] == w and len(w) <= len(word):
-                    nxt = (w, lc)
-                    break
-            if nxt is None:
+            picks, _, logcond, _ = self._node(cur)
+            stems, member = self._stems(cur[-1])
+            i = member.get(word[len(cur):len(cur) + len(stems[0])])
+            nxt = None if i is None else self._child(cur, picks, i)
+            if nxt is None or word[:len(nxt)] != nxt:
                 raise ValidationError("word is not a member of the tree")
-            cur = nxt[0]
-            log_mass += float(nxt[1])
+            cur = nxt
+            log_mass += float(logcond[i])
             path.append(cur)
         return path, log_mass
 
@@ -271,9 +326,9 @@ class MassDistribution:
         idx = int(np.searchsorted(np.cumsum(self._root_probs), rng.random(), side="left"))
         cur = self._root_words[min(idx, len(self._root_words) - 1)]
         for _ in range(k - 1):
-            words, probs, _, _ = self.children(cur)
+            picks, probs, _, _ = self._node(cur)
             j = int(np.searchsorted(np.cumsum(probs), rng.random(), side="left"))
-            cur = words[min(j, len(words) - 1)]
+            cur = self._child(cur, picks, min(j, len(picks) - 1))
         return cur
 
     # --- certificates ---------------------------------------------------------
@@ -332,7 +387,7 @@ def build_mass_distribution(phi: LocallyConstantPotential,
     for w in pattern:
         if not spec.is_admissible(w):
             raise ValidationError(f"pattern word {w} is not admissible")
-    infixes = spec.connecting_words()
+    infixes = spec.uniform_connecting_words()
     joined = pattern[0]
     for w in pattern[1:]:
         joined = joined + infixes.get(joined[-1], w[0]) + w

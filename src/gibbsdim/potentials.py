@@ -189,6 +189,22 @@ class LocallyConstantPotential:
             bounds = self._overhang[tail] = self._overhang_bounds(tail)
         return acc, acc + bounds[0], acc + bounds[1]
 
+    def window_terms(self, word: Word):
+        """The terms ``window_sums`` adds for ``word``: ``(values, sup, inf)``.
+
+        ``values`` are the depth-d windows inside ``word``, left to right, and
+        ``sup``/``inf`` the overhang bounds of its end, so adding ``values`` to
+        ``acc`` one by one and then each bound gives ``window_sums(word, acc)``
+        bit for bit.  ``word`` is not validated.
+        """
+        d = self.depth
+        table = self._table
+        n = len(word) - d + 1
+        values = [table[word[k:k + d]] for k in range(n)]
+        # the end holds fewer than d symbols, hence no window: only its bounds
+        _, sup, inf = self.window_sums(word[max(n, 0):])
+        return values, sup, inf
+
     def word_sum_bounds(self, word: Word) -> WordSumBounds:
         """Exact sup/inf of the length-|word| Birkhoff sum over the cylinder [word]."""
         if not self.spec.is_admissible(word):

@@ -17,6 +17,8 @@ EMPTY_WORD: Word = ()
 
 DEFAULT_WORD_CAP = 10_000_000
 
+_PLAIN_INT = frozenset({int})
+
 
 def _wielandt_bound(n: int) -> int:
     # primitivity index of an n-state primitive matrix is at most (n-1)^2 + 1
@@ -55,6 +57,10 @@ class SftSpec:
         object.__setattr__(self, "_succ", tuple(
             tuple(int(b) for b in np.flatnonzero(inc[a])) for a in range(len(alphabet))
         ))
+        # plain-int views of the table for the per-word checks
+        object.__setattr__(self, "_symbols", frozenset(range(len(alphabet))))
+        object.__setattr__(self, "_forbidden", frozenset(
+            (int(a), int(b)) for a, b in zip(*np.nonzero(~inc))))
         object.__setattr__(self, "_prim_index", None)
 
     # --- identity -------------------------------------------------------
@@ -80,6 +86,13 @@ class SftSpec:
         return self._succ[a]
 
     def check_symbols(self, word: Word) -> None:
+        """Raise ValidationError unless every symbol is an integer index in range.
+
+        Plain in-range ints pass on set tests alone; any other word takes the
+        per-symbol loop, which names the first bad symbol.
+        """
+        if {*map(type, word)} <= _PLAIN_INT and self._symbols.issuperset(word):
+            return
         for s in word:
             if not (isinstance(s, (int, np.integer)) and 0 <= s < self.n):
                 raise ValidationError(f"symbol index {s!r} out of range for {self.n} symbols")
@@ -106,8 +119,7 @@ class SftSpec:
     def is_admissible(self, word: Word) -> bool:
         """True when every adjacent pair is allowed; empty and length-1 words qualify."""
         self.check_symbols(word)
-        inc = self.incidence
-        return all(inc[word[i], word[i + 1]] for i in range(len(word) - 1))
+        return self._forbidden.isdisjoint(zip(word, word[1:]))
 
     def is_cyclically_admissible(self, word: Word) -> bool:
         """True when ``word + word`` is admissible, so arbitrary powers exist."""
@@ -213,6 +225,30 @@ class SftSpec:
                     cur = min(s for s in succ[cur] if dist_to[b][s] == remaining - 1)
                     rho.append(cur)
                     remaining -= 1
+                table[(a, b)] = tuple(rho)
+        return InfixSet(pairs=table)
+
+    def uniform_connecting_words(self) -> "InfixSet":
+        """For every symbol pair (a, b), the lexicographically least word rho of
+        length L = ``mixing_window() - 2`` with ``a rho b`` admissible.
+
+        One exists for every pair because incidence^(L+1) is positive.  All
+        connectors share one length, so words joined by them keep their
+        offsets (the mass tree relies on this).
+        """
+        length = self.mixing_window() - 2
+        inc = self.incidence.astype(np.int64)
+        # reach[k][v, b]: some admissible path of k edges leads from v to b
+        reach = [None, self.incidence]
+        for _ in range(length - 1):
+            reach.append((reach[-1].astype(np.int64) @ inc) > 0)
+        table = {}
+        for a in range(self.n):
+            for b in range(self.n):
+                rho, cur = [], a
+                for left in range(length, 0, -1):  # edges from rho's next symbol to b
+                    cur = min(s for s in self._succ[cur] if reach[left][s, b])
+                    rho.append(cur)
                 table[(a, b)] = tuple(rho)
         return InfixSet(pairs=table)
 

@@ -103,9 +103,11 @@ def brute_sum_range(phi, word):
 def reference_children(dist, parent):
     """Children of ``parent`` by the tree's rule, every candidate re-summed whole.
 
-    Each stem + tau goes through the public ``word_sum_bounds``, and the
-    prefix-clash test scans the whole words chosen so far.  Raises
-    ``LookupError(member)`` for the first member with no pick.
+    Each stem + tau goes through the public ``word_sum_bounds``.  The
+    prefix-clash test scans the whole words chosen so far; with connectors
+    of one length it never rejects a candidate, and it stays as an
+    independent check of that.  Raises ``LookupError(member)`` for the first
+    member with no pick.
     """
     spec = dist.spec
     chosen = []
@@ -229,19 +231,20 @@ def edge_graph(phi):
 
 
 def reference_markov_path(start_cum, q_cum, u):
-    """Sample a state path: u[0] picks the start, u[1:] drive the transitions."""
-    m = u.shape[0]
-    n = start_cum.shape[0]
-    out = np.empty(m, dtype=np.int64)
-    s = 0
-    while s < n - 1 and u[0] > start_cum[s]:
-        s += 1
-    out[0] = s
-    for k in range(1, m):
-        x = u[k]
-        t = 0
-        while t < n - 1 and x > q_cum[s, t]:
-            t += 1
-        out[k] = t
-        s = t
+    """Sample a state path: u[0] picks the start, u[1:] drive the transitions.
+
+    A uniform x picks the first state t with x < cum[t] (half-open intervals,
+    as ``rng.random`` draws from [0, 1)); above every cut it picks the last
+    state t with cum[t] > cum[t-1].
+    """
+    def pick(cum, x):
+        for t in range(cum.shape[0]):
+            if x < cum[t]:
+                return t
+        return max(t for t in range(cum.shape[0]) if cum[t] > (cum[t - 1] if t else 0.0))
+
+    out = np.empty(u.shape[0], dtype=np.int64)
+    s = out[0] = pick(start_cum, u[0])
+    for k in range(1, u.shape[0]):
+        s = out[k] = pick(q_cum[s], u[k])
     return out

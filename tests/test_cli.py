@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -185,13 +186,56 @@ def test_outputs_byte_identical(tmp_path, models_dir, capsys):
     capsys.readouterr()
 
 
+# sha256 of each README command's stdout, run in README order in one process.
+# The CLI promises byte-identical output for identical inputs and seeds; a
+# change that means to move a printed digit updates this table and says why.
+README_STDOUT_SHA256 = {
+    "gibbsdim validate        --model models/bin14.json":
+        "952214bc238b3d9c8de91e5f98e83e041f461b9b3b30c14740663980393ca5f8",
+    "gibbsdim pressure        --model models/gold.json":
+        "5aaaef7e9d597f4f8f19aa618a704439ac4acf364ac6dcd233f670cb5ff19ae8",
+    "gibbsdim beta --q=-1,0,2 --model models/bin14.json":
+        "2ae5057088419b8b8c7f860383a9d3e5ec9f44f71baade395911ae1f32b6a26b",
+    "gibbsdim spectrum --alpha-grid 0.5:2.0:0.05 --model models/bin14.json":
+        "2fc82b22056bdb7f5a836705280091a73b7a6add3ad37dde41069183dde8ade5",
+    "gibbsdim alpha-range     --model models/bin14.json":
+        "516450cf573998b0bd8379b56c77bcf3f21bb2efdd13f074380b9c5576e51ce3",
+    "gibbsdim alpha0          --model models/bin14.json":
+        "1b9cd8e33eefa1307635968f785b1e7e3e002def4d8558123d6d1b8a8e4706f8",
+    "gibbsdim subaction       --model models/phineg.json":
+        "57680bb2e76f9f204ffdede049fb8cbdc1ede54990cfa67dc5d2495ce189939f",
+    "gibbsdim words --K 0.6 --m 2                  --model models/phipm.json":
+        "270b17c60329d9f22660782f0d41dfaef11928a8e18020643e2d41a8d8ef9bf3",
+    "gibbsdim postfix --Kp 2 --K 0.6 --verify-maxlen 14 --model models/phipm.json":
+        "143f4b25b73f686072bf124e0e3850ec3bade3710ad244fc1bc7db46e1a9bc2d",
+    "gibbsdim massdist build   --s 0.5 --F 01      --model models/phipm.json":
+        "9a9c4a612a8ac2c5c69522dedf9f42afe2c0ccd6dfaf73c3aebac0f6493c481e",
+    "gibbsdim massdist sample  --s 0.5 --F 01 --depth 5 --seed 7 --model models/phipm.json":
+        "85c67e8de3e81641893a6ede93c536e4e4c3e0d53900033818b344810a904cb4",
+    "gibbsdim massdist certify --s 0.5 --F 01 --depth 5 --seed 7 --model models/phipm.json":
+        "c210423f4bcbe2ecb2ce597c12af0ae95daa98034eff363958b901b0e41d4daa",
+    "gibbsdim separating-word --F 01               --model models/phipm.json":
+        "cc69cf937ae48afaeda700647566750e447d42d8b70172fc70105db7003900b6",
+    "gibbsdim counterexample  --model models/phineg.json":
+        "036cffbcc3906d2f657722db31cf043fd85e4c3e35032b58ac88a9856501cd55",
+    "gibbsdim cdf eval --x 0.5 --eps 1e-9          --model models/bin14.json":
+        "9a3c630003eae7b13f87d12f10615fbc4334ea3c5cca068627063582fd504348",
+    "gibbsdim cdf curve --resolution 512           --model models/bin14.json":
+        "a499491bdf0eabf75b8083ada9fb17bfc59e8edb961040a3cb7920b844f35222",
+    "gibbsdim holder --x 0.3333333 --alpha 1.2075 --depth 30 --model models/bin14.json":
+        "73ce1ed13e1d2d7f5709c432f573f6f5c84dbaacb98228479927ea6534d0c33a",
+    "gibbsdim certified-point --alpha 1.2075187 --l 12 --depth 4 --model models/bin14.json":
+        "700d47a4dc51bb2d829875bee11ea8f24c332e65a3332066c79fcfccc42e1bee",
+}
+
+
 def test_readme_commands_run_as_written(capsys, monkeypatch):
     root = pathlib.Path(__file__).resolve().parent.parent
     blocks = re.findall(r"```sh\n(.*?)```", (root / "README.md").read_text(), re.S)
     lines = [l for b in blocks for l in b.splitlines() if l.startswith("gibbsdim ")]
     assert len(lines) >= 18
     monkeypatch.chdir(root)  # the commands name models/ relative to the repository
-    failed = []
+    failed, moved = [], []
     for line in lines:
         try:
             code = main(shlex.split(line)[1:])
@@ -199,10 +243,13 @@ def test_readme_commands_run_as_written(capsys, monkeypatch):
             code = exc.code
         except Exception as exc:  # a raw error the CLI did not map to an exit code
             code = repr(exc)
+        out = capsys.readouterr().out
         if code != 0:
             failed.append((line, code))
-    capsys.readouterr()
+        elif hashlib.sha256(out.encode()).hexdigest() != README_STDOUT_SHA256.get(line):
+            moved.append(line)
     assert failed == []
+    assert moved == []
 
 
 def test_invalid_model_exit_code(tmp_path, capsys):

@@ -82,6 +82,37 @@ def test_markov_path_matches_loop_at_ties(chain):
             _reference_word(chain, u)
 
 
+def test_markov_path_stays_admissible_at_ties(chain):
+    # uniforms in [0, 1), the range of rng.random, never take a step of
+    # probability 0, also where they hit a cut exactly
+    ties = _ties(chain)
+    ties = ties[(ties >= 0.0) & (ties < 1.0)]
+    steps = np.random.default_rng(1).permutation(np.tile(ties, 4))
+    for first in ties:
+        u = np.concatenate([[first], steps])
+        assert chain.spec.is_admissible(_kernels.markov_path(*_cums(chain), u, chain.coder.blocks))
+
+
+def test_markov_path_skips_zero_probability_transitions():
+    # u = 0.0 once took this chain's zero-probability step 1 -> 0
+    chain = _sparse_chain()
+    start_cum, q_cum = _cums(chain)
+    assert chain.Q[1, 0] == 0.0
+    u = np.array([start_cum[1], 0.0])
+    assert chain.spec.is_admissible(_kernels.markov_path(start_cum, q_cum, u, chain.coder.blocks))
+
+
+@pytest.mark.parametrize("u,word", [((0.95, 0.3), (1, 1)), ((0.2, 0.8), (0, 1))])
+def test_markov_path_above_every_cut_takes_last_positive_state(u, word):
+    # rows left short of 1 by rounding; state 2 has probability 0 in both
+    # the start row and row 0
+    start_cum = np.array([0.5, 0.9, 0.9])
+    q_cum = np.array([[0.5, 0.75, 0.75], [0.0, 1.0, 1.0], [0.25, 0.5, 1.0]])
+    u = np.array(u)
+    assert _kernels.markov_path(start_cum, q_cum, u, ((0,), (1,), (2,))) == word
+    assert tuple(helpers.reference_markov_path(start_cum, q_cum, u).tolist()) == word
+
+
 @pytest.mark.parametrize("length", [
     1, 2, _kernels.CHUNK - 1, _kernels.CHUNK, _kernels.CHUNK + 1, 3 * _kernels.CHUNK])
 def test_markov_path_matches_loop_across_chunks(chain, length):

@@ -28,12 +28,12 @@ def centred_dist(depth, seed):
     return build_mass_distribution(phi, psi, 0.05 * b0, [(0,)], base_length_cap=8)
 
 
-# (depth, seed): the prefix-clash test moves picks at (1, 2), (2, 2) and (2, 10);
-# at (1, 2) one candidate is rejected because a chosen child is its prefix
-TREE_MODELS = [(1, 2), (2, 2), (2, 10), (3, 1), (3, 11)]
-# (depth, seed) whose tree gets stuck: at some parents every in-band candidate
-# of a member clashes with a child chosen before it
-STUCK_MODELS = [(2, 0)]
+# (depth, seed): (3, 1) and (3, 11) are full shifts, the others have
+# connectors of length 1 or 2; with shortest connectors, which differ in
+# length, (2, 0) got stuck (every in-band candidate of a member clashed with
+# a child chosen before it) and the prefix-clash test moved picks at (1, 2),
+# (2, 2) and (2, 10)
+TREE_MODELS = [(1, 2), (2, 0), (2, 2), (2, 10), (3, 1), (3, 11)]
 
 
 # --------------------------------------------------------------------------
@@ -182,23 +182,15 @@ def test_mass_upper_bound_from_root_ratio(phi_pm):
             assert mass <= bound * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("depth,seed", TREE_MODELS + STUCK_MODELS)
+@pytest.mark.parametrize("depth,seed", TREE_MODELS)
 def test_children_match_reference_at_depth(depth, seed):
     dist = centred_dist(depth, seed)
     phi, band = dist.phi, dist.band
     frontier = list(dist.family.words)
-    stuck = 0
     for _ in range(3):
         nxt = []
         for parent in frontier:
-            try:
-                ref_words, ref_probs, ref_logs, ref_z = helpers.reference_children(dist, parent)
-            except LookupError as e:
-                where = f"parent length {len(parent)}, member {e.args[0]}"
-                with pytest.raises(NumericalError, match=re.escape(where) + "$"):
-                    dist.children(parent)
-                stuck += 1
-                continue
+            ref_words, ref_probs, ref_logs, ref_z = helpers.reference_children(dist, parent)
             words, probs, logs, z = dist.children(parent)
             assert words == ref_words
             assert probs.tobytes() == ref_probs.tobytes()
@@ -209,7 +201,79 @@ def test_children_match_reference_at_depth(depth, seed):
                 assert phi.word_sum_bounds(w).within(band) == (hi <= band and lo >= -band)
             nxt.extend(words)
         frontier = nxt
-    assert (stuck > 0) == ((depth, seed) in STUCK_MODELS)
+
+
+@pytest.mark.parametrize("depth,seed", TREE_MODELS)
+def test_children_match_reference_at_the_band_edge(depth, seed):
+    """With the band moved onto the largest |sum| among a node's children, that
+    child sits exactly on the edge: its sums must equal a full re-sum bit for
+    bit for it to be picked again, as reference_children picks it."""
+    dist = centred_dist(depth, seed)
+    band = dist.band
+    parents = list(dist.family.words)
+    parents += [c for p in parents for c in helpers.reference_children(dist, p)[0][:4]]
+    for parent in parents:
+        dist.band = band
+        ref = helpers.reference_children(dist, parent)
+        bounds = [dist.phi.word_sum_bounds(w) for w in ref[0]]
+        dist.band = max(max(b.sup, -b.inf) for b in bounds)
+        assert dist.children(parent)[0] == ref[0]  # each parent is expanded here first
+
+
+def test_children_raise_when_no_postfix_fits(phi_pm):
+    dist = small_dist(phi_pm)
+    dist.band = -1.0  # no sum lies in an empty band
+    parent = dist.family.words[0]
+    with pytest.raises(NumericalError, match=re.escape(
+            f"parent length {len(parent)}, member {dist.family.words[0]}") + "$"):
+        dist.children(parent)
+
+
+@pytest.mark.parametrize("depth,seed", [(1, None)] + TREE_MODELS)
+def test_sample_and_masses_follow_public_children(depth, seed, phi_pm):
+    """sample, log_mass and certify agree with a walk through children()."""
+    dist = small_dist(phi_pm) if seed is None else centred_dist(depth, seed)
+    k = 5 if seed is None else 3
+    for word_seed in range(6):
+        cur = dist.sample(1, word_seed)
+        log_mass = dist.log_mass(cur)
+        rng = np.random.default_rng(word_seed)
+        rng.random()  # the draw that picked the root word
+        for gen in range(2, k + 1):
+            words, probs, logs, _ = dist.children(cur)
+            j = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="left")),
+                    len(words) - 1)
+            cur = words[j]
+            log_mass += float(logs[j])
+            assert dist.sample(gen, word_seed) == cur
+            assert dist.log_mass(cur) == log_mass
+        cert = dist.certify(cur)
+        assert cert.log_mass == log_mass and cert.mass == math.exp(log_mass)
+        assert cert.passed
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5])
+def test_log_mass_rejects_words_off_the_tree(s, phi_pm):
+    """A word that ends inside a child's stem, or follows the stem with another
+    postfix, is not a tree word."""
+    dist = small_dist(phi_pm, s)
+    stem_len = 2 * dist.infixes.norm + dist.base_length + len(dist.joined)
+    other_tau = 0
+    parents = list(dist.family.words[:2])
+    parents += [c for p in parents for c in dist.children(p)[0][:3]]
+    for parent in parents:
+        for child in dist.children(parent)[0]:
+            stem_end = len(parent) + stem_len
+            with pytest.raises(ValidationError):
+                dist.log_mass(child[:stem_end - 1])
+            if len(child) == stem_end:
+                continue  # empty postfix: every extension is a descendant's prefix
+            for b in dist.spec.successors(child[-2]):
+                if b != child[-1]:
+                    with pytest.raises(ValidationError):
+                        dist.log_mass(child[:-1] + (b,))
+                    other_tau += 1
+    assert other_tau > 0
 
 
 @pytest.mark.parametrize("depth,seed", [(1, None)] + TREE_MODELS)

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,57 @@ def test_connecting_words_shortest_lex(gold):
             if found is not None:
                 break
         assert rho == found
+
+
+def _admissible_by_matrix(spec, word):
+    """The definition: every adjacent pair is allowed by the incidence matrix."""
+    return all(spec.incidence[word[i], word[i + 1]] for i in range(len(word) - 1))
+
+
+@pytest.mark.parametrize("name,seed", [("gold", None), ("full2", None)]
+                         + [("random", seed) for seed in range(12)])
+def test_uniform_connecting_words_least_of_fixed_length(name, seed):
+    if seed is None:
+        spec = getattr(helpers, name)()
+    else:
+        spec = helpers.random_mixing_spec(np.random.default_rng(seed))
+    length = spec.mixing_window() - 2
+    rho = spec.uniform_connecting_words()
+    assert rho.norm == length
+    for a in range(spec.n):
+        for b in range(spec.n):
+            # itertools.product runs through all words of the length in lex order
+            least = next(w for w in itertools.product(range(spec.n), repeat=length)
+                         if _admissible_by_matrix(spec, (a,) + w + (b,)))
+            assert rho.get(a, b) == least
+
+
+def test_admissibility_matches_incidence_definition():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        spec = helpers.random_mixing_spec(rng)
+        for _ in range(50):
+            word = tuple(int(s) for s in rng.integers(0, spec.n, int(rng.integers(0, 90))))
+            expect = _admissible_by_matrix(spec, word)
+            assert spec.is_admissible(word) is expect
+            assert spec.is_admissible(np.array(word, dtype=np.int64)) is expect
+            assert spec.is_admissible(tuple(np.int32(s) for s in word)) is expect
+            assert spec.is_admissible(list(word)) is expect
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", -1, 2, None, np.float64(0.0), np.bool_(True)])
+def test_symbol_checks_reject_non_indices(gold, bad):
+    word = (0, 1, 0, bad)
+    for check in (gold.check_symbols, gold.is_admissible, gold.word_str):
+        with pytest.raises(ValidationError, match=re.escape(f"symbol index {bad!r} out of range")):
+            check(word)
+
+
+def test_symbol_checks_accept_integer_types(gold):
+    for word in [(np.int64(0), np.int8(1)), (False, True, False), (0, True)]:
+        gold.check_symbols(word)
+        assert gold.is_admissible(word)
+    assert not gold.is_admissible((np.int64(1), True))
 
 
 def test_mixing_window(full2, gold):
