@@ -17,8 +17,7 @@ from .potentials import (LocallyConstantPotential, WordSumBounds, add_constant,
                          align_depth, combine, cylinder_diam_psi, d_psi)
 from .thermo import (GibbsChain, SpectrumPoint, alpha_range, beta, beta_prime,
                      full_dim_alpha, gibbs_chain, pressure, spectrum_at,
-                     subaction, birkhoff_sup, cylinder_measure,
-                     LEGENDRE_CONVENTION)
+                     subaction, birkhoff_sup, LEGENDRE_CONVENTION)
 from .wordsets import (BoundaryWords, PostfixSet, VerifyReport, WindowFamily,
                        boundary_words, build_postfix_set, counterexample_word,
                        in_frequent_set, in_repetition_free_set,

@@ -1,10 +1,12 @@
-"""Hot inner loops: Markov path sampling and CDF tree descent, in NumPy.
+"""Hot inner loops: Markov path sampling in NumPy and CDF tree descent.
 
 ``markov_path`` draws a whole orbit from pre-drawn uniforms: NumPy maps each
 uniform to its place among the chain's cumulative transition probabilities,
 and one plain loop follows the states and emits their symbols.
-``cdf_descend`` walks the cylinder tree one level at a time.  Randomness
-enters only through the uniforms, so a seed fixes the output.
+``cdf_descend`` walks the cylinder tree one level at a time over a table of
+plain tuples, one row per state of the chain's short words, so each level is
+a loop over at most |alphabet| siblings.  Randomness enters only through the
+uniforms, so a seed fixes the output.
 """
 
 from __future__ import annotations
@@ -56,10 +58,12 @@ def _last_positive(cum):
     return int(np.flatnonzero(np.diff(cum, prepend=0.0) > 0)[-1])
 
 
-def cdf_descend(x, eps, max_depth, root_next, root_mass, succ, step_prob,
-                order, rates, offsets, u, v):
+def cdf_descend(x, eps, max_depth, children, u, v):
     """Mass of (-inf, x] under the pushforward measure, by cylinder descent.
 
+    children[i] lists (next_state, prob, rate, offset) for each admissible
+    one-symbol extension of state i's word, leftmost image first; state 0 is
+    the empty word and has mass 1.  A child's mass is its parent's times prob.
     At each level, siblings lying entirely left of x contribute their full
     mass; the unique child containing x is entered (ties at shared endpoints
     count the left cylinder as passed).  x is carried as y, its preimage in
@@ -70,34 +74,17 @@ def cdf_descend(x, eps, max_depth, root_next, root_mass, succ, step_prob,
     interpolation of the remainder.
     """
     acc = 0.0
-    state = np.int64(-1)
+    state = 0
     mass = 1.0
     y = x
     for _ in range(max_depth):
-        chosen = np.int64(-1)
-        child_mass = 0.0
-        cr = 1.0
-        co = 0.0
-        for oi in range(order.shape[0]):
-            b = order[oi]
-            if state < 0:
-                nxt = root_next[b]
-                m = root_mass[b]
-            else:
-                nxt = succ[state, b]
-                if nxt < 0:
-                    continue
-                m = mass * step_prob[state, b]
-            r = rates[b]
-            o = offsets[b]
+        chosen = None
+        for nxt, p, r, o in children[state]:
             if r * v + o <= y:
-                acc += m
+                acc += mass * p
             elif r * u + o <= y:
-                chosen = nxt
-                child_mass = m
-                cr = r
-                co = o
-        if chosen < 0:
+                chosen, child_mass, cr, co = nxt, mass * p, r, o
+        if chosen is None:
             return acc  # x fell in a gap between sibling cylinders
         state = chosen
         mass = child_mass

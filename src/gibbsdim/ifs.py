@@ -171,42 +171,37 @@ class CdfModel:
     # --- state machine over short words feeding the descent kernel ----------
 
     def _build_states(self):
+        """The descent table: state 0 is the empty word, the others the
+        admissible words of length 1..width.  Row i lists (next_state, prob,
+        rate, offset) for each admissible one-symbol extension of state i's
+        word, in ``ifs.symbol_order``; an extension longer than width moves
+        to its last width symbols, with the chain's Q as its probability."""
         chain = self.chain
         width = chain.coder.width
         spec = self.spec
-        words = []
+        words = [EMPTY_WORD]
         for n in range(1, width + 1):
             words.extend(spec.words(n))
         sid = {w: i for i, w in enumerate(words)}
-        nstate, nsym = len(words), spec.n
-
-        def marginal(w: Word) -> float:
-            if len(w) == width:
-                return float(chain.pi[chain.coder.encode(w)[0]])
-            return float(sum(chain.pi[i] for i, blk in enumerate(chain.coder.blocks)
-                             if blk[:len(w)] == w))
-
-        succ = np.full((nstate, nsym), -1, dtype=np.int64)
-        prob = np.zeros((nstate, nsym))
-        for w, i in sid.items():
-            mw = marginal(w)
-            for b in spec.successors(w[-1]):
+        rates = self.ifs.rates.tolist()
+        offsets = self.ifs.offsets.tolist()
+        children = []
+        for w in words:
+            mw = chain.cylinder_measure(w) if w else 1.0
+            row = []
+            for b in self.ifs.symbol_order:
+                if w and not spec.incidence[w[-1], b]:
+                    continue
                 nw = w + (b,)
                 if len(nw) <= width:
-                    succ[i, b] = sid[nw]
-                    prob[i, b] = marginal(nw) / mw
+                    nxt, p = sid[nw], chain.cylinder_measure(nw) / mw
                 else:
-                    tail = nw[1:]
-                    succ[i, b] = sid[tail]
-                    prob[i, b] = float(chain.Q[chain.coder.encode(w)[0],
-                                               chain.coder.encode(tail)[0]])
-        root_next = np.array([sid[(b,)] for b in range(nsym)], dtype=np.int64)
-        root_mass = np.array([marginal((b,)) for b in range(nsym)])
-        self._succ = succ
-        self._prob = prob
-        self._root_next = root_next
-        self._root_mass = root_mass
-        self._order = np.array(self.ifs.symbol_order, dtype=np.int64)
+                    nxt = sid[nw[1:]]
+                    p = float(chain.Q[chain.coder.encode(w)[0],
+                                      chain.coder.encode(nw[1:])[0]])
+                row.append((nxt, p, rates[b], offsets[b]))
+            children.append(tuple(row))
+        self._children = tuple(children)
 
     # --- evaluation ---------------------------------------------------------
 
@@ -219,11 +214,7 @@ class CdfModel:
             return 0.0
         if x >= v:
             return 1.0
-        return float(cdf_descend(
-            float(x), float(eps), self.MAX_DEPTH,
-            self._root_next, self._root_mass, self._succ, self._prob,
-            self._order, self.ifs.rates, self.ifs.offsets, u, v,
-        ))
+        return cdf_descend(float(x), float(eps), self.MAX_DEPTH, self._children, u, v)
 
     def curve(self, resolution: int, eps: float = 1e-12):
         """Sampled (x, cdf) table on a uniform grid over the base interval."""
@@ -247,24 +238,12 @@ class CdfModel:
         exponent fit of log-increment against log-scale."""
         if depth < 1 or depth > 60:
             raise ValidationError("probe depth must be between 1 and 60")
-        u, v = self.ifs.interval
-        if not u <= x <= v:
-            raise ValidationError("probe point must lie in the base interval")
-        cx = self.cdf(x, eps)
         records = []
         logs = []
-        for j in range(1, depth + 1):
-            scale = 2.0 ** (-j)
-            for side in (-1, 1):
-                y = x + side * scale
-                if y < u or y > v:
-                    continue
-                dc = abs(self.cdf(y, eps) - cx)
-                records.append((scale, side, dc, dc / scale ** alpha))
-                if dc > 0.0:
-                    logs.append((math.log(scale), math.log(dc)))
-        if not records:
-            raise ValidationError("no admissible probe offsets inside the interval")
+        for scale, side, dc in self._increments(x, 1, depth, eps):
+            records.append((scale, side, dc, dc / scale ** alpha))
+            if dc > 0.0:
+                logs.append((math.log(scale), math.log(dc)))
         ratios = [r[3] for r in records]
         if len(logs) >= 2:
             xs = np.array([p[0] for p in logs])
@@ -279,23 +258,38 @@ class CdfModel:
     def moderate_check(self, x: float, alpha: float, c: float,
                        depth_range, eps: float = 1e-15) -> bool:
         """True iff every probed increment satisfies the two-sided power bound with
-        the uniform constant c."""
+        the uniform constant c, at scales 2^-lo .. 2^-hi for depth_range =
+        (lo, hi) with 1 <= lo <= hi <= 60, both sides of x in [u, v]."""
         if c < 1.0:
             raise ValidationError("the uniform constant must be at least 1")
         lo, hi = depth_range
+        if not 1 <= lo <= hi <= 60:
+            raise ValidationError("probe depths must form a non-empty range within 1 .. 60")
+        for scale, _, dc in self._increments(x, lo, hi, eps):
+            bound = scale ** alpha
+            if not (bound / c <= dc <= bound * c):
+                return False
+        return True
+
+    def _increments(self, x, lo, hi, eps):
+        """(scale, side, |C(x + side*scale) - C(x)|) at scales 2^-lo .. 2^-hi,
+        both sides, skipping points outside the base interval.  Raises
+        ValidationError for x outside the interval, or when no point is left."""
         u, v = self.ifs.interval
+        if not u <= x <= v:
+            raise ValidationError("probe point must lie in the base interval")
         cx = self.cdf(x, eps)
+        probed = False
         for j in range(lo, hi + 1):
             scale = 2.0 ** (-j)
             for side in (-1, 1):
                 y = x + side * scale
                 if y < u or y > v:
                     continue
-                dc = abs(self.cdf(y, eps) - cx)
-                bound = scale ** alpha
-                if not (bound / c <= dc <= bound * c):
-                    return False
-        return True
+                probed = True
+                yield scale, side, abs(self.cdf(y, eps) - cx)
+        if not probed:
+            raise ValidationError("no admissible probe offsets inside the interval")
 
     # --- spectrum hooks -------------------------------------------------------
 

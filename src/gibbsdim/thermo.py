@@ -306,10 +306,6 @@ def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:
     return chain
 
 
-def cylinder_measure(chain: GibbsChain, word: Word) -> float:
-    return chain.cylinder_measure(word)
-
-
 # --------------------------------------------------------------------------
 # the pressure equation beta(q) and its Legendre transform
 # --------------------------------------------------------------------------
@@ -393,7 +389,6 @@ class SpectrumPoint:
     alpha: float
     q_alpha: float          # +-inf at the endpoints
     value: float
-    chain: GibbsChain
     endpoint: bool = False
 
 
@@ -483,13 +478,11 @@ def spectrum_at(alpha: float, phi: LocallyConstantPotential,
     if g(-q_cap) >= 0.0:   # alpha at or below the ratio reachable at -q_cap
         b = solved[-q_cap][0]
         value = b + q_cap * alpha
-        chain = gibbs_chain(combine(q_cap, phi, -b, psi))
-        return SpectrumPoint(alpha, -math.inf, max(0.0, value), chain, endpoint=True)
+        return SpectrumPoint(alpha, -math.inf, max(0.0, value), endpoint=True)
     if g(q_cap) <= 0.0:
         b = solved[q_cap][0]
         value = b - q_cap * alpha
-        chain = gibbs_chain(combine(-q_cap, phi, -b, psi))
-        return SpectrumPoint(alpha, math.inf, max(0.0, value), chain, endpoint=True)
+        return SpectrumPoint(alpha, math.inf, max(0.0, value), endpoint=True)
     q_star = _brentq(g, -q_cap, q_cap, 1e-12, 8.9e-16, 200)
     if abs(g(q_star)) > QALPHA_TOL:
         raise NumericalError("conjugate parameter did not meet tolerance",
@@ -498,8 +491,7 @@ def spectrum_at(alpha: float, phi: LocallyConstantPotential,
     value = b - q_star * alpha
     if -1e-9 < value < 0.0:
         value = 0.0
-    chain = gibbs_chain(combine(-q_star, phi, -b, psi))
-    return SpectrumPoint(alpha, float(q_star), value, chain)
+    return SpectrumPoint(alpha, float(q_star), value)
 
 
 def full_dim_alpha(phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:

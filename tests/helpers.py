@@ -248,3 +248,94 @@ def reference_markov_path(start_cum, q_cum, u):
     for k in range(1, u.shape[0]):
         s = out[k] = pick(q_cum[s], u[k])
     return out
+
+
+def reference_cdf_tables(model):
+    """(root_next, root_mass, succ, step_prob, order) of ``model`` as NumPy tables.
+
+    States are the admissible words of length 1..width; succ holds -1 where a
+    symbol cannot follow, and the root level has its own next/mass rows.
+    """
+    chain = model.chain
+    width = chain.coder.width
+    spec = model.spec
+    words = []
+    for n in range(1, width + 1):
+        words.extend(spec.words(n))
+    sid = {w: i for i, w in enumerate(words)}
+    nstate, nsym = len(words), spec.n
+
+    def marginal(w):
+        if len(w) == width:
+            return float(chain.pi[chain.coder.encode(w)[0]])
+        return float(sum(chain.pi[i] for i, blk in enumerate(chain.coder.blocks)
+                         if blk[:len(w)] == w))
+
+    succ = np.full((nstate, nsym), -1, dtype=np.int64)
+    prob = np.zeros((nstate, nsym))
+    for w, i in sid.items():
+        mw = marginal(w)
+        for b in spec.successors(w[-1]):
+            nw = w + (b,)
+            if len(nw) <= width:
+                succ[i, b] = sid[nw]
+                prob[i, b] = marginal(nw) / mw
+            else:
+                tail = nw[1:]
+                succ[i, b] = sid[tail]
+                prob[i, b] = float(chain.Q[chain.coder.encode(w)[0],
+                                           chain.coder.encode(tail)[0]])
+    root_next = np.array([sid[(b,)] for b in range(nsym)], dtype=np.int64)
+    root_mass = np.array([marginal((b,)) for b in range(nsym)])
+    order = np.array(model.ifs.symbol_order, dtype=np.int64)
+    return root_next, root_mass, succ, prob, order
+
+
+def reference_cdf_descend(x, eps, max_depth, root_next, root_mass, succ, step_prob,
+                          order, rates, offsets, u, v):
+    """Cylinder descent over the NumPy tables of ``reference_cdf_tables``.
+
+    The same float operations in the same order as ``CdfModel.cdf``'s kernel,
+    with a separate branch for the root level.
+    """
+    acc = 0.0
+    state = np.int64(-1)
+    mass = 1.0
+    y = x
+    for _ in range(max_depth):
+        chosen = np.int64(-1)
+        child_mass = 0.0
+        cr = 1.0
+        co = 0.0
+        for oi in range(order.shape[0]):
+            b = order[oi]
+            if state < 0:
+                nxt = root_next[b]
+                m = root_mass[b]
+            else:
+                nxt = succ[state, b]
+                if nxt < 0:
+                    continue
+                m = mass * step_prob[state, b]
+            r = rates[b]
+            o = offsets[b]
+            if r * v + o <= y:
+                acc += m
+            elif r * u + o <= y:
+                chosen = nxt
+                child_mass = m
+                cr = r
+                co = o
+        if chosen < 0:
+            return acc  # x fell in a gap between sibling cylinders
+        state = chosen
+        mass = child_mass
+        y = (y - co) / cr
+        if mass < eps:
+            break
+    frac = (y - u) / (v - u)
+    if frac < 0.0:
+        frac = 0.0
+    if frac > 1.0:
+        frac = 1.0
+    return acc + mass * frac

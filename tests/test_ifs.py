@@ -203,6 +203,26 @@ def test_moderate_checks(bin_model):
         bin_model.moderate_check(1 / 3, 1.0, 0.5, (5, 10))
 
 
+@pytest.mark.parametrize("x,depths", [
+    (5.0, (5, 25)), (-3.0, (5, 25)),           # x outside [u, v]
+    (0.3, (25, 5)), (0.3, (0, 5)), (0.3, (-3, -1)), (0.3, (5, 61)),
+])
+def test_moderate_check_rejects_probing_nothing(bin_model, x, depths):
+    with pytest.raises(ValidationError):
+        bin_model.moderate_check(x, 1.0, 1.0, depths)
+
+
+def test_moderate_check_rejects_scales_wider_than_the_interval(full2):
+    half = LocallyConstantPotential.constant(full2, math.log(0.5))
+    ifs = AffineIfs(spec=full2, interval=(0.0, 0.25),
+                    rates=np.array([0.5, 0.5]), offsets=np.array([0.0, 0.125]))
+    model = CdfModel(ifs, half)
+    for probe in (lambda: model.moderate_check(0.125, 1.0, 1.0, (1, 2)),
+                  lambda: model.holder_probe(0.125, 1.0, 2)):
+        with pytest.raises(ValidationError, match="no admissible probe offsets"):
+            probe()
+
+
 def test_probe_consistency_at_fixed_points(bin_model, full2):
     # at the coded fixed point of symbol 1 the exponent is the cycle ratio
     x = bin_model.ifs.coding_point((), full2.word("1"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import AffineIfs, CdfModel, gibbs_chain
+from gibbsdim import AffineIfs, CdfModel, LocallyConstantPotential, SftSpec, gibbs_chain
 from gibbsdim import _kernels
 
 
@@ -13,14 +13,84 @@ def _model():
     return CdfModel(ifs, phi)
 
 
-def test_fallback_runs_standalone():
+def test_cdf_descend_runs_on_the_model_table():
     model = _model()
     u, v = model.ifs.interval
-    val = _kernels.cdf_descend(
-        0.5, 1e-12, 100_000, model._root_next, model._root_mass,
-        model._succ, model._prob, model._order,
-        model.ifs.rates, model.ifs.offsets, u, v)
+    val = _kernels.cdf_descend(0.5, 1e-12, 100_000, model._children, u, v)
     assert val == pytest.approx(0.25, abs=1e-12)
+
+
+# --- cdf against the NumPy-table descent ------------------------------------
+
+def _four_map_model():
+    """Four maps with unequal rates and weights in a seeded order, as in perfbench's cdf-probe."""
+    rng = np.random.default_rng(1)
+    rates = np.array([0.30, 0.25, 0.20, 0.15])[rng.permutation(4)]
+    probs = np.array([0.10, 0.20, 0.30, 0.40])[rng.permutation(4)]
+    gap = (1.0 - rates.sum()) / 3
+    offsets = np.concatenate([[0.0], np.cumsum(rates[:-1] + gap)])
+    spec = SftSpec(alphabet=tuple("abcd"), incidence=np.ones((4, 4), dtype=int))
+    phi = LocallyConstantPotential.from_values(spec, np.log(probs))
+    return CdfModel(AffineIfs(spec=spec, interval=(0.0, 1.0), rates=rates,
+                              offsets=offsets), phi)
+
+
+def _random_model(seed, depth):
+    """A seeded mixing spec with gaps between the images, placed in a random order."""
+    rng = np.random.default_rng(seed)
+    spec = helpers.random_mixing_spec(rng)
+    phi = helpers.random_potential(rng, spec, depth)
+    n = spec.n
+    rates = rng.uniform(0.2, 0.9, n) / n
+    gap = (1.0 - rates.sum()) / n
+    offsets = np.empty(n)
+    pos = 0.0
+    for a in rng.permutation(n):
+        offsets[a] = pos
+        pos += rates[a] + gap
+    return CdfModel(AffineIfs(spec=spec, interval=(0.0, 1.0), rates=rates,
+                              offsets=offsets), phi)
+
+
+CDF_MODELS = {
+    "bin14": (_model, 1),
+    "four-map": (_four_map_model, 1),
+    **{f"width1-seed{s}": (lambda s=s: _random_model(s, 2), 1) for s in (1, 2, 3)},
+    **{f"width2-seed{s}": (lambda s=s: _random_model(s, 3), 2) for s in (4, 5, 6)},
+}
+
+
+def _probe_points(model):
+    """Seeded uniforms, k/255, dyadic rationals, u, v and cylinder endpoints."""
+    u, v = model.ifs.interval
+    pts = [u, v]
+    pts += np.random.default_rng(0).random(200).tolist()
+    pts += [k / 255 for k in range(256)]
+    pts += [k / 64 for k in range(65)]
+    for n in (1, 2, 3):
+        for w in model.spec.words(n):
+            pts += model.ifs.cylinder_interval(w)
+    return pts
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-6])
+@pytest.mark.parametrize("name", sorted(CDF_MODELS))
+def test_cdf_matches_array_descent_bit_for_bit(name, eps):
+    build, width = CDF_MODELS[name]
+    model = build()
+    assert model.chain.coder.width == width
+    tables = helpers.reference_cdf_tables(model)
+    u, v = model.ifs.interval
+    rates, offsets = model.ifs.rates, model.ifs.offsets
+    for x in _probe_points(model):
+        if x < u:
+            want = 0.0
+        elif x >= v:
+            want = 1.0
+        else:
+            want = float(helpers.reference_cdf_descend(
+                x, eps, model.MAX_DEPTH, *tables, rates, offsets, u, v))
+        assert model.cdf(x, eps) == want, x
 
 
 # --- markov_path against the step-by-step loop ------------------------------
