@@ -1,12 +1,16 @@
 """Hot inner loops: Markov path sampling in NumPy and CDF tree descent.
 
-``markov_path`` draws a whole orbit from pre-drawn uniforms: NumPy maps each
-uniform to its place among the chain's cumulative transition probabilities,
-and one plain loop follows the states and emits their symbols.
-``cdf_descend`` walks the cylinder tree one level at a time over a table of
-plain tuples, one row per state of the chain's short words, so each level is
-a loop over at most |alphabet| siblings.  Randomness enters only through the
-uniforms, so a seed fixes the output.
+``markov_path`` draws an orbit one chunk of uniforms at a time.  NumPy maps
+each uniform to its place among the chain's cumulative transition
+probabilities; where that place sends every state to the same next state
+(a coalescing step, as in Propp and Wilson's coupling from the past) the
+step is resolved for the whole chunk at once, and so is every step whose
+predecessor is then known.  One plain loop follows the few steps that are
+left, and every step of a chain that has no such place.  ``cdf_descend``
+walks the cylinder tree one level at a time over a table of plain tuples,
+one row per state of the chain's short words, so each level is a loop over
+at most |alphabet| siblings.  Randomness enters only through the uniforms,
+so a seed fixes the output.
 """
 
 from __future__ import annotations
@@ -14,43 +18,99 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"  # the only backend; benchmark records report it
-CHUNK = 1 << 16  # uniforms held as Python ints at once; bounds the orbit's memory
+CHUNK = 1 << 16  # uniforms drawn and steps resolved at once; bounds the orbit's scratch arrays
 
 
-def markov_path(start_cum, q_cum, u, blocks):
-    """Decoded word of a state path: u[0] picks the start, u[1:] drive the transitions.
+def markov_path(start_cum, q_cum, draw, count, blocks):
+    """Decoded word of a count-state path driven by the uniforms ``draw`` serves.
 
-    From state s a uniform x moves to the first t with x < q_cum[s, t], so
-    each state owns the half-open interval [q_cum[s, t-1], q_cum[s, t]) as
-    ``rng.random`` draws from [0, 1), and a state of probability 0 is never
-    entered.  An x above every cut (rounding can leave a row short of 1)
-    goes to the row's last state of positive probability.  start_cum plays
-    the same part for u[0].  The path is decoded as it is walked: the start
-    contributes its whole block, every later state the last symbol of its
-    block.
+    ``draw(k)`` returns the next k uniforms; the first picks the start, the
+    rest drive the transitions, CHUNK at a time.  From state s a uniform x
+    moves to the first t with x < q_cum[s, t], so each state owns the
+    half-open interval [q_cum[s, t-1], q_cum[s, t]) as ``rng.random`` draws
+    from [0, 1), and a state of probability 0 is never entered.  An x above
+    every cut (rounding can leave a row short of 1) goes to the row's last
+    state of positive probability.  start_cum plays the same part for the
+    first uniform.  The start contributes its whole block to the word, every
+    later state the last symbol of its block.  The same table decides every
+    step on either route below, so the word does not depend on the route.
     """
     n = start_cum.shape[0]
-    s = int(np.searchsorted(start_cum, u[0], side="right"))
+    s = int(np.searchsorted(start_cum, draw(1)[0], side="right"))
     if s == n:
         s = _last_positive(start_cum)
-    # Rows of q_cum are non-decreasing, so searchsorted finds that first t.
-    # Every x in [cuts[j-1], cuts[j]) takes state s to the same next state,
-    # the first t with q_cum[s, t] >= cuts[j]; table[s][j] holds it, and the
-    # extra last column the answer for x above every cut.
+    cuts, table, fixed = step_table(q_cum)
+    rows = table.tolist()
+    last = [blk[-1] for blk in blocks]
+    if not (fixed[reachable(cuts)] >= 0).any():  # every step depends on the state
+        out = list(blocks[s])
+        append = out.append
+        for lo in range(1, count, CHUNK):
+            for j in np.searchsorted(cuts, draw(min(CHUNK, count - lo)), side="right").tolist():
+                s = rows[s][j]
+                append(last[s])
+        return tuple(out)
+    symbols = np.array(last, dtype=np.min_scalar_type(max(last)))
+    head = len(blocks[s])
+    word = np.empty(head + count - 1, dtype=symbols.dtype)
+    word[:head] = blocks[s]
+    for lo in range(1, count, CHUNK):
+        cols = np.searchsorted(cuts, draw(min(CHUNK, count - lo)), side="right")
+        path = fixed[cols]
+        if path[0] < 0:
+            path[0] = rows[s][cols[0]]
+        free = np.flatnonzero(path < 0)
+        while free.size:  # free[k] follows a known state: one table lookup each
+            prev = path[free - 1]
+            known = prev >= 0
+            done = free[known]
+            path[done] = table[prev[known], cols[done]]
+            free = free[~known]
+            if done.size < free.size:
+                break
+        if free.size:  # runs of state-dependent steps: walk them in order
+            walked = []
+            t = s
+            for p, j in zip(path[free - 1].tolist(), cols[free].tolist()):
+                t = rows[t if p < 0 else p][j]
+                walked.append(t)
+            path[free] = walked
+        s = int(path[-1])
+        word[head + lo - 1:head + lo - 1 + path.size] = symbols[path]
+    return tuple(word.tobytes() if word.itemsize == 1 else word.tolist())
+
+
+def step_table(q_cum):
+    """(cuts, table, fixed): the next state of every state for every range of uniforms.
+
+    cuts are the distinct entries of q_cum.  Every x in [cuts[j-1], cuts[j])
+    takes state s to the same next state, the first t with
+    q_cum[s, t] >= cuts[j]; table[s, j] holds it, and the extra last column
+    the answer for x above every cut.  fixed[j] is the next state every row
+    of column j agrees on, else -1: a step whose uniform falls in a fixed
+    column does not depend on the state it leaves.
+    """
+    n = q_cum.shape[0]
     cuts = np.unique(q_cum)
     edges = np.append(cuts, np.inf)
-    table = []
-    for row in q_cum:
-        nxt = np.searchsorted(row, edges)
-        table.append(np.where(nxt < n, nxt, _last_positive(row)).tolist())
-    last = [blk[-1] for blk in blocks]
-    out = list(blocks[s])
-    append = out.append
-    for lo in range(1, u.shape[0], CHUNK):
-        for j in np.searchsorted(cuts, u[lo:lo + CHUNK], side="right").tolist():
-            s = table[s][j]
-            append(last[s])
-    return tuple(out)
+    # Rows of q_cum are non-decreasing, so searchsorted finds that first t.
+    table = np.array([np.searchsorted(row, edges) for row in q_cum])
+    table = np.where(table < n, table, [[_last_positive(row)] for row in q_cum])
+    fixed = np.where((table == table[0]).all(axis=0), table[0], -1)
+    return cuts, table, fixed
+
+
+def reachable(cuts):
+    """Which columns of the step table a uniform in [0, 1) can land in.
+
+    Column 0 serves x below every cut, which leaves no such x when some
+    entry of q_cum is 0.0; the last column serves x at or above every cut,
+    which ``rng.random`` draws only when rounding leaves every row short of 1.
+    """
+    mask = np.ones(cuts.size + 1, dtype=bool)
+    mask[0] = cuts[0] > 0.0
+    mask[-1] = cuts[-1] < 1.0
+    return mask
 
 
 def _last_positive(cum):

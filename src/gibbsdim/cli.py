@@ -15,13 +15,13 @@ import sys
 
 from . import __version__
 from .errors import ToolkitError, ValidationError
-from .massdist import build_mass_distribution
 from .model import ModelBundle, load_model
 from .thermo import (ALPHA_RANGE_TOL, BETA_PRESSURE_TOL, LEGENDRE_CONVENTION,
                      PRESSURE_RTOL, QALPHA_TOL, alpha_range, beta, beta_prime,
                      full_dim_alpha, pressure, spectrum_at, subaction)
-from .wordsets import (build_postfix_set, counterexample_word, separating_word,
-                       verify_postfix, window_family)
+
+# The word-set and mass-tree layers are imported by the commands that use
+# them, so the other commands do not pay for loading them.
 
 TOLERANCES = {
     "pressure_rtol": PRESSURE_RTOL,
@@ -245,6 +245,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "counterexample":
+        from .wordsets import counterexample_word
         phi, psi = bundle.pair(args.phi, args.psi)
         word = counterexample_word(phi, psi)
         emit.obj({
@@ -254,6 +255,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "words":
+        from .wordsets import window_family
         phi = bundle.potential(args.potential or ("phi" if "phi" in bundle.potentials else None))
         fam = window_family(phi, args.K, args.m, cap=args.cap)
         header = {"bound": fam.bound, "length": fam.length, "count": len(fam.words)}
@@ -261,6 +263,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "postfix":
+        from .wordsets import build_postfix_set, verify_postfix
         phi = bundle.potential(args.potential or ("phi" if "phi" in bundle.potentials else None))
         pset = build_postfix_set(phi, args.Kp, args.K)
         data = {
@@ -281,6 +284,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "massdist":
+        from .massdist import build_mass_distribution
         phi, psi = bundle.pair(args.phi, args.psi)
         fam = _parse_family(bundle, args.F)
         dist = build_mass_distribution(phi, psi, args.s, fam, band=args.K)
@@ -311,6 +315,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "separating-word":
+        from .wordsets import separating_word
         fam = _parse_family(bundle, args.F)
         word = separating_word(spec, fam)
         emit.obj({"word": spec.word_str(word)})

@@ -16,12 +16,10 @@ import numpy as np
 
 from ._kernels import cdf_descend
 from .errors import InfeasibleError, ValidationError
-from .massdist import MassDistribution, build_mass_distribution
 from .potentials import (LocallyConstantPotential, add_constant, combine)
 from .sft import EMPTY_WORD, SftSpec, Word
 from .thermo import (GibbsChain, alpha_range, beta, full_dim_alpha, gibbs_chain,
                      pressure, spectrum_at)
-from .wordsets import boundary_words, in_repetition_free_set
 
 _GEOM_TOL = 1e-12
 
@@ -319,6 +317,8 @@ class CdfModel:
         """A point built from the mass-distribution tree of phi + alpha*psi whose
         prefix certificate witnesses bounded sums, marker windows, and freedom
         from l-fold boundary-word repetitions."""
+        from .massdist import build_mass_distribution
+        from .wordsets import boundary_words, in_repetition_free_set
         a_lo, a_hi = self.alpha_range()
         if not (a_lo + 1e-9 < alpha < a_hi - 1e-9):
             raise InfeasibleError(

@@ -18,13 +18,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
-from .ifs import AffineIfs, CdfModel
 from .potentials import LocallyConstantPotential
 from .sft import SftSpec
+
+if TYPE_CHECKING:  # the IFS layer is imported only by models that use it
+    from .ifs import AffineIfs, CdfModel
 
 
 @dataclass
@@ -61,6 +64,7 @@ class ModelBundle:
         name = potential_name or self.gibbs_name
         if name is None:
             raise ValidationError("model needs a 'gibbs' potential name for CDF work")
+        from .ifs import CdfModel
         return CdfModel(self.ifs, self.potential(name))
 
 
@@ -107,6 +111,7 @@ def load_model(path: str) -> ModelBundle:
 
     ifs = None
     if "ifs" in doc:
+        from .ifs import AffineIfs
         body = doc["ifs"]
         interval = tuple(float(x) for x in _require(body, "interval"))
         maps = _require(body, "maps")

@@ -285,11 +285,11 @@ class GibbsChain:
             raise ValidationError(f"orbit length must be a positive integer (got {n!r})")
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValidationError(f"seed must be a non-negative integer (got {seed!r})")
-        rng = np.random.default_rng(seed)
-        u = rng.random(max(1, n - self.coder.width + 1))
         start_cum = np.cumsum(self.pi)
         q_cum = np.cumsum(self.Q, axis=1)
-        return markov_path(start_cum, q_cum, u, self.coder.blocks)[:n]
+        draw = np.random.default_rng(seed).random
+        return markov_path(start_cum, q_cum, draw, max(1, n - self.coder.width + 1),
+                           self.coder.blocks)[:n]
 
 
 def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:

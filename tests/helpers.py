@@ -250,6 +250,17 @@ def reference_markov_path(start_cum, q_cum, u):
     return out
 
 
+def serve(u):
+    """A ``draw(k)`` for ``markov_path`` that hands out the uniforms of u in order."""
+    served = 0
+
+    def draw(k):
+        nonlocal served
+        served += k
+        return u[served - k:served]
+    return draw
+
+
 def reference_cdf_tables(model):
     """(root_next, root_mass, succ, step_prob, order) of ``model`` as NumPy tables.
 

@@ -307,3 +307,22 @@ def test_cli_import_loads_no_scipy():
     proc = python("-c", "import gibbsdim.cli, sys; "
                         "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pressure_loads_no_word_set_mass_tree_or_ifs_module():
+    gold = pathlib.Path(__file__).resolve().parent.parent / "models" / "gold.json"
+    proc = python("-c", "import sys; from gibbsdim.cli import main; "
+                        f"assert main(['pressure', '--model', {str(gold)!r}]) == 0; "
+                        "loaded = {'gibbsdim.wordsets', 'gibbsdim.massdist', 'gibbsdim.ifs'} "
+                        "& set(sys.modules); assert not loaded, loaded")
+    assert proc.returncode == 0, proc.stderr
+    assert "pressure," in proc.stdout
+
+
+def test_package_exports_resolve_lazily():
+    proc = python("-c", "import sys, gibbsdim; "
+                        "assert 'gibbsdim.massdist' not in sys.modules; "
+                        "from gibbsdim import *; "
+                        "assert all(getattr(gibbsdim, n) is not None for n in gibbsdim.__all__); "
+                        "assert gibbsdim.MassDistribution.__module__ == 'gibbsdim.massdist'")
+    assert proc.returncode == 0, proc.stderr

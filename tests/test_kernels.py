@@ -112,8 +112,19 @@ def _sparse_chain():
     return gibbs_chain(helpers.random_potential(rng, spec, 2))
 
 
-CHAINS = {"bin14": _bin14_chain, "gold-depth3": _gold_depth3_chain,
-          "sparse": _sparse_chain}
+def _gold_chain():
+    """1 -> 1 is forbidden, so uniforms below Q[0, 0] send both states to 0."""
+    return gibbs_chain(helpers.random_potential(np.random.default_rng(2), helpers.gold(), 1))
+
+
+def _no_fixed_chain():
+    """No symbol repeats: q_cum rows [0, .5, 1], [.5, .5, 1], [.5, 1, 1]."""
+    spec = SftSpec(alphabet=tuple("abc"), incidence=1 - np.eye(3, dtype=int))
+    return gibbs_chain(LocallyConstantPotential.from_values(spec, [0.0, 0.0, 0.0]))
+
+
+CHAINS = {"bin14": _bin14_chain, "gold": _gold_chain, "gold-depth3": _gold_depth3_chain,
+          "sparse": _sparse_chain, "no-fixed": _no_fixed_chain}
 
 
 @pytest.fixture(params=sorted(CHAINS), scope="module")
@@ -123,6 +134,14 @@ def chain(request):
 
 def _cums(chain):
     return np.cumsum(chain.pi), np.cumsum(chain.Q, axis=1)
+
+
+def _path(chain, u):
+    """markov_path over the uniforms u, checking that it draws each exactly once."""
+    draw = helpers.serve(u)
+    word = _kernels.markov_path(*_cums(chain), draw, len(u), chain.coder.blocks)
+    assert draw(1).size == 0
+    return word
 
 
 def _reference_word(chain, u):
@@ -142,14 +161,34 @@ def test_chains_cover_wide_blocks_and_zero_transitions():
     assert (_sparse_chain().Q == 0.0).any()
 
 
+def _fixed_columns(chain):
+    """(fixed, reachable fixed, all) columns of the chain's step table."""
+    q_cum = _cums(chain)[1]
+    cuts, table, fixed = _kernels.step_table(q_cum)
+    assert table.shape == (q_cum.shape[0], cuts.size + 1)
+    return (int((fixed >= 0).sum()), int((fixed[_kernels.reachable(cuts)] >= 0).sum()),
+            fixed.size)
+
+
+def test_chains_cover_all_some_and_no_state_independent_steps():
+    # every row agrees in every column; x >= 1.0 is never drawn
+    assert _fixed_columns(_bin14_chain()) == (3, 2, 3)
+    assert _fixed_columns(_gold_chain()) == (1, 1, 3)
+    # x below every cut sends each state to 0, but every such cut is 0.0 here
+    assert _fixed_columns(_gold_depth3_chain()) == (1, 0, 5)
+    assert _fixed_columns(_sparse_chain()) == (1, 0, 13)
+    assert _fixed_columns(_no_fixed_chain()) == (1, 0, 4)
+    q_cum = _cums(_no_fixed_chain())[1]
+    assert q_cum.tolist() == [[0.0, 0.5, 1.0], [0.5, 0.5, 1.0], [0.5, 1.0, 1.0]]
+
+
 def test_markov_path_matches_loop_at_ties(chain):
     ties = _ties(chain)
     rng = np.random.default_rng(0)
     steps = rng.permutation(np.tile(ties, 4))
     for first in ties:
         u = np.concatenate([[first], steps])
-        assert _kernels.markov_path(*_cums(chain), u, chain.coder.blocks) == \
-            _reference_word(chain, u)
+        assert _path(chain, u) == _reference_word(chain, u)
 
 
 def test_markov_path_stays_admissible_at_ties(chain):
@@ -160,7 +199,7 @@ def test_markov_path_stays_admissible_at_ties(chain):
     steps = np.random.default_rng(1).permutation(np.tile(ties, 4))
     for first in ties:
         u = np.concatenate([[first], steps])
-        assert chain.spec.is_admissible(_kernels.markov_path(*_cums(chain), u, chain.coder.blocks))
+        assert chain.spec.is_admissible(_path(chain, u))
 
 
 def test_markov_path_skips_zero_probability_transitions():
@@ -169,7 +208,7 @@ def test_markov_path_skips_zero_probability_transitions():
     start_cum, q_cum = _cums(chain)
     assert chain.Q[1, 0] == 0.0
     u = np.array([start_cum[1], 0.0])
-    assert chain.spec.is_admissible(_kernels.markov_path(start_cum, q_cum, u, chain.coder.blocks))
+    assert chain.spec.is_admissible(_path(chain, u))
 
 
 @pytest.mark.parametrize("u,word", [((0.95, 0.3), (1, 1)), ((0.2, 0.8), (0, 1))])
@@ -179,7 +218,7 @@ def test_markov_path_above_every_cut_takes_last_positive_state(u, word):
     start_cum = np.array([0.5, 0.9, 0.9])
     q_cum = np.array([[0.5, 0.75, 0.75], [0.0, 1.0, 1.0], [0.25, 0.5, 1.0]])
     u = np.array(u)
-    assert _kernels.markov_path(start_cum, q_cum, u, ((0,), (1,), (2,))) == word
+    assert _kernels.markov_path(start_cum, q_cum, helpers.serve(u), 2, ((0,), (1,), (2,))) == word
     assert tuple(helpers.reference_markov_path(start_cum, q_cum, u).tolist()) == word
 
 
@@ -191,12 +230,38 @@ def test_markov_path_matches_loop_across_chunks(chain, length):
     ties = _ties(chain)
     at = rng.integers(0, length, size=min(length, ties.size))
     u[at] = ties[:at.size]
-    word = _kernels.markov_path(*_cums(chain), u, chain.coder.blocks)
+    word = _path(chain, u)
     assert len(word) == length + chain.coder.width - 1
     assert word == _reference_word(chain, u)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 1000])
+@pytest.mark.parametrize("offset", [-40, -1, 0, 1])
+def test_markov_path_state_dependent_run_across_a_chunk_boundary(offset):
+    # gold's uniforms at or above Q[0, 0] take state-dependent steps; a run
+    # of 60 of them straddles the first chunk boundary (u[CHUNK + 1] opens
+    # the second chunk), once in every position of the vector rounds
+    chain = _gold_chain()
+    start_cum, q_cum = _cums(chain)
+    u = np.random.default_rng(3).random(2 * _kernels.CHUNK + 1)
+    lo = _kernels.CHUNK + 1 + offset - 30
+    u[lo:lo + 60] = np.linspace(q_cum[0, 0], 0.999, 60)
+    assert _path(chain, u) == _reference_word(chain, u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, _kernels.CHUNK + 1, 3 * _kernels.CHUNK + 2])
 def test_sample_orbit_matches_loop(chain, n):
     u = np.random.default_rng(11).random(max(1, n - chain.coder.width + 1))
     assert chain.sample_orbit(n, 11) == _reference_word(chain, u)[:n]
+
+
+def test_markov_path_decodes_symbols_past_255():
+    # 300 states with one shared row: every step is state-independent, and
+    # the symbols no longer fit in a byte
+    row = np.cumsum(np.random.default_rng(4).dirichlet(np.ones(300)))
+    start_cum, q_cum = row, np.tile(row, (300, 1))
+    u = np.random.default_rng(5).random(1000)
+    want = helpers.reference_markov_path(start_cum, q_cum, u)
+    assert max(want) > 255
+    word = _kernels.markov_path(start_cum, q_cum, helpers.serve(u), len(u),
+                                tuple((s,) for s in range(300)))
+    assert word == tuple(want.tolist())
