@@ -4,13 +4,14 @@
 each uniform to its place among the chain's cumulative transition
 probabilities; where that place sends every state to the same next state
 (a coalescing step, as in Propp and Wilson's coupling from the past) the
-step is resolved for the whole chunk at once, and so is every step whose
-predecessor is then known.  One plain loop follows the few steps that are
-left, and every step of a chain that has no such place.  ``cdf_descend``
-walks the cylinder tree one level at a time over a table of plain tuples,
-one row per state of the chain's short words, so each level is a loop over
-at most |alphabet| siblings.  Randomness enters only through the uniforms,
-so a seed fixes the output.
+step is resolved for the whole chunk at once.  When at least half of a
+chunk is resolved so, vector rounds resolve the rest, one step after each
+known state per round; otherwise one plain loop walks the chunk from its
+first unresolved step to its last.  ``cdf_descend`` walks the cylinder tree
+one level at a time over a table of plain tuples, one row per state of the
+chain's short words, so each level is a loop over at most |alphabet|
+siblings.  Randomness enters only through the uniforms, so a seed fixes the
+output.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ def markov_path(start_cum, q_cum, draw, count, blocks):
     state of positive probability.  start_cum plays the same part for the
     first uniform.  The start contributes its whole block to the word, every
     later state the last symbol of its block.  The same table decides every
-    step on either route below, so the word does not depend on the route.
+    step, whether a vector lookup or the loop takes it, so the word does not
+    depend on how a chunk's steps are shared out between them.
     """
     n = start_cum.shape[0]
     s = int(np.searchsorted(start_cum, draw(1)[0], side="right"))
@@ -42,42 +44,35 @@ def markov_path(start_cum, q_cum, draw, count, blocks):
     cuts, table, fixed = step_table(q_cum)
     rows = table.tolist()
     last = [blk[-1] for blk in blocks]
-    if not (fixed[reachable(cuts)] >= 0).any():  # every step depends on the state
-        out = list(blocks[s])
-        append = out.append
-        for lo in range(1, count, CHUNK):
-            for j in np.searchsorted(cuts, draw(min(CHUNK, count - lo)), side="right").tolist():
-                s = rows[s][j]
-                append(last[s])
-        return tuple(out)
-    symbols = np.array(last, dtype=np.min_scalar_type(max(last)))
-    head = len(blocks[s])
-    word = np.empty(head + count - 1, dtype=symbols.dtype)
-    word[:head] = blocks[s]
+    symbols = np.array(last)
+    out = list(blocks[s])
     for lo in range(1, count, CHUNK):
         cols = np.searchsorted(cuts, draw(min(CHUNK, count - lo)), side="right")
         path = fixed[cols]
         if path[0] < 0:
             path[0] = rows[s][cols[0]]
         free = np.flatnonzero(path < 0)
-        while free.size:  # free[k] follows a known state: one table lookup each
+        # A round costs a few array passes over every free step and resolves
+        # those that follow a known state, about the chunk's known share of
+        # them (whether a step is free depends on its own uniform alone), so
+        # rounds beat the loop only while at least half of the chunk is known.
+        while 0 < 2 * free.size <= path.size:
             prev = path[free - 1]
             known = prev >= 0
-            done = free[known]
-            path[done] = table[prev[known], cols[done]]
+            now = free[known]
+            path[now] = table[prev[known], cols[now]]
             free = free[~known]
-            if done.size < free.size:
-                break
-        if free.size:  # runs of state-dependent steps: walk them in order
-            walked = []
-            t = s
-            for p, j in zip(path[free - 1].tolist(), cols[free].tolist()):
-                t = rows[t if p < 0 else p][j]
-                walked.append(t)
-            path[free] = walked
-        s = int(path[-1])
-        word[head + lo - 1:head + lo - 1 + path.size] = symbols[path]
-    return tuple(word.tobytes() if word.itemsize == 1 else word.tolist())
+        # The loop walks from the first free step to the last, through any
+        # known steps between them; the known ends are copied.
+        a, b = (free[0], free[-1] + 1) if free.size else (path.size, path.size)
+        out += symbols[path[:a]].tolist()
+        t = int(path[a - 1])
+        for j in cols[a:b].tolist():
+            t = rows[t][j]
+            out.append(last[t])
+        out += symbols[path[b:]].tolist()
+        s = t if b == path.size else int(path[-1])
+    return tuple(out)
 
 
 def step_table(q_cum):
@@ -98,19 +93,6 @@ def step_table(q_cum):
     table = np.where(table < n, table, [[_last_positive(row)] for row in q_cum])
     fixed = np.where((table == table[0]).all(axis=0), table[0], -1)
     return cuts, table, fixed
-
-
-def reachable(cuts):
-    """Which columns of the step table a uniform in [0, 1) can land in.
-
-    Column 0 serves x below every cut, which leaves no such x when some
-    entry of q_cum is 0.0; the last column serves x at or above every cut,
-    which ``rng.random`` draws only when rounding leaves every row short of 1.
-    """
-    mask = np.ones(cuts.size + 1, dtype=bool)
-    mask[0] = cuts[0] > 0.0
-    mask[-1] = cuts[-1] < 1.0
-    return mask
 
 
 def _last_positive(cum):

@@ -123,8 +123,17 @@ def _no_fixed_chain():
     return gibbs_chain(LocallyConstantPotential.from_values(spec, [0.0, 0.0, 0.0]))
 
 
+def _cyclic_chain(v):
+    """Each symbol prefers its successor mod 3; the other two steps weigh exp(v) each."""
+    spec = SftSpec(alphabet=tuple("abc"), incidence=np.ones((3, 3), dtype=int))
+    entries = [((a, b), 0.0 if b == (a + 1) % 3 else v) for a in range(3) for b in range(3)]
+    return gibbs_chain(LocallyConstantPotential.from_table(spec, 2, entries))
+
+
 CHAINS = {"bin14": _bin14_chain, "gold": _gold_chain, "gold-depth3": _gold_depth3_chain,
-          "sparse": _sparse_chain, "no-fixed": _no_fixed_chain}
+          "sparse": _sparse_chain, "no-fixed": _no_fixed_chain,
+          "half-fixed": lambda: _cyclic_chain(-np.log(2.0)),
+          "low-fixed": lambda: _cyclic_chain(-4.0)}
 
 
 @pytest.fixture(params=sorted(CHAINS), scope="module")
@@ -161,23 +170,27 @@ def test_chains_cover_wide_blocks_and_zero_transitions():
     assert (_sparse_chain().Q == 0.0).any()
 
 
-def _fixed_columns(chain):
-    """(fixed, reachable fixed, all) columns of the chain's step table."""
+def _fixed_share(chain):
+    """Share of the uniforms in [0, 1) whose step does not depend on the state."""
     q_cum = _cums(chain)[1]
     cuts, table, fixed = _kernels.step_table(q_cum)
     assert table.shape == (q_cum.shape[0], cuts.size + 1)
-    return (int((fixed >= 0).sum()), int((fixed[_kernels.reachable(cuts)] >= 0).sum()),
-            fixed.size)
+    widths = np.diff(np.concatenate([[0.0], cuts, [1.0]])).clip(0.0)
+    return float(widths[fixed >= 0].sum())
 
 
 def test_chains_cover_all_some_and_no_state_independent_steps():
-    # every row agrees in every column; x >= 1.0 is never drawn
-    assert _fixed_columns(_bin14_chain()) == (3, 2, 3)
-    assert _fixed_columns(_gold_chain()) == (1, 1, 3)
+    # every row agrees in every column
+    assert _fixed_share(_bin14_chain()) == 1.0
+    # rounds resolve most chunks of gold; half-fixed sits where the kernel
+    # switches between rounds and the loop; low-fixed leaves nearly every
+    # step to the loop
+    assert 0.6 < _fixed_share(_gold_chain()) < 0.9
+    assert _fixed_share(CHAINS["half-fixed"]()) == pytest.approx(0.5)
+    assert 0.03 < _fixed_share(CHAINS["low-fixed"]()) < 0.04
     # x below every cut sends each state to 0, but every such cut is 0.0 here
-    assert _fixed_columns(_gold_depth3_chain()) == (1, 0, 5)
-    assert _fixed_columns(_sparse_chain()) == (1, 0, 13)
-    assert _fixed_columns(_no_fixed_chain()) == (1, 0, 4)
+    for build in (_gold_depth3_chain, _sparse_chain, _no_fixed_chain):
+        assert _fixed_share(build()) == 0.0
     q_cum = _cums(_no_fixed_chain())[1]
     assert q_cum.tolist() == [[0.0, 0.5, 1.0], [0.5, 0.5, 1.0], [0.5, 1.0, 1.0]]
 
