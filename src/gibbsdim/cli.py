@@ -222,8 +222,7 @@ def _run(args) -> int:
         rows = []
         for a in alphas:
             pt = spectrum_at(a, phi, psi)
-            b_q = float("nan") if pt.endpoint else beta(pt.q_alpha, phi, psi)
-            rows.append((pt.q_alpha, b_q, pt.alpha, pt.alpha, pt.value))
+            rows.append((pt.q_alpha, pt.beta, pt.alpha, pt.alpha, pt.value))
         emit.rows(("q", "beta", "beta_prime", "alpha", "b_alpha"), rows)
         return 0
 

@@ -91,7 +91,8 @@ def _edge_space(*potentials: LocallyConstantPotential) -> EdgeSpace:
 # Perron data
 # --------------------------------------------------------------------------
 
-def _perron(M: np.ndarray, rtol: float = PRESSURE_RTOL, max_iter: int = PRESSURE_MAX_ITER):
+def _perron(M: np.ndarray, rtol: float = PRESSURE_RTOL, max_iter: int = PRESSURE_MAX_ITER,
+            x0: np.ndarray | None = None):
     """Leading eigenvalue and positive eigenvector of a primitive matrix.
 
     Every positive iterate x yields a Collatz-Wielandt bracket
@@ -99,15 +100,20 @@ def _perron(M: np.ndarray, rtol: float = PRESSURE_RTOL, max_iter: int = PRESSURE
     brackets are intersected until the certified width is below rtol, and the
     eigenvalue returned is the midpoint.  (An entry of x that underflowed to 0
     gives an infinite or NaN ratio, which the intersection ignores.)  The
-    iterates are the all-ones vector, one power step from it, the Perron
-    vector of a dense eigensolve, and then shifted inverse-iteration steps
-    (``_perron_step``).  A bracket that is not finite and positive, or an
+    iterates are the seed x0 (all-ones when there is none, or when x0 is not
+    positive), one power step from it, the Perron vector of a dense
+    eigensolve, and then shifted inverse-iteration steps (``_perron_step``).
+    A seed that is already the Perron vector, such as the vector returned
+    for a positive multiple of M, certifies at iterate 0, with one
+    matrix-vector product and no eigensolve.  Any other seed
+    only adds its bracket to the intersection, so the certificate is the same
+    whatever the seed.  A bracket that is not finite and positive, or an
     iterate that is not finite, means the matrix overflows or underflows and
     raises NumericalError at once; a bracket still too wide after max_iter
     iterates raises it at the end.  Both carry the bracket, and the inf and
     NaN values on the way there raise no NumPy warnings.
     """
-    x = np.ones(M.shape[0])
+    x = x0 if x0 is not None and np.all(x0 > 0.0) else np.ones(M.shape[0])
     lo_best, hi_best = 0.0, math.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(max_iter):
@@ -163,9 +169,12 @@ def _perron_step(M: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, sigma: flo
     return power if np.all(np.isfinite(power)) else None
 
 
-def _stochasticize(M: np.ndarray, lam: float, h: np.ndarray):
-    """Right Perron data (lam, h) of M -> (nu, Q, pi) with the normalizations used everywhere."""
-    _, nu, _ = _perron(M.T)
+def _stochasticize(M: np.ndarray, lam: float, h: np.ndarray, nu0: np.ndarray | None = None):
+    """Right Perron data (lam, h) of M -> (nu, Q, pi) with the normalizations used everywhere.
+
+    nu0 seeds the left Perron solve.
+    """
+    _, nu, _ = _perron(M.T, x0=nu0)
     Q = M * h[None, :] / (lam * h[:, None])
     Q = Q / Q.sum(axis=1, keepdims=True)
     nu = nu / float(nu @ h)
@@ -317,26 +326,39 @@ def _pair_space(phi: LocallyConstantPotential, psi: LocallyConstantPotential) ->
 
 
 def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
-    """beta(q), with the edge space, matrix and right Perron data of its last step."""
+    """beta(q), with the edge space, matrix and right Perron data of its last step.
+
+    Every step solves exp(-q*phi - b*psi) at a new b, and each of its Perron
+    solves starts from the vectors of the step before it: the right solve
+    from the last h (at the first step, from the bracket solve at b = 0) and
+    the left solve from the last nu.  For a constant psi = c the matrix is
+    e^(-b*c) times the one at b = 0, so the seeds are its Perron vectors and
+    each solve certifies at iterate 0; for any other psi they are close ones.
+    The seeds live within one call, so beta(q) depends on (q, phi, psi) alone.
+    The last left vector is returned too (None if no step needed one), to
+    seed the left solve of ``_beta_pair``.
+    """
     es = _pair_space(phi, psi)
     psi_min = psi.min_value()
-    p0 = math.log(_perron(es.matrix((-q, 0.0)))[0])
+    lam0, h, _ = _perron(es.matrix((-q, 0.0)))
+    p0 = math.log(lam0)
     if p0 >= 0.0:
         lo, hi = 0.0, p0 / psi_min + 1e-12
     else:
         lo, hi = p0 / psi_min - 1e-12, 0.0
     b = 0.5 * (lo + hi)
+    nu = None
     for _ in range(200):
         M = es.matrix((-q, -b))
-        lam, h, _ = _perron(M)
+        lam, h, _ = _perron(M, x0=h)
         p = math.log(lam)
         if abs(p) <= BETA_PRESSURE_TOL:
-            return b, es, M, lam, h
+            return b, es, M, lam, h, nu
         if p > 0:
             lo = b
         else:
             hi = b
-        _, Q, pi = _stochasticize(M, lam, h)
+        nu, Q, pi = _stochasticize(M, lam, h, nu)
         nb = b + p / es.edge_mean(pi, Q, 1)
         if not (lo < nb < hi):
             nb = 0.5 * (lo + hi)
@@ -355,8 +377,8 @@ def beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential)
 
 def _beta_pair(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
     """(beta(q), beta'(q)) from one root solve and one left Perron solve."""
-    b, es, M, lam, h = _beta(q, phi, psi)
-    _, Q, pi = _stochasticize(M, lam, h)
+    b, es, M, lam, h, nu = _beta(q, phi, psi)
+    _, Q, pi = _stochasticize(M, lam, h, nu)
     return b, -es.edge_mean(pi, Q, 0) / es.edge_mean(pi, Q, 1)
 
 
@@ -390,6 +412,7 @@ class SpectrumPoint:
     q_alpha: float          # +-inf at the endpoints
     value: float
     endpoint: bool = False
+    beta: float = math.nan  # beta(q_alpha); NaN at the endpoints
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
@@ -491,7 +514,7 @@ def spectrum_at(alpha: float, phi: LocallyConstantPotential,
     value = b - q_star * alpha
     if -1e-9 < value < 0.0:
         value = 0.0
-    return SpectrumPoint(alpha, float(q_star), value)
+    return SpectrumPoint(alpha, float(q_star), value, beta=b)
 
 
 def full_dim_alpha(phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:

@@ -225,7 +225,7 @@ README_STDOUT_SHA256 = {
     "gibbsdim holder --x 0.3333333 --alpha 1.2075 --depth 30 --model models/bin14.json":
         "73ce1ed13e1d2d7f5709c432f573f6f5c84dbaacb98228479927ea6534d0c33a",
     "gibbsdim certified-point --alpha 1.2075187 --l 12 --depth 4 --model models/bin14.json":
-        "700d47a4dc51bb2d829875bee11ea8f24c332e65a3332066c79fcfccc42e1bee",
+        "22ab23fef0a6359dff1039a6bc0df90ab6982d0f3259081ac08e8940fdf708b4",
 }
 
 

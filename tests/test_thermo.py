@@ -451,27 +451,47 @@ def test_perron_certifies_past_an_underflowed_iterate():
     phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)),
                                    scale=float(rng.choice([1, 3, 10])))
     m = _edge_space(phi).matrix((-40.0,))
-    lam, _, (lo, hi) = _perron(m)
+    lam, vec, (lo, hi) = _perron(m)
     o_lo, o_hi, certified = helpers.power_perron(m, max_iter=100)
     assert certified
     assert max(lo, o_lo) <= min(hi, o_hi)
+    # the vector returned has an entry that underflowed to 0; as a seed it
+    # would give an infinite bracket, so the solve starts from all-ones
+    assert vec.min() == 0.0
+    again, _, bracket = _perron(m, x0=vec)
+    assert (again, bracket) == (lam, (lo, hi))
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_perron_brackets_overlap_power_iteration(seed):
-    from gibbsdim.thermo import PRESSURE_RTOL, _edge_space, _perron
+def test_perron_brackets_overlap_power_iteration(seed, monkeypatch):
+    from gibbsdim import thermo
     rng = np.random.default_rng(seed)
     spec = helpers.random_mixing_spec(rng)
     phi = helpers.random_potential(rng, spec, 2)
     psi = LocallyConstantPotential.constant(spec, 1.0)
-    es = _edge_space(phi, psi)
+    es = thermo._edge_space(phi, psi)
+    steps = []
+    step = thermo._perron_step
+
+    def counted_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(thermo, "_perron_step", counted_step)
     for q in (0.0, 1.0, -1.0, 40.0, -40.0):
         m = es.matrix((-q, 0.0))
-        lam, _, (lo, hi) = _perron(m)
         o_lo, o_hi, _ = helpers.power_perron(m, max_iter=20_000)
-        assert lo <= lam <= hi
-        assert hi - lo <= PRESSURE_RTOL * hi
-        assert max(lo, o_lo) <= min(hi, o_hi), (q, (lo, hi), (o_lo, o_hi))
+        # seeds: the Perron vector of a multiple of m, and a positive vector far from it
+        _, exact, _ = thermo._perron(0.5 * m)
+        far = rng.uniform(0.1, 10.0, m.shape[0])
+        for x0 in (None, exact, far):
+            steps.clear()
+            lam, _, (lo, hi) = thermo._perron(m, x0=x0)
+            assert lo <= lam <= hi
+            assert hi - lo <= thermo.PRESSURE_RTOL * hi
+            assert max(lo, o_lo) <= min(hi, o_hi), (q, (lo, hi), (o_lo, o_hi))
+            if x0 is exact:
+                assert steps == []  # certified at the seed
 
 
 def _stress_model(seed):
@@ -503,6 +523,46 @@ def test_stress_model_spectrum_row():
     assert 0.0 <= pt.value <= beta(0.0, phi, psi) + QALPHA_TOL
     assert pt.value == pytest.approx(beta(pt.q_alpha, phi, psi) - pt.q_alpha * alpha,
                                      abs=1e-15)
+    assert pt.beta == beta(pt.q_alpha, phi, psi)
+
+
+def test_beta_root_reuses_its_perron_vectors(monkeypatch):
+    from gibbsdim import thermo
+    # psi = 1, so each step's matrix is a multiple of the last one and every
+    # seeded solve certifies at its seed: only the bracket solve at b = 0 and
+    # the first left solve run an eigensolve
+    phi, psi = _stress_model(1)
+    qs = (-40.0, -3.0, -0.5, 0.0, 0.7, 5.0, 40.0)
+    fresh = [(beta(q, phi, psi), beta_prime(q, phi, psi)) for q in qs]
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    for q, want in zip(reversed(qs), reversed(fresh)):
+        for solve in (beta, beta_prime):
+            calls.clear()
+            solve(q, phi, psi)
+            assert len(calls) <= 2, (q, solve.__name__, len(calls))
+        # the same bits after other roots: no seed outlives its call
+        assert (beta(q, phi, psi), beta_prime(q, phi, psi)) == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_beta_root_with_nonconstant_psi(seed):
+    from gibbsdim.thermo import BETA_PRESSURE_TOL, PRESSURE_RTOL, _edge_space
+    rng = np.random.default_rng(100 + seed)
+    spec = helpers.random_mixing_spec(rng)
+    phi = helpers.random_potential(rng, spec, 2)
+    psi = LocallyConstantPotential.from_table(
+        spec, 2, [(w, float(rng.uniform(0.2, 2.0))) for w in spec.words(2)])
+    es = _edge_space(phi, psi)
+    for q in (-2.0, -0.5, 0.0, 1.0, 2.0):
+        b = beta(q, phi, psi)
+        lo, hi, certified = helpers.power_perron(es.matrix((-q, -b)))
+        assert certified
+        assert max(abs(math.log(lo)), abs(math.log(hi))) <= BETA_PRESSURE_TOL + PRESSURE_RTOL
+        h = 1e-4
+        slope = (beta(q + h, phi, psi) - beta(q - h, phi, psi)) / (2 * h)
+        assert beta_prime(q, phi, psi) == pytest.approx(slope, abs=1e-6)
 
 
 @pytest.mark.parametrize("values", ([-10.0, -30.0], [-20.0, -60.0]))
