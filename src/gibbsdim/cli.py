@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", required=True, help="model file (JSON)")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--tol", type=float, default=None,
-                        help="evaluation tolerance override where applicable")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--phi", default=None, help="potential name (default: 'phi')")
     common.add_argument("--psi", default=None, help="metric potential name (default: 'psi')")
@@ -322,13 +320,12 @@ def _run(args) -> int:
 
     if args.command == "cdf":
         model = bundle.cdf_model(args.potential)
-        eps = args.tol if args.tol else args.eps
         if args.mode == "eval":
             if args.x is None:
                 raise ValidationError("cdf eval needs --x")
-            emit.obj({"x": args.x, "cdf": model.cdf(args.x, eps)})
+            emit.obj({"x": args.x, "cdf": model.cdf(args.x, args.eps)})
             return 0
-        rows = model.curve(args.resolution, eps)
+        rows = model.curve(args.resolution, args.eps)
         emit.rows(("x", "cdf"), rows)
         return 0
 

@@ -30,12 +30,11 @@ import numpy as np
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
 from .potentials import LocallyConstantPotential, cylinder_diam_psi
-from .sft import EMPTY_WORD, InfixSet, SftSpec, Word
+from .sft import InfixSet, SftSpec, Word
 from .thermo import alpha_range, spectrum_at
-from .wordsets import (PostfixSet, build_postfix_set, in_frequent_set,
+from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, build_postfix_set, in_frequent_set,
                        window_family)
 
-ALPHA_SIGN_TOL = 1e-9
 DIM_MARGIN = 1e-3
 BASE_LENGTH_CAP = 64
 

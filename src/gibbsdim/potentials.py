@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InsufficientContextError, ValidationError
-from .sft import EMPTY_WORD, SftSpec, Word
+from .sft import SftSpec, Word
 
 
 @dataclass(frozen=True)
@@ -244,16 +242,6 @@ def combine(a: float, f: LocallyConstantPotential, b: float,
 
 def add_constant(f: LocallyConstantPotential, c: float) -> LocallyConstantPotential:
     return combine(1.0, f, c, LocallyConstantPotential.constant(f.spec, 1.0))
-
-
-def align_depth(f: LocallyConstantPotential, depth: int) -> LocallyConstantPotential:
-    if depth < f.depth:
-        raise ValidationError("cannot lower the depth of a table")
-    if depth == f.depth:
-        return f
-    return LocallyConstantPotential(
-        spec=f.spec, depth=depth,
-        entries=tuple((w, f.table[w[:f.depth]]) for w in f.spec.words(depth)))
 
 
 def d_psi(psi: LocallyConstantPotential, prefix1: Word, prefix2: Word) -> float:

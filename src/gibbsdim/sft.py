@@ -2,11 +2,15 @@
 
 Words are plain tuples of symbol indices.  Symbol names exist only for I/O;
 every table in the package is indexed by dense integers.
+
+Mixing and connecting words rest on one table per spec, the boolean powers of
+the incidence matrix: the primitivity index, the mixing window and both
+connector builders read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, UnsupportedSpecError, ValidationError
@@ -61,7 +65,7 @@ class SftSpec:
         object.__setattr__(self, "_symbols", frozenset(range(len(alphabet))))
         object.__setattr__(self, "_forbidden", frozenset(
             (int(a), int(b)) for a, b in zip(*np.nonzero(~inc))))
-        object.__setattr__(self, "_prim_index", None)
+        object.__setattr__(self, "_powers", [inc])  # reach(k) for k = 1, 2, ...
 
     # --- identity -------------------------------------------------------
 
@@ -129,20 +133,18 @@ class SftSpec:
 
     # --- mixing -----------------------------------------------------------
 
+    def _reach(self, k: int) -> np.ndarray:
+        """``reach(k)[v, b]``: some admissible path of exactly k >= 1 edges leads
+        from v to b.  The powers are computed once per spec and kept."""
+        powers = self._powers
+        while len(powers) < k:
+            powers.append((powers[-1].astype(np.int64) @ self.incidence.astype(np.int64)) > 0)
+        return powers[k - 1]
+
     def primitivity_index(self):
         """Least k with all entries of incidence^k positive, or None within the Wielandt bound."""
-        cached = self._prim_index
-        if cached is not None:
-            return cached if cached > 0 else None
-        reach = self.incidence.copy()
-        result = None
-        for k in range(1, _wielandt_bound(self.n) + 1):
-            if reach.all():
-                result = k
-                break
-            reach = (reach.astype(np.int64) @ self.incidence.astype(np.int64)) > 0
-        object.__setattr__(self, "_prim_index", result if result is not None else -1)
-        return result
+        return next((k for k in range(1, _wielandt_bound(self.n) + 1) if self._reach(k).all()),
+                    None)
 
     def is_mixing(self) -> bool:
         return self.primitivity_index() is not None
@@ -193,40 +195,9 @@ class SftSpec:
 
     def connecting_words(self) -> "InfixSet":
         """For every symbol pair (a, b), the shortest (then lexicographically least)
-        word rho with ``a rho b`` admissible."""
-        self.require_mixing()
-        n = self.n
-        succ = self._succ
-        pred = tuple(tuple(int(a) for a in np.flatnonzero(self.incidence[:, b])) for b in range(n))
-        # dist_to[b][v] = least edge count of an admissible path v -> b
-        dist_to = []
-        for b in range(n):
-            dist = [-1] * n
-            frontier = [b]
-            dist[b] = 0
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for u in pred[v]:
-                        if dist[u] < 0:
-                            dist[u] = dist[v] + 1
-                            nxt.append(u)
-                frontier = nxt
-            dist_to.append(dist)
-        table = {}
-        for a in range(n):
-            for b in range(n):
-                best = min((dist_to[b][s] for s in succ[a] if dist_to[b][s] >= 0), default=-1)
-                if best < 0:
-                    raise UnsupportedSpecError(f"no admissible path joins {a} to {b}")
-                rho = []
-                cur, remaining = a, best + 1
-                while remaining > 1:
-                    cur = min(s for s in succ[cur] if dist_to[b][s] == remaining - 1)
-                    rho.append(cur)
-                    remaining -= 1
-                table[(a, b)] = tuple(rho)
-        return InfixSet(pairs=table)
+        word rho with ``a rho b`` admissible; no connector is longer than
+        ``mixing_window() - 2``."""
+        return self._connectors(None)
 
     def uniform_connecting_words(self) -> "InfixSet":
         """For every symbol pair (a, b), the lexicographically least word rho of
@@ -236,18 +207,24 @@ class SftSpec:
         connectors share one length, so words joined by them keep their
         offsets (the mass tree relies on this).
         """
-        length = self.mixing_window() - 2
-        inc = self.incidence.astype(np.int64)
-        # reach[k][v, b]: some admissible path of k edges leads from v to b
-        reach = [None, self.incidence]
-        for _ in range(length - 1):
-            reach.append((reach[-1].astype(np.int64) @ inc) > 0)
+        return self._connectors(self.mixing_window() - 2)
+
+    def _connectors(self, length: int | None) -> "InfixSet":
+        """The lexicographically least rho with ``a rho b`` admissible for every
+        pair (a, b): of the given length, or of the least length when it is None.
+
+        rho is built greedily: each next symbol is the least successor that
+        still reaches b in exactly the edges left.
+        """
+        window = self.mixing_window()
         table = {}
         for a in range(self.n):
             for b in range(self.n):
+                edges = (length + 1 if length is not None
+                         else next(k for k in range(1, window) if self._reach(k)[a, b]))
                 rho, cur = [], a
-                for left in range(length, 0, -1):  # edges from rho's next symbol to b
-                    cur = min(s for s in self._succ[cur] if reach[left][s, b])
+                for left in range(edges - 1, 0, -1):  # edges from rho's next symbol to b
+                    cur = min(s for s in self._succ[cur] if self._reach(left)[s, b])
                     rho.append(cur)
                 table[(a, b)] = tuple(rho)
         return InfixSet(pairs=table)

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import cycles
 from ._kernels import markov_path
-from .errors import (CapacityError, EmptyLevelSetError, NumericalError,
-                     ValidationError)
-from .potentials import LocallyConstantPotential, combine
+from .errors import EmptyLevelSetError, NumericalError, ValidationError
+from .potentials import LocallyConstantPotential
 from .sft import BlockCoder, SftSpec, Word, higher_block_recode
 
 PRESSURE_RTOL = 1e-13
@@ -518,10 +517,11 @@ def spectrum_at(alpha: float, phi: LocallyConstantPotential,
 
 
 def full_dim_alpha(phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:
-    """The ratio alpha0 at which the spectrum attains the dimension of the whole space."""
-    b0 = beta(0.0, phi, psi)
-    chain = gibbs_chain(combine(0.0, phi, -b0, psi))
-    return -chain.integrate(phi) / chain.integrate(psi)
+    """The ratio alpha0 at which the spectrum attains the dimension of the whole space.
+
+    It is beta'(0): the Birkhoff ratio at the equilibrium state of -beta(0)*psi.
+    """
+    return beta_prime(0.0, phi, psi)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ counterexample word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .cycles import relax
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
 from .potentials import LocallyConstantPotential, combine
-from .sft import EMPTY_WORD, InfixSet, SftSpec, Word, word_power
+from .sft import EMPTY_WORD, SftSpec, Word, word_power
 from .thermo import _edge_space, alpha_range, birkhoff_sup
 
 ALPHA_SIGN_TOL = 1e-9
@@ -128,7 +128,6 @@ class PostfixSet:
     concatenation back inside the tighter band."""
 
     words: tuple          # sorted by (length, word); contains the empty word
-    prefixes: tuple       # the raw segment prefixes plus the empty word
     seg_down: Word
     seg_up: Word
     band: float           # K
@@ -214,10 +213,8 @@ def build_postfix_set(phi: LocallyConstantPotential, source_band: float,
             cand = rho + tau
             if spec.is_admissible(cand):
                 words.add(cand)
-    key = lambda w: (len(w), w)
     return PostfixSet(
-        words=tuple(sorted(words, key=key)),
-        prefixes=tuple(sorted(prefixes, key=key)),
+        words=tuple(sorted(words, key=lambda w: (len(w), w))),
         seg_down=seg_down, seg_up=seg_up,
         band=float(band), source_band=float(source_band),
     )
@@ -229,10 +226,6 @@ class VerifyReport:
     max_len: int
     checked: int
     failures: tuple  # words with no working postfix
-
-    def summary(self) -> str:
-        state = "pass" if self.passed else f"FAIL ({len(self.failures)} witnesses)"
-        return f"{state}: {self.checked} bounded-sum words up to length {self.max_len}"
 
 
 def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential, max_len: int,

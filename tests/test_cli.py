@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -123,6 +124,10 @@ def test_cdf_commands(capsys, models_dir):
                        "--model", model(models_dir, "bin14.json"))
     assert code == 0
     assert "cdf,0.25" in out
+    with pytest.raises(SystemExit) as info:  # --eps is the one descent tolerance
+        main(["cdf", "eval", "--x", "0.5", "--tol", "1e-9",
+              "--model", model(models_dir, "bin14.json")])
+    assert info.value.code == 2
     code, out, _ = run(capsys, "cdf", "curve", "--resolution", "33",
                        "--model", model(models_dir, "bin14.json"))
     assert code == 0
@@ -326,3 +331,19 @@ def test_package_exports_resolve_lazily():
                         "assert all(getattr(gibbsdim, n) is not None for n in gibbsdim.__all__); "
                         "assert gibbsdim.MassDistribution.__module__ == 'gibbsdim.massdist'")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_modules_use_every_name_they_import():
+    unused = []
+    for path in sorted(pathlib.Path(gibbsdim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", "") != "__future__"):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused

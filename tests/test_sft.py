@@ -38,6 +38,14 @@ def test_mixing(full2, gold):
     assert gold.is_mixing()
     period2 = SftSpec(alphabet=("a", "b"), incidence=[[0, 1], [1, 0]])
     assert not period2.is_mixing()
+    # the reachability powers are computed once per spec
+    spec = _wielandt(5)
+    spec.require_mixing()
+    powers = list(spec._powers)
+    spec.require_mixing()
+    assert spec.mixing_window() == 18
+    assert len(spec._powers) == len(powers) == 17
+    assert all(p is q for p, q in zip(spec._powers, powers))
 
 
 def test_row_nonempty_invariant():
@@ -57,41 +65,71 @@ def test_connecting_words(full2, gold):
         assert gold.is_admissible((a,) + rho + (b,))
 
 
-def test_connecting_words_shortest_lex(gold):
-    # oracle: scan all candidate infixes by (length, lex) order
-    rg = gold.connecting_words()
-    for (a, b), rho in rg.pairs.items():
-        found = None
-        for n in range(0, 4):
-            for cand in helpers.brute_words(gold, n):
-                if gold.is_admissible((a,) + cand + (b,)):
-                    found = cand
-                    break
-            if found is not None:
-                break
-        assert rho == found
-
-
 def _admissible_by_matrix(spec, word):
     """The definition: every adjacent pair is allowed by the incidence matrix."""
     return all(spec.incidence[word[i], word[i + 1]] for i in range(len(word) - 1))
 
 
-@pytest.mark.parametrize("name,seed", [("gold", None), ("full2", None)]
-                         + [("random", seed) for seed in range(12)])
-def test_uniform_connecting_words_least_of_fixed_length(name, seed):
-    if seed is None:
-        spec = getattr(helpers, name)()
-    else:
-        spec = helpers.random_mixing_spec(np.random.default_rng(seed))
+def _lex_words(spec, a, length):
+    """Every word w of the length with ``a w`` allowed by the incidence matrix, in lex order."""
+    if length == 0:
+        yield ()
+        return
+    for s in range(spec.n):
+        if spec.incidence[a, s]:
+            for rest in _lex_words(spec, s, length - 1):
+                yield (s,) + rest
+
+
+def _wielandt(n):
+    """An n-cycle plus one chord: primitive with the largest index, (n-1)^2 + 1."""
+    inc = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        inc[i, (i + 1) % n] = True
+    inc[n - 1, 1] = True
+    return SftSpec(alphabet=tuple(str(i) for i in range(n)), incidence=inc)
+
+
+_CONNECTOR_SPECS = ([("gold", None), ("full2", None)]
+                    + [("random", seed) for seed in range(12)]
+                    + [("wielandt", n) for n in range(3, 7)])
+
+
+def _connector_spec(name, arg):
+    if name == "random":
+        return helpers.random_mixing_spec(np.random.default_rng(arg))
+    if name == "wielandt":
+        return _wielandt(arg)
+    return getattr(helpers, name)()
+
+
+@pytest.mark.parametrize("name,arg", _CONNECTOR_SPECS)
+def test_connecting_words_shortest_lex(name, arg):
+    spec = _connector_spec(name, arg)
+    rho = spec.connecting_words()
+    assert rho.norm <= spec.mixing_window() - 2
+    for a in range(spec.n):
+        for b in range(spec.n):
+            # the first length with a joining word, and its least word
+            least = next(w for length in itertools.count() for w in _lex_words(spec, a, length)
+                         if spec.incidence[((a,) + w)[-1], b])
+            assert rho.get(a, b) == least
+    if name == "wielandt":  # shortest and uniform lengths differ here
+        assert rho.norm == arg - 1 < spec.mixing_window() - 2
+
+
+@pytest.mark.parametrize("name,arg", _CONNECTOR_SPECS)
+def test_uniform_connecting_words_least_of_fixed_length(name, arg):
+    spec = _connector_spec(name, arg)
+    if name == "wielandt":
+        assert spec.primitivity_index() == (arg - 1) ** 2 + 1
     length = spec.mixing_window() - 2
     rho = spec.uniform_connecting_words()
     assert rho.norm == length
     for a in range(spec.n):
         for b in range(spec.n):
-            # itertools.product runs through all words of the length in lex order
-            least = next(w for w in itertools.product(range(spec.n), repeat=length)
-                         if _admissible_by_matrix(spec, (a,) + w + (b,)))
+            least = next(w for w in _lex_words(spec, a, length)
+                         if spec.incidence[((a,) + w)[-1], b])
             assert rho.get(a, b) == least
 
 

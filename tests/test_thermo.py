@@ -292,6 +292,16 @@ def test_full_dim_alpha_degenerate(full2):
     assert full_dim_alpha(phi, psi) == pytest.approx(1.0, abs=1e-10)
     half = LocallyConstantPotential.constant(full2, math.log(0.5))
     assert full_dim_alpha(half, psi) == pytest.approx(1.0, abs=1e-10)
+    # alpha0 = -int(phi)/int(psi) under the Gibbs chain of -beta(0)*psi
+    rng = np.random.default_rng(12)
+    for depth in (1, 2, 2):
+        spec = helpers.random_mixing_spec(rng)
+        phi = helpers.random_potential(rng, spec, 2)
+        psi = LocallyConstantPotential.from_table(
+            spec, depth, [(w, float(rng.uniform(0.2, 2.0))) for w in spec.words(depth)])
+        chain = gibbs_chain(combine(0.0, phi, -beta(0.0, phi, psi), psi))
+        expect = -chain.integrate(phi) / chain.integrate(psi)
+        assert full_dim_alpha(phi, psi) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_beta_prime_stays_in_alpha_range(bin14):
