@@ -52,43 +52,29 @@ class Emitter:
         self.format = args.format
         self.meta = _meta(bundle)
 
-    def _write(self, text: str):
-        if self.out:
-            with open(self.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-
-    def rows(self, columns, rows, extra_meta=None):
+    def _emit(self, payload: dict, lines, extra_meta=None):
+        """JSON: payload plus meta in one object; CSV: the meta header, then lines."""
         meta = dict(self.meta, **(extra_meta or {}))
         if self.format == "json":
-            data = [dict(zip(columns, r)) for r in rows]
-            self._write(json.dumps({"meta": meta, "data": data},
-                                   sort_keys=True, indent=2) + "\n")
-            return
-        lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(meta.items())]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(x) for x in r) for r in rows)
-        self._write("\n".join(lines) + "\n")
+            text = json.dumps(dict(payload, meta=meta), sort_keys=True, indent=2)
+        else:
+            head = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(meta.items())]
+            text = "\n".join(head + lines)
+        if self.out:
+            with open(self.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
+
+    def rows(self, columns, rows, extra_meta=None):
+        self._emit({"data": [dict(zip(columns, r)) for r in rows]},
+                   [",".join(columns)] + [",".join(_fmt(x) for x in r) for r in rows], extra_meta)
 
     def obj(self, data):
-        if self.format == "json":
-            self._write(json.dumps({"meta": self.meta, "data": data},
-                                   sort_keys=True, indent=2) + "\n")
-            return
-        lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(self.meta.items())]
-        lines.extend(f"{k},{_fmt(v)}" for k, v in data.items())
-        self._write("\n".join(lines) + "\n")
+        self._emit({"data": data}, [f"{k},{_fmt(v)}" for k, v in data.items()])
 
     def words(self, header: dict, words):
-        if self.format == "json":
-            self._write(json.dumps({"meta": self.meta, "header": header, "words": words},
-                                   sort_keys=True, indent=2) + "\n")
-            return
-        lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(self.meta.items())]
-        lines.append(json.dumps(header, sort_keys=True))
-        lines.extend(words)
-        self._write("\n".join(lines) + "\n")
+        self._emit({"header": header, "words": words}, [json.dumps(header, sort_keys=True)] + words)
 
 
 def _parse_grid(text: str):
@@ -117,39 +103,42 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--model", required=True, help="model file (JSON)")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--phi", default=None, help="potential name (default: 'phi')")
-    common.add_argument("--psi", default=None, help="metric potential name (default: 'psi')")
-    common.add_argument("--potential", default=None, help="potential for single-potential commands")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--phi", default=None, help="potential name (default: 'phi')")
+    pair.add_argument("--psi", default=None, help="metric potential name (default: 'psi')")
+    single = argparse.ArgumentParser(add_help=False)
+    single.add_argument("--potential", default=None, help="potential name")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
     p = argparse.ArgumentParser(prog="gibbsdim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate", parents=[common])
-    sub.add_parser("pressure", parents=[common])
+    sub.add_parser("pressure", parents=[common, single])
 
-    q = sub.add_parser("beta", parents=[common])
+    q = sub.add_parser("beta", parents=[common, pair])
     q.add_argument("--q", required=True, help="comma-separated q values")
 
-    sp = sub.add_parser("spectrum", parents=[common])
+    sp = sub.add_parser("spectrum", parents=[common, pair])
     sp.add_argument("--alpha-grid", required=True, help="start:stop:step")
 
-    sub.add_parser("alpha-range", parents=[common])
-    sub.add_parser("alpha0", parents=[common])
-    sub.add_parser("subaction", parents=[common])
-    sub.add_parser("counterexample", parents=[common])
+    sub.add_parser("alpha-range", parents=[common, pair])
+    sub.add_parser("alpha0", parents=[common, single])
+    sub.add_parser("subaction", parents=[common, single])
+    sub.add_parser("counterexample", parents=[common, pair])
 
-    w = sub.add_parser("words", parents=[common])
+    w = sub.add_parser("words", parents=[common, single])
     w.add_argument("--K", type=float, required=True)
     w.add_argument("--m", type=int, required=True)
     w.add_argument("--cap", type=int, default=10_000_000)
 
-    pf = sub.add_parser("postfix", parents=[common])
+    pf = sub.add_parser("postfix", parents=[common, single])
     pf.add_argument("--Kp", type=float, required=True)
     pf.add_argument("--K", type=float, required=True)
     pf.add_argument("--verify-maxlen", type=int, default=0)
 
-    md = sub.add_parser("massdist", parents=[common])
+    md = sub.add_parser("massdist", parents=[common, pair, seeded])
     md.add_argument("mode", choices=("build", "sample", "certify"))
     md.add_argument("--s", type=float, required=True)
     md.add_argument("--F", required=True, help="comma-separated pattern words")
@@ -159,18 +148,18 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("separating-word", parents=[common])
     sw.add_argument("--F", required=True)
 
-    cdf = sub.add_parser("cdf", parents=[common])
+    cdf = sub.add_parser("cdf", parents=[common, single])
     cdf.add_argument("mode", choices=("eval", "curve"))
     cdf.add_argument("--x", type=float, default=None)
     cdf.add_argument("--eps", type=float, default=1e-9)
     cdf.add_argument("--resolution", type=int, default=256)
 
-    hp = sub.add_parser("holder", parents=[common])
+    hp = sub.add_parser("holder", parents=[common, single])
     hp.add_argument("--x", type=float, required=True)
     hp.add_argument("--alpha", type=float, required=True)
     hp.add_argument("--depth", type=int, default=30)
 
-    cp = sub.add_parser("certified-point", parents=[common])
+    cp = sub.add_parser("certified-point", parents=[common, single, seeded])
     cp.add_argument("--alpha", type=float, required=True)
     cp.add_argument("--l", type=int, default=2)
     cp.add_argument("--depth", type=int, default=4)
@@ -235,7 +224,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "subaction":
-        phi = bundle.potential(args.potential or ("phi" if "phi" in bundle.potentials else None))
+        phi = bundle.potential_or(args.potential)
         table = subaction(phi)
         rows = [(spec.word_str(w), v) for w, v in sorted(table.items())]
         emit.rows(("block", "value"), rows)
@@ -253,7 +242,7 @@ def _run(args) -> int:
 
     if args.command == "words":
         from .wordsets import window_family
-        phi = bundle.potential(args.potential or ("phi" if "phi" in bundle.potentials else None))
+        phi = bundle.potential_or(args.potential)
         fam = window_family(phi, args.K, args.m, cap=args.cap)
         header = {"bound": fam.bound, "length": fam.length, "count": len(fam.words)}
         emit.words(header, [spec.word_str(w) for w in fam.words])
@@ -261,7 +250,7 @@ def _run(args) -> int:
 
     if args.command == "postfix":
         from .wordsets import build_postfix_set, verify_postfix
-        phi = bundle.potential(args.potential or ("phi" if "phi" in bundle.potentials else None))
+        phi = bundle.potential_or(args.potential)
         pset = build_postfix_set(phi, args.Kp, args.K)
         data = {
             "band": pset.band,

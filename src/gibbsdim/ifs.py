@@ -18,7 +18,7 @@ from ._kernels import cdf_descend
 from .errors import InfeasibleError, ValidationError
 from .potentials import (LocallyConstantPotential, add_constant, combine)
 from .sft import EMPTY_WORD, SftSpec, Word
-from .thermo import (GibbsChain, alpha_range, beta, full_dim_alpha, gibbs_chain,
+from .thermo import (GibbsChain, _beta_pair, alpha_range, full_dim_alpha, gibbs_chain,
                      pressure, spectrum_at)
 
 _GEOM_TOL = 1e-12
@@ -296,16 +296,12 @@ class CdfModel:
         return full_dim_alpha(self.potential, self.psi)
 
     def alpha0_report(self) -> dict:
-        a0 = self.alpha0()
-        point = spectrum_at(a0, self.potential, self.psi)
+        b0, a0 = _beta_pair(0.0, self.potential, self.psi)   # alpha0 is beta'(0)
         return {
             "alpha0": a0,
-            "spectrum_value": point.value,
-            "beta0": beta(0.0, self.potential, self.psi),
+            "spectrum_value": spectrum_at(a0, self.potential, self.psi).value,
+            "beta0": b0,
         }
-
-    def spectrum_at(self, alpha: float):
-        return spectrum_at(alpha, self.potential, self.psi)
 
     def alpha_range(self):
         return alpha_range(self.potential, self.psi)

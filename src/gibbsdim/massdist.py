@@ -32,8 +32,8 @@ from .errors import (CapacityError, InfeasibleError, NumericalError,
 from .potentials import LocallyConstantPotential, cylinder_diam_psi
 from .sft import InfixSet, SftSpec, Word
 from .thermo import alpha_range, spectrum_at
-from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, build_postfix_set, in_frequent_set,
-                       window_family)
+from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, WindowFamily, build_postfix_set,
+                       in_frequent_set, window_family)
 
 DIM_MARGIN = 1e-3
 BASE_LENGTH_CAP = 64
@@ -47,8 +47,8 @@ def _logsumexp(values) -> float:
 
 def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotential,
                        s: float, bound: float, postfix_norm: int, joined_len: int,
-                       infix_norm: int, cap: int = BASE_LENGTH_CAP) -> int:
-    """Least base length m whose weighted window-family series beats the overhead.
+                       infix_norm: int, cap: int = BASE_LENGTH_CAP) -> WindowFamily:
+    """Window family of the least base length m whose weighted series beats the overhead.
 
     The criterion is (1/s) * log sum_{family} exp(-s * S_psi) > C0 with
     C0 = (2*|connectors| + |postfixes| + |joined|) * |psi|; feasible for every
@@ -63,7 +63,7 @@ def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotent
             continue
         logs = [-s * psi.word_sum_bounds(w).sup for w in fam.words]
         if _logsumexp(logs) / s > c0:
-            return m
+            return fam
     raise InfeasibleError(
         f"no base length up to {cap} beats the overhead {c0:g};"
         " the dimension parameter is too close to the spectrum value"
@@ -396,9 +396,8 @@ def build_mass_distribution(phi: LocallyConstantPotential,
         band = 2.0 * v_phi + infixes.norm * nrm + 1.0
     source_band = band + (2 * infixes.norm + len(joined)) * nrm
     postfix = build_postfix_set(phi, source_band, band)
-    m = choose_base_length(phi, psi, s, band, postfix.norm, len(joined),
-                           infixes.norm, cap=base_length_cap)
-    family = window_family(phi, band, m)
+    family = choose_base_length(phi, psi, s, band, postfix.norm, len(joined),
+                                infixes.norm, cap=base_length_cap)
     return MassDistribution(
         phi=phi, psi=psi, s=s, family=family, postfix=postfix, infixes=infixes,
         joined=joined, pattern_words=pattern, band=band, source_band=source_band,

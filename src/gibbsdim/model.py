@@ -53,10 +53,12 @@ class ModelBundle:
             raise ValidationError(f"model has no potential named {name!r}")
         return self.potentials[name]
 
+    def potential_or(self, name: str = None, fallback: str = "phi") -> LocallyConstantPotential:
+        """Potential ``name``, else ``fallback`` if defined, else ``potential``'s default."""
+        return self.potential(name or (fallback if fallback in self.potentials else None))
+
     def pair(self, phi_name: str = None, psi_name: str = None):
-        phi = self.potential(phi_name or ("phi" if "phi" in self.potentials else None))
-        psi = self.potential(psi_name or ("psi" if "psi" in self.potentials else None))
-        return phi, psi
+        return self.potential_or(phi_name), self.potential_or(psi_name, "psi")
 
     def cdf_model(self, potential_name: str = None) -> CdfModel:
         if self.ifs is None:

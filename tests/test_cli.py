@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 import gibbsdim
-from gibbsdim.cli import main
+from gibbsdim.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -81,6 +82,12 @@ def test_words_and_capacity_exit(capsys, models_dir):
     header = json.loads(lines[0])
     assert header == {"bound": 0.6, "count": 2, "length": 2}
     assert lines[1:] == ["01", "10"]
+    code, out, _ = run(capsys, "words", "--K", "0.6", "--m", "2", "--format", "json",
+                       "--model", model(models_dir, "phipm.json"))
+    assert code == 0
+    payload = json.loads(out)
+    assert sorted(payload) == ["header", "meta", "words"]
+    assert payload["header"] == header and payload["words"] == ["01", "10"]
     code, _, _ = run(capsys, "words", "--K", "9", "--m", "20", "--cap", "100",
                      "--model", model(models_dir, "phipm.json"))
     assert code == 4
@@ -124,10 +131,6 @@ def test_cdf_commands(capsys, models_dir):
                        "--model", model(models_dir, "bin14.json"))
     assert code == 0
     assert "cdf,0.25" in out
-    with pytest.raises(SystemExit) as info:  # --eps is the one descent tolerance
-        main(["cdf", "eval", "--x", "0.5", "--tol", "1e-9",
-              "--model", model(models_dir, "bin14.json")])
-    assert info.value.code == 2
     code, out, _ = run(capsys, "cdf", "curve", "--resolution", "33",
                        "--model", model(models_dir, "bin14.json"))
     assert code == 0
@@ -137,6 +140,25 @@ def test_cdf_commands(capsys, models_dir):
     assert ys == sorted(ys)
     assert ys[0] == pytest.approx(0.0, abs=1e-9)
     assert ys[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--alpha-grid", "0.5:2.0:0.5", "--seed", "1"),
+    ("pressure", "--phi", "phi"),
+    ("separating-word", "--F", "01", "--potential", "phi"),
+    ("cdf", "eval", "--x", "0.5", "--tol", "1e-9"),  # --eps is the one descent tolerance
+    ("spectrum", "--alpha-grid", "0.5:2.0"),
+    ("spectrum", "--alpha-grid", "0.5:2.0:0"),
+    ("cdf", "eval"),
+], ids=["spectrum-seed", "pressure-phi", "separating-word-potential", "cdf-tol",
+        "grid-malformed", "grid-step-zero", "cdf-eval-without-x"])
+def test_rejected_arguments_exit_2(capsys, models_dir, argv):
+    try:
+        code = main([*argv, "--model", model(models_dir, "bin14.json")])
+    except SystemExit as exc:  # argparse rejects an option the command does not take
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_holder_and_alpha0(capsys, models_dir):
@@ -331,6 +353,25 @@ def test_package_exports_resolve_lazily():
                         "assert all(getattr(gibbsdim, n) is not None for n in gibbsdim.__all__); "
                         "assert gibbsdim.MassDistribution.__module__ == 'gibbsdim.massdist'")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    # every option a subcommand accepts is read by its branch of cli._run,
+    # apart from --model, --out and --format, which _run reads before dispatch
+    tree = ast.parse((pathlib.Path(gibbsdim.__file__).parent / "cli.py").read_text())
+    run_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_run")
+    reads = {}
+    for node in run_fn.body:
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and ast.unparse(node.test.left) == "args.command"):
+            reads[node.test.comparators[0].value] = {"model", "out", "format"} | {
+                n.attr for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "args"}
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    accepted = {name: {a.dest for a in sub._actions if a.dest != "help"}
+                for name, sub in commands.items()}
+    assert reads == accepted
 
 
 def test_package_modules_use_every_name_they_import():

@@ -43,8 +43,8 @@ TREE_MODELS = [(1, 2), (2, 0), (2, 2), (2, 10), (3, 1), (3, 11)]
 def test_choose_base_length_worked_constants(phi_pm):
     _, pm, psi = phi_pm
     # overhead (2*0 + 5 + 2) * log 2 = 4.852, series value at m=1 is 6.238
-    m = choose_base_length(pm, psi, 0.1, 0.6, postfix_norm=5, joined_len=2, infix_norm=0)
-    assert m == 1
+    fam = choose_base_length(pm, psi, 0.1, 0.6, postfix_norm=5, joined_len=2, infix_norm=0)
+    assert fam.length == 1
     value = (1 / 0.1) * math.log(2 * 2 ** -0.1)
     overhead = 7 * math.log(2)
     assert value == pytest.approx(6.2385, abs=1e-3)
