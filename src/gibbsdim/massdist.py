@@ -32,8 +32,8 @@ from .errors import (CapacityError, InfeasibleError, NumericalError,
 from .potentials import LocallyConstantPotential, cylinder_diam_psi
 from .sft import InfixSet, SftSpec, Word
 from .thermo import alpha_range, spectrum_at
-from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, WindowFamily, build_postfix_set,
-                       in_frequent_set, window_family)
+from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, build_postfix_set, in_frequent_set,
+                       window_family)
 
 DIM_MARGIN = 1e-3
 BASE_LENGTH_CAP = 64
@@ -47,12 +47,13 @@ def _logsumexp(values) -> float:
 
 def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotential,
                        s: float, bound: float, postfix_norm: int, joined_len: int,
-                       infix_norm: int, cap: int = BASE_LENGTH_CAP) -> WindowFamily:
+                       infix_norm: int, cap: int = BASE_LENGTH_CAP):
     """Window family of the least base length m whose weighted series beats the overhead.
 
     The criterion is (1/s) * log sum_{family} exp(-s * S_psi) > C0 with
     C0 = (2*|connectors| + |postfixes| + |joined|) * |psi|; feasible for every
     s below the spectrum value at ratio zero, where the full series diverges.
+    Returns the WindowFamily and the summed terms -s * (cylinder sup S_psi).
     """
     if s <= 0:
         raise ValidationError("dimension parameter must be positive")
@@ -61,9 +62,9 @@ def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotent
         fam = window_family(phi, bound, m)
         if not fam.words:
             continue
-        logs = [-s * psi.word_sum_bounds(w).sup for w in fam.words]
+        logs = np.array([-s * psi.word_sum_bounds(w).sup for w in fam.words])
         if _logsumexp(logs) / s > c0:
-            return fam
+            return fam, logs
     raise InfeasibleError(
         f"no base length up to {cap} beats the overhead {c0:g};"
         " the dimension parameter is too close to the spectrum value"
@@ -144,8 +145,8 @@ def _window_columns(f: LocallyConstantPotential, tail: Word, stems, taus):
 class MassDistribution:
     """Lazy tree of bounded-sum words with consistent cylinder masses."""
 
-    def __init__(self, phi, psi, s, family, postfix, infixes, joined, pattern_words,
-                 band, source_band, spectrum_value):
+    def __init__(self, phi, psi, s, family, root_logs, postfix, infixes, joined,
+                 pattern_words, band, source_band, spectrum_value):
         self.phi: LocallyConstantPotential = phi
         self.psi: LocallyConstantPotential = psi
         self.spec: SftSpec = phi.spec
@@ -162,11 +163,10 @@ class MassDistribution:
         self._stem_cache = {}
         self._column_cache = {}
         self._taus = postfix.followers(self.spec)[joined[-1]]   # every stem ends in joined
-        logs = np.array([-self.s * psi.word_sum_bounds(w).sup for w in family.words])
-        z = _logsumexp(logs)
+        z = _logsumexp(root_logs)           # root_logs from choose_base_length
         self._root_words = tuple(family.words)
-        self._root_probs = np.exp(logs - z)
-        self._root_logmass = {w: float(l - z) for w, l in zip(self._root_words, logs)}
+        self._root_probs = np.exp(root_logs - z)
+        self._root_logmass = {w: float(l - z) for w, l in zip(self._root_words, root_logs)}
 
     # --- structural constants -------------------------------------------
 
@@ -396,10 +396,10 @@ def build_mass_distribution(phi: LocallyConstantPotential,
         band = 2.0 * v_phi + infixes.norm * nrm + 1.0
     source_band = band + (2 * infixes.norm + len(joined)) * nrm
     postfix = build_postfix_set(phi, source_band, band)
-    family = choose_base_length(phi, psi, s, band, postfix.norm, len(joined),
-                                infixes.norm, cap=base_length_cap)
+    family, root_logs = choose_base_length(phi, psi, s, band, postfix.norm, len(joined),
+                                           infixes.norm, cap=base_length_cap)
     return MassDistribution(
-        phi=phi, psi=psi, s=s, family=family, postfix=postfix, infixes=infixes,
-        joined=joined, pattern_words=pattern, band=band, source_band=source_band,
-        spectrum_value=b0,
+        phi=phi, psi=psi, s=s, family=family, root_logs=root_logs, postfix=postfix,
+        infixes=infixes, joined=joined, pattern_words=pattern, band=band,
+        source_band=source_band, spectrum_value=b0,
     )

@@ -1,10 +1,10 @@
 """Word families with bounded Birkhoff sums and the machinery built on them.
 
-Covers: enumeration of the bounded-sum window families, the finite postfix
-family that steers any bounded-sum word back into a tighter band, membership
-checkers for the frequent-appearance and repetition-free sequence sets,
-boundary words of an interval order, separating words, and the bounded-band
-counterexample word.
+Covers: the bounded-sum window families of any range of lengths, from one
+walk over the word tree; the finite postfix family that steers any
+bounded-sum word back into a tighter band; membership checkers for the
+frequent-appearance and repetition-free sequence sets; boundary words of an
+interval order; separating words; and the bounded-band counterexample word.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .sft import EMPTY_WORD, SftSpec, Word, word_power
 from .thermo import _edge_space, alpha_range, birkhoff_sup
 
 ALPHA_SIGN_TOL = 1e-9
+WORD_CAP = 10_000_000   # most words a window family may hold at one length
+WITNESS_CAP = 32        # most failing source words a postfix check reports
 
 
 # --------------------------------------------------------------------------
@@ -38,15 +40,25 @@ class WindowFamily:
 
 
 def window_family(phi: LocallyConstantPotential, bound: float, length: int,
-                  cap: int = 10_000_000) -> WindowFamily:
-    """Enumerate the family by branch-and-bound over the word tree.
+                  cap: int = WORD_CAP) -> WindowFamily:
+    """The family's words in lexicographic order: ``_window_walk`` at one length."""
+    words = tuple(w for w, _ in _window_walk(phi, bound, length, length, cap))
+    return WindowFamily(bound=float(bound), length=length, words=words)
 
-    Pruning uses exact extremal continuation sums (dynamic programs over the
-    depth-overlap states), so the leaf test equals the exact cylinder bounds.
+
+def _window_walk(phi: LocallyConstantPotential, bound: float, lo: int, hi: int,
+                 cap: int):
+    """Yield ``(word, run)`` for every window-family word of length lo..hi.
+
+    One branch-and-bound walk, depth first: each length's words come out in
+    lexicographic order, and ``run`` equals ``phi.window_sums(word)[0]`` bit
+    for bit.  Pruning takes exact extremal continuation sums (dynamic programs
+    over the depth-overlap states) over the lengths still open, so the test
+    at each length equals the exact cylinder bounds.  ``cap`` is per length.
     """
     if bound <= 0:
         raise ValidationError("window bound must be positive")
-    if length < 1:
+    if not 1 <= lo <= hi:
         raise ValidationError("window length must be positive")
     spec = phi.spec
     d = phi.depth
@@ -56,66 +68,52 @@ def window_family(phi: LocallyConstantPotential, bound: float, length: int,
     sid = {w: i for i, w in enumerate(states)}
     nstate = len(states)
 
-    # step weight on appending symbol b to a word currently in state u
-    def step(u_word: Word, b: int) -> float:
-        w = (u_word + (b,))[-d:]
-        return table[w] if len(w) == d else 0.0
-
-    # state graph: appending symbol b moves state u to (u + b)[-swidth:]
+    # appending symbol b in state u adds window (u + b)[-d:], enters (u + b)[-swidth:]
     adj = np.zeros((nstate, nstate), dtype=bool)
     wt = np.zeros((nstate, nstate))
     for i, u in enumerate(states):
         for b in spec.successors(u[-1]):
             j = sid[(u + (b,))[-swidth:]]
             adj[i, j] = True
-            wt[i, j] = step(u, b)
+            wt[i, j] = table[(u + (b,))[-d:]]
 
-    over_sup = np.zeros(nstate)
-    over_inf = np.zeros(nstate)
-    if d > 1:
-        for i, u in enumerate(states):
-            bnds = phi.word_sum_bounds(u)
-            over_sup[i] = bnds.sup
-            over_inf[i] = bnds.inf
+    # sup and inf overhang of the windows sliding off a word in state u
+    over_sup, over_inf = zip(*(phi.window_sums(phi.tail(u))[1:] for u in states))
 
     # minsup[r][u]: least achievable (continuation sum + final sup-overhang) in r steps
-    minsup = [over_sup]
-    maxinf = [over_inf]
-    for _ in range(length):
+    minsup, maxinf = [np.array(over_sup)], [np.array(over_inf)]
+    for _ in range(hi):
         minsup.append(-relax(adj.T, -wt.T, -minsup[-1])[0])
         maxinf.append(relax(adj.T, wt.T, maxinf[-1])[0])
+    # at depth j the lengths max(lo, j)..hi are still open
+    prune = {j: (np.min(minsup[max(lo - j, 0):hi - j + 1], axis=0).tolist(),
+                 np.max(maxinf[max(lo - j, 0):hi - j + 1], axis=0).tolist())
+             for j in range(swidth, hi + 1)}
 
-    out = []
-
-    def descend(word: Word, partial: float):
+    count = [0] * (hi + 1)
+    stack = [(EMPTY_WORD, 0.0)]
+    while stack:
+        word, partial = stack.pop()
         j = len(word)
         if j >= swidth:
             state = sid[word[-swidth:]]
-            r = length - j
-            if partial + minsup[r][state] > bound or partial + maxinf[r][state] < -bound:
-                return
-            if j == length:
-                sup = partial + over_sup[state]
-                inf = partial + over_inf[state]
-                if sup <= bound and inf >= -bound:
-                    if len(out) >= cap:
-                        raise CapacityError(f"window family exceeds cap {cap}")
-                    out.append(word)
-                return
-        elif j == length:
-            b = phi.word_sum_bounds(word)
-            if b.within(bound):
-                out.append(word)
-            return
-        start = word[-1] if word else None
-        succ = spec.successors(start) if word else range(spec.n)
-        for b in succ:
-            nw = word + (b,)
-            add = table[nw[-d:]] if len(nw) >= d else 0.0
-            descend(nw, partial + add)
-
-    descend(EMPTY_WORD, 0.0)
-    return WindowFamily(bound=float(bound), length=length, words=tuple(out))
+            sup_floor, inf_ceil = prune[j]
+            if partial + sup_floor[state] > bound or partial + inf_ceil[state] < -bound:
+                continue
+            hit = (j >= lo and partial + over_sup[state] <= bound
+                   and partial + over_inf[state] >= -bound)
+        else:
+            hit = j >= lo and phi.word_sum_bounds(word).within(bound)
+        if hit:
+            if count[j] >= cap:
+                raise CapacityError(f"window family exceeds cap {cap}")
+            count[j] += 1
+            yield word, partial
+        if j < hi:
+            # children pushed in reverse pop in lexicographic order
+            for b in reversed(spec.successors(word[-1]) if word else range(spec.n)):
+                nw = word + (b,)
+                stack.append((nw, partial + (table[nw[-d:]] if len(nw) >= d else 0.0)))
 
 
 # --------------------------------------------------------------------------
@@ -228,31 +226,32 @@ class VerifyReport:
     failures: tuple  # words with no working postfix
 
 
-def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential, max_len: int,
-                   witness_cap: int = 32, cap: int = 10_000_000) -> VerifyReport:
+def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential,
+                   max_len: int) -> VerifyReport:
     """Exhaustively check the postfix property for all source words up to max_len.
 
-    Each source word is summed once; every ``w + tau`` extends its running sum.
+    One walk yields every source word with its running sum, which each
+    ``w + tau`` extends.  ``failures`` holds the first ``WITNESS_CAP`` failing
+    words by length, then lexicographically.  Raises ValidationError when max_len < 1.
     """
     followers = pset.followers(phi.spec)
     band = pset.band
     checked = 0
-    failures = []
-    for length in range(1, max_len + 1):
-        for w in window_family(phi, pset.source_band, length, cap=cap).words:
-            checked += 1
-            run = phi.window_sums(w)[0]
-            tail = phi.tail(w)
-            ok = False
-            for tau in followers[w[-1]]:
-                _, hi, lo = phi.window_sums(tail + tau, run)
-                if hi <= band and lo >= -band:
-                    ok = True
-                    break
-            if not ok and len(failures) < witness_cap:
-                failures.append(w)
-    return VerifyReport(passed=not failures, max_len=max_len, checked=checked,
-                        failures=tuple(failures))
+    failures = {}   # length -> its first failing words
+    for w, run in _window_walk(phi, pset.source_band, 1, max_len, WORD_CAP):
+        checked += 1
+        tail = phi.tail(w)
+        for tau in followers[w[-1]]:
+            _, hi, lo = phi.window_sums(tail + tau, run)
+            if hi <= band and lo >= -band:
+                break
+        else:
+            bucket = failures.setdefault(len(w), [])
+            if len(bucket) < WITNESS_CAP:
+                bucket.append(w)
+    first = [w for length in sorted(failures) for w in failures[length]][:WITNESS_CAP]
+    return VerifyReport(passed=not first, max_len=max_len, checked=checked,
+                        failures=tuple(first))
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from gibbsdim import LocallyConstantPotential, SftSpec, window_family
+from gibbsdim import LocallyConstantPotential, SftSpec
 
 
 def full2():
@@ -136,10 +136,14 @@ def reference_children(dist, parent):
 
 
 def reference_verify_postfix(pset, phi, max_len, witness_cap=32):
-    """(passed, checked, failures) of the postfix check, each w + tau summed whole."""
+    """(passed, checked, failures) of the postfix check: the source words are
+    every admissible word filtered by its cylinder bounds, and each w + tau
+    is summed whole."""
     checked, failures = 0, []
     for length in range(1, max_len + 1):
-        for w in window_family(phi, pset.source_band, length).words:
+        for w in brute_words(phi.spec, length):
+            if not phi.word_sum_bounds(w).within(pset.source_band):
+                continue
             checked += 1
             ok = any(
                 phi.word_sum_bounds(w + tau).within(pset.band)

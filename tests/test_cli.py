@@ -150,11 +150,14 @@ def test_cdf_commands(capsys, models_dir):
     ("spectrum", "--alpha-grid", "0.5:2.0"),
     ("spectrum", "--alpha-grid", "0.5:2.0:0"),
     ("cdf", "eval"),
+    ("postfix", "--Kp", "2", "--K", "0.6", "--verify-maxlen", "-3"),
 ], ids=["spectrum-seed", "pressure-phi", "separating-word-potential", "cdf-tol",
-        "grid-malformed", "grid-step-zero", "cdf-eval-without-x"])
+        "grid-malformed", "grid-step-zero", "cdf-eval-without-x", "postfix-maxlen-negative"])
 def test_rejected_arguments_exit_2(capsys, models_dir, argv):
+    # a postfix family needs drift both ways, which bin14's potentials lack
+    name = "phipm.json" if argv[0] == "postfix" else "bin14.json"
     try:
-        code = main([*argv, "--model", model(models_dir, "bin14.json")])
+        code = main([*argv, "--model", model(models_dir, name)])
     except SystemExit as exc:  # argparse rejects an option the command does not take
         code = exc.code
     assert code == 2
@@ -388,3 +391,25 @@ def test_package_modules_use_every_name_they_import():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_package_functions_are_all_referenced():
+    # a function or method of the package whose name appears nowhere else in
+    # the package, the tests or the benchmark (as a name, an attribute or a
+    # string, such as an export list or a traced span) is dead code
+    root = pathlib.Path(gibbsdim.__file__).parents[2]
+    defined, refs = {}, {}
+    for path in sorted(root.glob("src/gibbsdim/*.py")) + sorted(root.glob("tests/*.py")) \
+            + sorted(root.glob("perfbench/**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if path.parent.name == "gibbsdim" and not node.name.startswith("__"):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                continue
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if isinstance(name, str):
+                refs[name] = refs.get(name, 0) + 1
+    dead = sorted(f"{where} {name}" for name, where in defined.items() if name not in refs)
+    assert not dead, dead

@@ -1,13 +1,15 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import (InfeasibleError, NumericalError, ValidationError, add_constant,
-                      alpha_range, build_mass_distribution, choose_base_length, combine,
-                      full_dim_alpha, in_frequent_set, spectrum_at, window_family)
+from gibbsdim import (InfeasibleError, LocallyConstantPotential, NumericalError,
+                      ValidationError, add_constant, alpha_range, build_mass_distribution,
+                      choose_base_length, combine, full_dim_alpha, in_frequent_set,
+                      spectrum_at, window_family)
 
 
 def small_dist(phi_pm, s=0.1):
@@ -43,8 +45,10 @@ TREE_MODELS = [(1, 2), (2, 0), (2, 2), (2, 10), (3, 1), (3, 11)]
 def test_choose_base_length_worked_constants(phi_pm):
     _, pm, psi = phi_pm
     # overhead (2*0 + 5 + 2) * log 2 = 4.852, series value at m=1 is 6.238
-    fam = choose_base_length(pm, psi, 0.1, 0.6, postfix_norm=5, joined_len=2, infix_norm=0)
+    fam, logs = choose_base_length(pm, psi, 0.1, 0.6, postfix_norm=5, joined_len=2,
+                                   infix_norm=0)
     assert fam.length == 1
+    assert logs.tolist() == [-0.1 * math.log(2.0)] * 2
     value = (1 / 0.1) * math.log(2 * 2 ** -0.1)
     overhead = 7 * math.log(2)
     assert value == pytest.approx(6.2385, abs=1e-3)
@@ -92,6 +96,21 @@ def test_build_shifted_bernoulli(bin14):
     assert dist.family.words
     masses = [dist.mass(w) for w in dist.family.words]
     assert sum(masses) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_build_takes_each_base_word_psi_bounds_once(monkeypatch):
+    taken = []
+    bounds = LocallyConstantPotential.word_sum_bounds
+
+    def counted(self, word):
+        taken.append((self, word))
+        return bounds(self, word)
+
+    monkeypatch.setattr(LocallyConstantPotential, "word_sum_bounds", counted)
+    dist = centred_dist(2, 0)
+    per_word = Counter(w for f, w in taken if f is dist.psi)
+    assert dist.base_length > 1
+    assert all(per_word[w] == 1 for w in dist.family.words)
 
 
 def test_build_infeasible_one_sided(phi_neg):

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import (InfeasibleError, LocallyConstantPotential, ValidationError,
-                      boundary_words, build_postfix_set,
+from gibbsdim import (CapacityError, InfeasibleError, LocallyConstantPotential,
+                      ValidationError, boundary_words, build_postfix_set,
                       counterexample_word, in_frequent_set, in_repetition_free_set,
                       separating_word, verify_postfix, window_family, word_power)
+from gibbsdim import wordsets
 
 
 # --------------------------------------------------------------------------
@@ -38,6 +39,26 @@ def test_window_family_matches_filter(trial):
             w for w in spec.words(m) if phi.word_sum_bounds(w).within(bound)
         )
         assert fam.words == expect
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_window_walk_yields_each_length_with_its_run(trial):
+    rng = np.random.default_rng(200 + trial)
+    spec = helpers.random_mixing_spec(rng, n=3)
+    phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)))
+    bound = float(rng.uniform(0.5, 2.5))
+    lo, hi = int(rng.integers(1, 4)), 7
+    by_length = {m: [] for m in range(lo, hi + 1)}
+    for w, run in wordsets._window_walk(phi, bound, lo, hi, wordsets.WORD_CAP):
+        assert run == phi.window_sums(w)[0]
+        by_length[len(w)].append(w)
+    for m, words in by_length.items():
+        assert tuple(words) == window_family(phi, bound, m).words
+    # the cap counts the words of each length, not of the whole walk
+    most = max(len(words) for words in by_length.values())
+    assert sum(1 for _ in wordsets._window_walk(phi, bound, lo, hi, most)) > most
+    with pytest.raises(CapacityError):
+        window_family(phi, bound, hi, cap=len(by_length[hi]) - 1)
 
 
 # --------------------------------------------------------------------------
@@ -70,6 +91,14 @@ def gold_edge_phi():
         {gspec.word("00"): -0.5, gspec.word("01"): 0.5, gspec.word("10"): 0.5})
 
 
+def depth3_phi():
+    spec = helpers.full2()
+    table = {"000": -0.5, "001": -0.25, "010": -0.5, "011": -0.75,
+             "100": 0.5, "101": 0.75, "110": 0.5, "111": 0.25}
+    return LocallyConstantPotential.from_table(
+        spec, 3, {spec.word(k): v for k, v in table.items()})
+
+
 def truncated(pset, keep):
     return replace(pset, words=tuple(w for w in pset.words if keep(w)))
 
@@ -82,8 +111,10 @@ def assert_matches_brute_verify(report, pset, phi, max_len):
 def test_postfix_verification_exhaustive(phi_pm):
     _, pm, _ = phi_pm
     gold_phi = gold_edge_phi()
+    phi3 = depth3_phi()
     for phi, pset, max_len in ((pm, build_postfix_set(pm, 2.0, 0.6), 10),
-                               (gold_phi, build_postfix_set(gold_phi, 4.0, 3.0), 12)):
+                               (gold_phi, build_postfix_set(gold_phi, 4.0, 3.0), 12),
+                               (phi3, build_postfix_set(phi3, 3.0, 2.0), 10)):
         report = verify_postfix(pset, phi, max_len)
         assert report.passed
         assert report.checked > 0
@@ -106,6 +137,40 @@ def test_postfix_verification_catches_truncation(phi_pm):
     report = verify_postfix(cut, gold_phi, 9)
     assert not report.passed
     assert_matches_brute_verify(report, cut, gold_phi, 9)
+    # depth 3: failures of several lengths, more than the report keeps
+    phi3 = depth3_phi()
+    for keep in (lambda w: 0 not in w, lambda w: (0, 0) not in zip(w, w[1:])):
+        cut = truncated(build_postfix_set(phi3, 3.0, 2.0), keep)
+        report = verify_postfix(cut, phi3, 10)
+        assert not report.passed
+        assert len({len(w) for w in report.failures}) > 1
+        assert_matches_brute_verify(report, cut, phi3, 10)
+
+
+def test_verify_postfix_walks_the_word_tree_once(monkeypatch, phi_pm):
+    _, pm, _ = phi_pm
+    pset = build_postfix_set(pm, 2.0, 0.6)
+    walk, lengths = wordsets._window_walk, []
+
+    def counted(phi, bound, lo, hi, cap):
+        lengths.append((lo, hi))
+        return walk(phi, bound, lo, hi, cap)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify_postfix enumerated through window_family")
+
+    monkeypatch.setattr(wordsets, "_window_walk", counted)
+    monkeypatch.setattr(wordsets, "window_family", forbidden)
+    assert verify_postfix(pset, pm, 10).passed
+    assert lengths == [(1, 10)]
+
+
+def test_verify_postfix_rejects_nonpositive_max_len(phi_pm):
+    _, pm, _ = phi_pm
+    pset = build_postfix_set(pm, 2.0, 0.6)
+    for max_len in (0, -3):
+        with pytest.raises(ValidationError):
+            verify_postfix(pset, pm, max_len)
 
 
 def test_postfix_vacuous_when_source_family_empty(phi_pm):
