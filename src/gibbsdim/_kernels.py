@@ -10,8 +10,10 @@ known state per round; otherwise one plain loop walks the chunk from its
 first unresolved step to its last.  ``cdf_descend`` walks the cylinder tree
 one level at a time over a table of plain tuples, one row per state of the
 chain's short words, so each level is a loop over at most |alphabet|
-siblings.  Randomness enters only through the uniforms, so a seed fixes the
-output.
+siblings.  Each sibling carries the endpoints of its image of the base
+interval, computed once per model, so a level compares the point against
+stored floats and unpacks only the child it enters.  Randomness enters only
+through the uniforms, so a seed fixes the output.
 """
 
 from __future__ import annotations
@@ -103,17 +105,20 @@ def _last_positive(cum):
 def cdf_descend(x, eps, max_depth, children, u, v):
     """Mass of (-inf, x] under the pushforward measure, by cylinder descent.
 
-    children[i] lists (next_state, prob, rate, offset) for each admissible
-    one-symbol extension of state i's word, leftmost image first; state 0 is
-    the empty word and has mass 1.  A child's mass is its parent's times prob.
-    At each level, siblings lying entirely left of x contribute their full
-    mass; the unique child containing x is entered (ties at shared endpoints
-    count the left cylinder as passed).  x is carried as y, its preimage in
-    the current cylinder's own coordinates, so every comparison is made at the
-    scale of that cylinder; absolute endpoints s*u + t round onto x once the
-    cylinder is narrower than the float spacing near x (about 53 halvings).
-    Stops once the containing mass drops below eps, closing with a linear
-    interpolation of the remainder.
+    children[i] lists (hi, lo, prob, (next_state, rate, offset)) for each
+    admissible one-symbol extension of state i's word, leftmost image first;
+    hi = rate*v + offset and lo = rate*u + offset are the endpoints of the
+    child's image of [u, v], stored once per model.  State 0 is the empty
+    word and has mass 1.  A child's mass is its parent's times prob.  At each
+    level, siblings lying entirely left of x contribute their full mass; the
+    last sibling whose interval holds x is entered (ties at shared endpoints
+    count the left cylinder as passed), and x in a gap between siblings ends
+    the descent.  x is carried as y, its preimage in the current cylinder's
+    own coordinates, so every comparison is made at the scale of that
+    cylinder; absolute endpoints s*u + t round onto x once the cylinder is
+    narrower than the float spacing near x (about 53 halvings).  Stops once
+    the containing mass drops below eps, closing with a linear interpolation
+    of the remainder.
     """
     acc = 0.0
     state = 0
@@ -121,16 +126,16 @@ def cdf_descend(x, eps, max_depth, children, u, v):
     y = x
     for _ in range(max_depth):
         chosen = None
-        for nxt, p, r, o in children[state]:
-            if r * v + o <= y:
+        for hi, lo, p, child in children[state]:
+            if hi <= y:
                 acc += mass * p
-            elif r * u + o <= y:
-                chosen, child_mass, cr, co = nxt, mass * p, r, o
+            elif lo <= y:
+                chosen, child_p = child, p
         if chosen is None:
             return acc  # x fell in a gap between sibling cylinders
-        state = chosen
-        mass = child_mass
-        y = (y - co) / cr
+        state, r, o = chosen
+        mass = mass * child_p
+        y = (y - o) / r
         if mass < eps:
             break
     frac = (y - u) / (v - u)

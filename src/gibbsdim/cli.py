@@ -250,6 +250,9 @@ def _run(args) -> int:
 
     if args.command == "postfix":
         from .wordsets import build_postfix_set, verify_postfix
+        if args.verify_maxlen < 0:
+            raise ValidationError(f"--verify-maxlen must be 0 (no check) or positive, "
+                                  f"got {args.verify_maxlen}")
         phi = bundle.potential_or(args.potential)
         pset = build_postfix_set(phi, args.Kp, args.K)
         data = {

@@ -107,9 +107,9 @@ class HolderProbe:
     x: float
     alpha: float
     depth: int
-    records: tuple      # (scale, side, |dC|, |dC| / scale**alpha)
-    exponent: float     # least-squares slope of log|dC| vs log scale
-    ratio_min: float
+    records: tuple      # (scale, side, |dC|, |dC| / scale**alpha), every increment
+    exponent: float     # least-squares slope of log|dC| vs log scale, |dC| > 2*eps
+    ratio_min: float    # over the records with |dC| > 2*eps; NaN if there are none
     ratio_max: float
 
 
@@ -170,10 +170,13 @@ class CdfModel:
 
     def _build_states(self):
         """The descent table: state 0 is the empty word, the others the
-        admissible words of length 1..width.  Row i lists (next_state, prob,
-        rate, offset) for each admissible one-symbol extension of state i's
-        word, in ``ifs.symbol_order``; an extension longer than width moves
-        to its last width symbols, with the chain's Q as its probability."""
+        admissible words of length 1..width.  Row i lists (hi, lo, prob,
+        (next_state, rate, offset)) for each admissible one-symbol extension
+        of state i's word, in ``ifs.symbol_order``; hi = rate*v + offset and
+        lo = rate*u + offset are the ends of the symbol's image of [u, v],
+        evaluated here once by the float expressions the descent compares
+        against.  An extension longer than width moves to its last width
+        symbols, with the chain's Q as its probability."""
         chain = self.chain
         width = chain.coder.width
         spec = self.spec
@@ -181,6 +184,7 @@ class CdfModel:
         for n in range(1, width + 1):
             words.extend(spec.words(n))
         sid = {w: i for i, w in enumerate(words)}
+        u, v = self.ifs.interval
         rates = self.ifs.rates.tolist()
         offsets = self.ifs.offsets.tolist()
         children = []
@@ -197,7 +201,8 @@ class CdfModel:
                     nxt = sid[nw[1:]]
                     p = float(chain.Q[chain.coder.encode(w)[0],
                                       chain.coder.encode(nw[1:])[0]])
-                row.append((nxt, p, rates[b], offsets[b]))
+                r, o = rates[b], offsets[b]
+                row.append((r * v + o, r * u + o, p, (nxt, r, o)))
             children.append(tuple(row))
         self._children = tuple(children)
 
@@ -233,25 +238,33 @@ class CdfModel:
                      eps: float = 1e-15) -> HolderProbe:
         """Increment ratios |C(y)-C(x)| / |y-x|^alpha at scales 2^-1 .. 2^-depth,
         both sides (one side at the interval endpoints), plus a least-squares
-        exponent fit of log-increment against log-scale."""
+        exponent fit of log-increment against log-scale.
+
+        ``records`` keeps every increment.  The ratio range and the fit use
+        only increments above 2*eps, the error bound of the two ``cdf``
+        values each one subtracts; they are NaN when no increment (fewer
+        than two, for the fit) is that large."""
         if depth < 1 or depth > 60:
             raise ValidationError("probe depth must be between 1 and 60")
+        floor = 2.0 * eps
         records = []
-        logs = []
+        resolved = []
         for scale, side, dc in self._increments(x, 1, depth, eps):
-            records.append((scale, side, dc, dc / scale ** alpha))
-            if dc > 0.0:
-                logs.append((math.log(scale), math.log(dc)))
-        ratios = [r[3] for r in records]
-        if len(logs) >= 2:
-            xs = np.array([p[0] for p in logs])
-            ys = np.array([p[1] for p in logs])
+            ratio = dc / scale ** alpha
+            records.append((scale, side, dc, ratio))
+            if dc > floor:
+                resolved.append((math.log(scale), math.log(dc), ratio))
+        ratios = [r[2] for r in resolved]
+        if len(resolved) >= 2:
+            xs = np.array([p[0] for p in resolved])
+            ys = np.array([p[1] for p in resolved])
             slope = float(np.polyfit(xs, ys, 1)[0])
         else:
             slope = math.nan
         return HolderProbe(x=float(x), alpha=float(alpha), depth=depth,
                            records=tuple(records), exponent=slope,
-                           ratio_min=min(ratios), ratio_max=max(ratios))
+                           ratio_min=min(ratios, default=math.nan),
+                           ratio_max=max(ratios, default=math.nan))
 
     def moderate_check(self, x: float, alpha: float, c: float,
                        depth_range, eps: float = 1e-15) -> bool:

@@ -161,7 +161,10 @@ def test_rejected_arguments_exit_2(capsys, models_dir, argv):
     except SystemExit as exc:  # argparse rejects an option the command does not take
         code = exc.code
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if "--verify-maxlen" in argv:
+        assert "--verify-maxlen" in err and "-3" in err
 
 
 def test_holder_and_alpha0(capsys, models_dir):

@@ -187,6 +187,24 @@ def test_probe_power_law_at_left_endpoint(bin_model):
     assert probe.ratio_max <= 50.0
 
 
+def test_probe_ratios_skip_increments_within_the_evaluation_error(bin_model):
+    # below scale ~2^-45 the increments at 1/3 are the rounding of two cdf values
+    probe = bin_model.holder_probe(1 / 3, 1.2075, 60)
+    assert len(probe.records) == 119
+    assert sum(dc <= 2e-15 for _, _, dc, _ in probe.records) == 41
+    kept = [ratio for _, _, dc, ratio in probe.records if dc > 2e-15]
+    assert probe.ratio_min == min(kept) > 0.3
+    assert probe.ratio_max == max(kept) < 1.1
+    assert probe.exponent == pytest.approx(1.2075, abs=0.01)
+
+
+def test_probe_without_resolved_increments_reports_nan(bin_model):
+    probe = bin_model.holder_probe(1 / 3, 1.0, 3, eps=1.0)
+    assert len(probe.records) == 5
+    assert math.isnan(probe.ratio_min) and math.isnan(probe.ratio_max)
+    assert math.isnan(probe.exponent)
+
+
 def test_probe_decay_off_exponent(bin_model):
     probe = bin_model.holder_probe(1 / 3, 1.0, 25)
     by_scale = {}

@@ -52,9 +52,22 @@ def _random_model(seed, depth):
                               offsets=offsets), phi)
 
 
+def _overlap_model():
+    """Two halves whose images overlap by 4e-13, less than AffineIfs's tolerance.
+
+    Symbol b codes the left half, so a point of the overlap lies in both
+    siblings and the descent enters the later one in interval order, a.
+    """
+    spec = SftSpec(alphabet=tuple("ab"), incidence=np.ones((2, 2), dtype=int))
+    phi = LocallyConstantPotential.from_values(spec, np.log([0.25, 0.75]))
+    return CdfModel(AffineIfs(spec=spec, interval=(0.0, 1.0), rates=np.array([0.5, 0.5]),
+                              offsets=np.array([0.5 - 4e-13, 0.0])), phi)
+
+
 CDF_MODELS = {
     "bin14": (_model, 1),
     "four-map": (_four_map_model, 1),
+    "overlap": (_overlap_model, 1),
     **{f"width1-seed{s}": (lambda s=s: _random_model(s, 2), 1) for s in (1, 2, 3)},
     **{f"width2-seed{s}": (lambda s=s: _random_model(s, 3), 2) for s in (4, 5, 6)},
 }
