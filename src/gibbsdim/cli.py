@@ -108,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--psi", default=None, help="metric potential name (default: 'psi')")
     single = argparse.ArgumentParser(add_help=False)
     single.add_argument("--potential", default=None, help="potential name")
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    tree_walk = argparse.ArgumentParser(add_help=False)  # a seeded mass-tree descent
+    tree_walk.add_argument("--seed", type=int, default=0)
+    tree_walk.add_argument("--depth", type=int, default=4)
 
     p = argparse.ArgumentParser(prog="gibbsdim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -138,31 +139,35 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--K", type=float, required=True)
     pf.add_argument("--verify-maxlen", type=int, default=0)
 
-    md = sub.add_parser("massdist", parents=[common, pair, seeded])
-    md.add_argument("mode", choices=("build", "sample", "certify"))
-    md.add_argument("--s", type=float, required=True)
-    md.add_argument("--F", required=True, help="comma-separated pattern words")
-    md.add_argument("--K", type=float, default=None)
-    md.add_argument("--depth", type=int, default=4)
+    # a command with modes gives each mode its own options, after the mode word
+    tree = argparse.ArgumentParser(add_help=False)
+    tree.add_argument("--s", type=float, required=True)
+    tree.add_argument("--F", required=True, help="comma-separated pattern words")
+    tree.add_argument("--K", type=float, default=None)
+    md = sub.add_parser("massdist").add_subparsers(dest="mode", required=True)
+    md.add_parser("build", parents=[common, pair, tree])
+    md.add_parser("sample", parents=[common, pair, tree, tree_walk])
+    md.add_parser("certify", parents=[common, pair, tree, tree_walk])
 
     sw = sub.add_parser("separating-word", parents=[common])
     sw.add_argument("--F", required=True)
 
-    cdf = sub.add_parser("cdf", parents=[common, single])
-    cdf.add_argument("mode", choices=("eval", "curve"))
-    cdf.add_argument("--x", type=float, default=None)
-    cdf.add_argument("--eps", type=float, default=1e-9)
-    cdf.add_argument("--resolution", type=int, default=256)
+    cdf = sub.add_parser("cdf").add_subparsers(dest="mode", required=True)
+    ce = cdf.add_parser("eval", parents=[common, single])
+    ce.add_argument("--x", type=float, required=True)
+    cc = cdf.add_parser("curve", parents=[common, single])
+    cc.add_argument("--resolution", type=int, default=256)
+    for c in (ce, cc):
+        c.add_argument("--eps", type=float, default=1e-9)
 
     hp = sub.add_parser("holder", parents=[common, single])
     hp.add_argument("--x", type=float, required=True)
     hp.add_argument("--alpha", type=float, required=True)
     hp.add_argument("--depth", type=int, default=30)
 
-    cp = sub.add_parser("certified-point", parents=[common, single, seeded])
+    cp = sub.add_parser("certified-point", parents=[common, single, tree_walk])
     cp.add_argument("--alpha", type=float, required=True)
     cp.add_argument("--l", type=int, default=2)
-    cp.add_argument("--depth", type=int, default=4)
     cp.add_argument("--s-frac", type=float, default=0.5)
 
     return p
@@ -313,8 +318,6 @@ def _run(args) -> int:
     if args.command == "cdf":
         model = bundle.cdf_model(args.potential)
         if args.mode == "eval":
-            if args.x is None:
-                raise ValidationError("cdf eval needs --x")
             emit.obj({"x": args.x, "cdf": model.cdf(args.x, args.eps)})
             return 0
         rows = model.curve(args.resolution, args.eps)

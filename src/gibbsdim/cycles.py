@@ -1,10 +1,11 @@
 """Cycle means and cycle ratios on small dense digraphs.
 
-Graphs arrive as a boolean adjacency matrix plus one or two weight matrices.
-All routines assume every vertex has an outgoing edge; the specs feeding them
-are strongly connected (mixing), which Karp's formula additionally needs.
-Every walk search here, and the ones in ``thermo`` and ``wordsets``, is built
-on the max-plus step ``relax``.
+Graphs arrive as a boolean adjacency matrix plus one or two weight matrices;
+in the package they are the block graphs of ``LocallyConstantPotential.edges``.
+All routines assume every vertex has an outgoing edge; the cycle searches are
+fed mixing specs only, which are strongly connected, as Karp's formula needs.
+Every walk search here, and the ones in ``potentials`` (overhang bounds),
+``thermo`` and ``wordsets``, is built on the max-plus step ``relax``.
 """
 
 from __future__ import annotations

@@ -270,17 +270,20 @@ class CdfModel:
                        depth_range, eps: float = 1e-15) -> bool:
         """True iff every probed increment satisfies the two-sided power bound with
         the uniform constant c, at scales 2^-lo .. 2^-hi for depth_range =
-        (lo, hi) with 1 <= lo <= hi <= 60, both sides of x in [u, v]."""
+        (lo, hi) with 1 <= lo <= hi <= 60, both sides of x in [u, v].  As in
+        ``holder_probe``, only increments above 2*eps are checked; raises
+        ValidationError when none is that large."""
         if c < 1.0:
             raise ValidationError("the uniform constant must be at least 1")
         lo, hi = depth_range
         if not 1 <= lo <= hi <= 60:
             raise ValidationError("probe depths must form a non-empty range within 1 .. 60")
-        for scale, _, dc in self._increments(x, lo, hi, eps):
-            bound = scale ** alpha
-            if not (bound / c <= dc <= bound * c):
-                return False
-        return True
+        resolved = [(scale ** alpha, dc) for scale, _, dc in self._increments(x, lo, hi, eps)
+                    if dc > 2.0 * eps]
+        if not resolved:
+            raise ValidationError(f"no probed increment exceeds the evaluation error "
+                                  f"2*eps = {2.0 * eps:g}")
+        return all(bound / c <= dc <= bound * c for bound, dc in resolved)
 
     def _increments(self, x, lo, hi, eps):
         """(scale, side, |C(x + side*scale) - C(x)|) at scales 2^-lo .. 2^-hi,

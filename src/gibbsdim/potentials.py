@@ -1,18 +1,28 @@
 """Locally constant potentials: finite-depth value tables and their word sums.
 
 A depth-d potential assigns a real value to every admissible d-word; as a
-function on the shift space it reads the first d symbols.  All word sums,
-suprema over cylinders and distortion constants below are exact, computed by
-enumerating the d-1 overhanging continuation symbols.
+function on the shift space it reads the first d symbols.  It lives on one
+graph, the higher-block presentation (``edges``): its states are the
+admissible (d-1)-words, its edges their overlaps, and each edge carries one
+window value.  Pressure, Gibbs chains, cycle ratios and window-family bounds
+all read that graph.  All word sums, suprema over cylinders and distortion
+constants below are exact; the windows sliding off a word's end are bounded
+by max-plus steps over the graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
+import numpy as np
+
+from .cycles import relax
 from .errors import InsufficientContextError, ValidationError
-from .sft import SftSpec, Word
+from .sft import SftSpec, Word, higher_block_recode
+
+_recode = lru_cache(maxsize=128)(higher_block_recode)  # one recode per (spec, depth)
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,7 @@ class LocallyConstantPotential:
         object.__setattr__(self, "_table", dict(entries))
         object.__setattr__(self, "_distortion", None)
         object.__setattr__(self, "_overhang", {})
+        object.__setattr__(self, "_edges", {})
 
     # --- construction -----------------------------------------------------
 
@@ -142,29 +153,35 @@ class LocallyConstantPotential:
         """
         return word[max(0, len(word) - self.depth + 1):]
 
+    def edges(self, depth: int | None = None):
+        """``(coder, weights)`` on the higher-block graph ``coder.block`` of depth
+        ``depth`` (default max(2, d), never less), kept per depth: ``weights[u, v]``
+        is the value of the window starting at block u on edge u -> v, 0 off edges."""
+        depth = depth or max(2, self.depth)
+        if depth not in self._edges:
+            coder = _recode(self.spec, depth)[1]
+            b = coder.blocks
+            weights = np.zeros((len(b), len(b)))
+            for u, v in zip(*np.nonzero(coder.block.incidence)):
+                weights[u, v] = self._table[(b[u] + b[v][-1:])[:self.depth]]
+            weights.flags.writeable = False
+            self._edges[depth] = (coder, weights)
+        return self._edges[depth]
+
     def _overhang_bounds(self, word: Word):
-        """Sup and inf over admissible continuations of the windows sliding off ``word``."""
-        d = self.depth
-        if d == 1 or len(word) == 0:
+        """Sup and inf over admissible continuations of the windows sliding off
+        ``word``: one forward max-plus step over ``edges()`` per symbol, from the
+        blocks extending ``word``.  Each path adds its windows left to right from
+        0.0, and rounding is monotone, so both equal left-fold sums bit for bit."""
+        if not word:
             return 0.0, 0.0
-        table = self._table
-        succ = self.spec.successors
-        full = len(word) + d - 1
-        best = [math.inf, -math.inf]
-
-        # extend by d-1 symbols; a window accrues once d symbols are in scope
-        def walk(tail: Word, acc: float):
-            if len(tail) == full:
-                best[0] = min(best[0], acc)
-                best[1] = max(best[1], acc)
-                return
-            for b in succ(tail[-1]):
-                nt = tail + (b,)
-                add = table[nt[-d:]] if len(nt) >= d else 0.0
-                walk(nt, acc + add)
-
-        walk(word, 0.0)
-        return best[1], best[0]
+        coder, weights = self.edges()
+        adj = coder.block.incidence
+        top = neg = np.array([0.0 if b[:len(word)] == word else -math.inf for b in coder.blocks])
+        for _ in word:
+            top, neg = relax(adj, weights, top)[0], relax(adj, -weights, neg)[0]
+        # a fold from 0.0 never ends on -0.0; adding 0.0 drops the min-plus sign
+        return float(top.max()), -float(neg.max()) + 0.0
 
     def window_sums(self, word: Word, acc: float = 0.0):
         """Carry ``acc`` over the depth-d windows of ``word``.

@@ -293,21 +293,16 @@ def higher_block_recode(spec: SftSpec, d: int, cap: int = DEFAULT_WORD_CAP):
     """Recode so that depth-d tables become edge (depth-2) tables.
 
     Symbols of the new spec are the admissible (d-1)-words of ``spec``; edges
-    are overlaps.  Returns the new spec and the translation maps, which are
-    mutually inverse on admissible objects.
+    are overlaps (Lind & Marcus 1995, section 2.3).  Returns the new spec and
+    the translation maps, which are mutually inverse on admissible objects.
+    Any spec recodes; the spectral layer checks mixing itself.
     """
     if d < 2:
         raise ValidationError("recoding depth must be at least 2")
-    spec.require_mixing()
     width = d - 1
     blocks = spec.words(width, cap=cap)
-    m = len(blocks)
-    inc = np.zeros((m, m), dtype=bool)
-    for i, u in enumerate(blocks):
-        for j, v in enumerate(blocks):
-            if width > 1 and u[1:] != v[:-1]:
-                continue
-            inc[i, j] = spec.incidence[u[-1], v[-1]]
+    inc = np.array([[u[1:] == v[:-1] and spec.incidence[u[-1], v[-1]] for v in blocks]
+                    for u in blocks], dtype=bool)
     names = tuple(spec.word_str(w) for w in blocks)
     block_spec = SftSpec(alphabet=names, incidence=inc)
     return block_spec, BlockCoder(base=spec, block=block_spec, width=width, blocks=tuple(blocks))

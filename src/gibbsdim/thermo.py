@@ -1,6 +1,6 @@
 """Transfer operators, pressure, Gibbs chains, Birkhoff spectra and sub-actions.
 
-Every potential is recoded to an edge (depth-2) table on a higher-block spec
+Every potential is read on its higher-block graph (``edges``), an edge table,
 before spectral work, so one dense-matrix code path serves all depths.  The
 Legendre convention used throughout: with beta(q) the zero-pressure root and
 q_alpha the solution of beta'(q) = alpha, the spectrum value is
@@ -24,7 +24,7 @@ from . import cycles
 from ._kernels import markov_path
 from .errors import EmptyLevelSetError, NumericalError, ValidationError
 from .potentials import LocallyConstantPotential
-from .sft import BlockCoder, SftSpec, Word, higher_block_recode
+from .sft import BlockCoder, SftSpec, Word
 
 PRESSURE_RTOL = 1e-13
 PRESSURE_MAX_ITER = 10_000
@@ -37,14 +37,13 @@ LEGENDRE_CONVENTION = "b(alpha) = min_q beta(q) - q*alpha"
 
 
 # --------------------------------------------------------------------------
-# edge recoding shared by the spectral and word-family machinery
+# edge spaces: several potentials on their one higher-block graph
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class EdgeSpace:
     """A spec recoded so the supplied potentials read at most one edge."""
 
-    spec: SftSpec
     block_spec: SftSpec
     coder: BlockCoder
     adj: np.ndarray
@@ -64,26 +63,13 @@ class EdgeSpace:
 @lru_cache(maxsize=128)
 def _edge_space(*potentials: LocallyConstantPotential) -> EdgeSpace:
     spec = potentials[0].spec
-    for p in potentials[1:]:
-        if p.spec != spec:
-            raise ValidationError("potentials live on different specs")
+    if any(p.spec != spec for p in potentials):
+        raise ValidationError("potentials live on different specs")
     spec.require_mixing()
-    depth = max(2, max(p.depth for p in potentials))
-    block_spec, coder = higher_block_recode(spec, depth)
-    n = block_spec.n
-    adj = block_spec.incidence
-    mats = [np.zeros((n, n)) for _ in potentials]
-    for i in range(n):
-        for j in range(n):
-            if not adj[i, j]:
-                continue
-            word = coder.decode((i, j))
-            for mat, p in zip(mats, potentials):
-                mat[i, j] = p.value(word)
-    for m in mats:
-        m.flags.writeable = False
-    return EdgeSpace(spec=spec, block_spec=block_spec, coder=coder, adj=adj,
-                     weights=tuple(mats))
+    depth = max(2, *(p.depth for p in potentials))
+    coder = potentials[0].edges(depth)[0]
+    return EdgeSpace(block_spec=coder.block, coder=coder, adj=coder.block.incidence,
+                     weights=tuple(p.edges(depth)[1] for p in potentials))
 
 
 # --------------------------------------------------------------------------
@@ -259,12 +245,10 @@ class GibbsChain:
             raise ValidationError(
                 f"chain resolves depth {depth}; integrand has depth {g.depth}"
             )
+        weights = g.edges(depth)[1]
         total = 0.0
-        n = self.block_spec.n
-        for i in range(n):
-            for j in range(n):
-                if self.block_spec.incidence[i, j]:
-                    total += self.pi[i] * self.Q[i, j] * g.value(self.coder.decode((i, j)))
+        for i, j in zip(*np.nonzero(self.block_spec.incidence)):  # row-major
+            total += self.pi[i] * self.Q[i, j] * weights[i, j]
         return float(total)
 
     def gibbs_constant_bound(self, max_len: int, cap: int = 1_000_000) -> float:

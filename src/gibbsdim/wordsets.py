@@ -19,7 +19,7 @@ from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
 from .potentials import LocallyConstantPotential, combine
 from .sft import EMPTY_WORD, SftSpec, Word, word_power
-from .thermo import _edge_space, alpha_range, birkhoff_sup
+from .thermo import alpha_range, birkhoff_sup
 
 ALPHA_SIGN_TOL = 1e-9
 WORD_CAP = 10_000_000   # most words a window family may hold at one length
@@ -52,33 +52,27 @@ def _window_walk(phi: LocallyConstantPotential, bound: float, lo: int, hi: int,
 
     One branch-and-bound walk, depth first: each length's words come out in
     lexicographic order, and ``run`` equals ``phi.window_sums(word)[0]`` bit
-    for bit.  Pruning takes exact extremal continuation sums (dynamic programs
-    over the depth-overlap states) over the lengths still open, so the test
-    at each length equals the exact cylinder bounds.  ``cap`` is per length.
+    for bit.  A word's state is its last max(1, d-1) symbols, a block of
+    ``phi.edges()``, and appending a symbol steps along an edge of that graph.
+    Pruning takes exact extremal continuation sums (max-plus steps over the
+    graph) over the lengths still open, so the test at each length equals the
+    exact cylinder bounds.  ``cap`` is per length.
     """
     if bound <= 0:
         raise ValidationError("window bound must be positive")
     if not 1 <= lo <= hi:
         raise ValidationError("window length must be positive")
-    spec = phi.spec
-    d = phi.depth
-    table = phi.table
-    swidth = max(1, d - 1)
-    states = spec.words(swidth)
-    sid = {w: i for i, w in enumerate(states)}
-    nstate = len(states)
-
-    # appending symbol b in state u adds window (u + b)[-d:], enters (u + b)[-swidth:]
-    adj = np.zeros((nstate, nstate), dtype=bool)
-    wt = np.zeros((nstate, nstate))
-    for i, u in enumerate(states):
-        for b in spec.successors(u[-1]):
-            j = sid[(u + (b,))[-swidth:]]
-            adj[i, j] = True
-            wt[i, j] = table[(u + (b,))[-d:]]
+    spec, d, table = phi.spec, phi.depth, phi.table
+    coder, wt = phi.edges()
+    swidth = coder.width
+    adj = coder.block.incidence
+    sid = {w: i for i, w in enumerate(coder.blocks)}
+    # a step adds the window starting at the block it leaves, as ``edges`` weighs
+    if d == 1:  # except at d = 1, where it adds the symbol it enters
+        wt = np.where(adj, [table[u] for u in coder.blocks], 0.0)
 
     # sup and inf overhang of the windows sliding off a word in state u
-    over_sup, over_inf = zip(*(phi.window_sums(phi.tail(u))[1:] for u in states))
+    over_sup, over_inf = zip(*(phi.window_sums(phi.tail(u))[1:] for u in coder.blocks))
 
     # minsup[r][u]: least achievable (continuation sum + final sup-overhang) in r steps
     minsup, maxinf = [np.array(over_sup)], [np.array(over_inf)]
@@ -154,12 +148,12 @@ def _extremal_word(phi: LocallyConstantPotential, threshold: float, minimize: bo
     Walk DP on the edge recoding: the minimal (or maximal) weight of k-edge
     walks drifts linearly because some cycle ratio has the right sign.
     """
-    es = _edge_space(phi)
-    gain = -es.weights[0] if minimize else es.weights[0]
-    g = np.zeros(es.block_spec.n)
+    coder, weights = phi.edges()
+    gain = -weights if minimize else weights
+    g = np.zeros(coder.block.n)
     parents = []
     for k in range(1, step_cap + 1):
-        g, par = relax(es.adj, gain, g)
+        g, par = relax(coder.block.incidence, gain, g)
         parents.append(par)
         if float(g.max()) > abs(threshold):
             v = int(np.argmax(g))
@@ -168,7 +162,7 @@ def _extremal_word(phi: LocallyConstantPotential, threshold: float, minimize: bo
                 v = int(parents[back][v])
                 path.append(v)
             path.reverse()
-            word = es.coder.decode(tuple(path))
+            word = coder.decode(tuple(path))
             return word[:k + phi.depth - 1]
     raise NumericalError(f"no walk passed the drift threshold within {step_cap} steps")
 

@@ -43,6 +43,11 @@ def phi_neg():
     return spec, phi, psi
 
 
+def period3():
+    """The cycle a -> b -> c -> a: irreducible, not mixing."""
+    return SftSpec(alphabet=("a", "b", "c"), incidence=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+
 def gold_edge_potential():
     spec = gold()
     table = {spec.word("00"): 1.0, spec.word("01"): 2.0, spec.word("10"): -1.0}
@@ -98,6 +103,21 @@ def brute_sum_range(phi, word):
         seq = word + ext
         values.append(sum(phi.table[seq[k:k + d]] for k in range(len(word))))
     return max(values), min(values)
+
+
+def brute_overhang(phi, word):
+    """(max, min) over every continuation of the windows sliding off
+    ``tail(word)``, each summed by a left fold started at 0.0."""
+    tail, d = phi.tail(word), phi.depth
+    if not tail:
+        return 0.0, 0.0
+    sums = []
+    for ext in brute_extensions(phi.spec, tail[-1], d - 1):
+        seq, acc = tail + ext, 0.0
+        for k in range(len(tail)):
+            acc += phi.table[seq[k:k + d]]
+        sums.append(acc)
+    return max(sums), min(sums)
 
 
 def reference_children(dist, parent):

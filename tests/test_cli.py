@@ -203,6 +203,27 @@ def test_subaction_cli(capsys, tmp_path, models_dir):
     assert "0,0" in out and "1,-0.5" in out
 
 
+def test_word_sums_run_on_a_non_mixing_spec(capsys, tmp_path):
+    # the block graph behind word sums needs no mixing; the spectral layer does
+    doc = {
+        "alphabet": ["a", "b", "c"],
+        "incidence": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        "potentials": {"phi": {"depth": 2, "table": {"ab": 0.5, "bc": -0.5, "ca": 0.0}}},
+    }
+    path = tmp_path / "period3.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "words", "--K", "1", "--m", "3", "--model", str(path))
+    assert code == 0
+    assert [l for l in out.splitlines() if not l.startswith(("#", "{"))] == ["abc", "bca", "cab"]
+    code, _, err = run(capsys, "pressure", "--model", str(path))
+    assert code == 2
+    assert "mixing" in err
+    spec = gibbsdim.SftSpec(alphabet=doc["alphabet"], incidence=doc["incidence"])
+    block_spec, coder = gibbsdim.higher_block_recode(spec, 3)
+    assert block_spec.alphabet == ("ab", "bc", "ca")
+    assert coder.decode(coder.encode(spec.word("abcab"))) == spec.word("abcab")
+
+
 def test_outputs_byte_identical(tmp_path, models_dir, capsys):
     argv = ["spectrum", "--alpha-grid", "0.6:1.9:0.1",
             "--model", model(models_dir, "bin14.json")]
@@ -362,22 +383,66 @@ def test_package_exports_resolve_lazily():
 
 
 def test_each_command_accepts_only_the_options_it_reads():
-    # every option a subcommand accepts is read by its branch of cli._run,
-    # apart from --model, --out and --format, which _run reads before dispatch
+    # every option a command, or a mode of one, accepts is read on its path
+    # through cli._run, apart from --model, --out and --format, which _run
+    # reads before dispatch; a branch `if args.mode == m` ending in a return
+    # ends the path of mode m
     tree = ast.parse((pathlib.Path(gibbsdim.__file__).parent / "cli.py").read_text())
     run_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_run")
+
+    def subparsers(parser):
+        return next((a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)), None)
+
+    def compared(node, name):
+        """X of a branch `if args.<name> == X`, else None."""
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
+                and ast.unparse(node.test.left) == f"args.{name}"):
+            return node.test.comparators[0].value
+        return None
+
+    def reads_of(stmts):
+        return {n.attr for stmt in stmts for n in ast.walk(stmt)
+                if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "args"}
+
+    parsers = {(name, mode): parser
+               for name, sub in subparsers(build_parser()).items()
+               for mode, parser in (subparsers(sub) or {None: sub}).items()}
+    accepted = {key: {a.dest for a in parser._actions if a.dest != "help"}
+                for key, parser in parsers.items()}
     reads = {}
     for node in run_fn.body:
-        if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
-                and ast.unparse(node.test.left) == "args.command"):
-            reads[node.test.comparators[0].value] = {"model", "out", "format"} | {
-                n.attr for stmt in node.body for n in ast.walk(stmt)
-                if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "args"}
-    commands = next(a for a in build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    accepted = {name: {a.dest for a in sub._actions if a.dest != "help"}
-                for name, sub in commands.items()}
+        name = compared(node, "command")
+        if name is None:
+            continue
+        live = [key for key in parsers if key[0] == name]
+        for key in live:
+            reads[key] = {"model", "out", "format"}
+        for stmt in node.body:
+            mode = compared(stmt, "mode")
+            if mode is None:
+                for key in live:
+                    reads[key] |= reads_of([stmt])
+                continue
+            reads[(name, mode)] |= reads_of(stmt.body)
+            if isinstance(stmt.body[-1], ast.Return):
+                live.remove((name, mode))
+    assert ("massdist", "build") in reads and ("cdf", "eval") in reads
     assert reads == accepted
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("massdist", "build", "--s", "0.5", "--F", "01", "--seed", "7"), "--seed"),
+    (("massdist", "build", "--s", "0.5", "--F", "01", "--depth", "5"), "--depth"),
+    (("cdf", "curve", "--x", "0.5"), "--x"),
+    (("cdf", "eval", "--x", "0.5", "--resolution", "33"), "--resolution"),
+], ids=["massdist-build-seed", "massdist-build-depth", "cdf-curve-x", "cdf-eval-resolution"])
+def test_a_mode_rejects_the_options_only_other_modes_read(capsys, models_dir, argv, option):
+    name = "phipm.json" if argv[0] == "massdist" else "bin14.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--model", model(models_dir, name)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_package_modules_use_every_name_they_import():

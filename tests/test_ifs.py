@@ -221,6 +221,13 @@ def test_moderate_checks(bin_model):
         bin_model.moderate_check(1 / 3, 1.0, 0.5, (5, 10))
 
 
+def test_moderate_check_skips_increments_within_the_evaluation_error(bin_model):
+    # 41 of the 119 increments down to 2^-60 are at most 2*eps; at 2^-50 .. 2^-60 all are
+    assert bin_model.moderate_check(1 / 3, 1.2075, 50.0, (5, 60))
+    with pytest.raises(ValidationError, match="evaluation error"):
+        bin_model.moderate_check(1 / 3, 1.2075, 50.0, (50, 60))
+
+
 @pytest.mark.parametrize("x,depths", [
     (5.0, (5, 25)), (-3.0, (5, 25)),           # x outside [u, v]
     (0.3, (25, 5)), (0.3, (0, 5)), (0.3, (-3, -1)), (0.3, (5, 61)),

@@ -86,6 +86,21 @@ def test_window_sums_extend_a_prefix_bit_for_bit(depth):
                 assert (sup.hex(), inf.hex()) == want
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_overhang_bounds_equal_the_left_fold_oracle_bit_for_bit(depth):
+    rng = np.random.default_rng(90 + depth)
+    specs = [helpers.random_mixing_spec(rng, n=int(rng.integers(2, 4))) for _ in range(3)]
+    for spec in specs + [helpers.period3()]:
+        # quarter steps make some sums cancel to an exact zero
+        for quantize in (None, 4):
+            phi = helpers.random_potential(rng, spec, depth, scale=3.0, quantize=quantize)
+            for n in range(depth + 1):
+                for w in spec.words(n):
+                    got = phi._overhang_bounds(phi.tail(w))
+                    want = helpers.brute_overhang(phi, w)
+                    assert [x.hex() for x in got] == [x.hex() for x in want], w
+
+
 def test_two_sided_bound_property():
     # every point value in a cylinder lies in [sup - distortion, sup]
     rng = np.random.default_rng(11)
