@@ -9,11 +9,11 @@ chunk is resolved so, vector rounds resolve the rest, one step after each
 known state per round; otherwise one plain loop walks the chunk from its
 first unresolved step to its last.  ``cdf_descend`` walks the cylinder tree
 one level at a time over a table of plain tuples, one row per state of the
-chain's short words, so each level is a loop over at most |alphabet|
-siblings.  Each sibling carries the endpoints of its image of the base
-interval, computed once per model, so a level compares the point against
-stored floats and unpacks only the child it enters.  Randomness enters only
-through the uniforms, so a seed fixes the output.
+chain's short words, so each level is a loop over the siblings up to the
+first whose image holds the point.  Each sibling carries the endpoints of its
+image of the base interval, computed once per model, so a level compares the
+point against stored floats and unpacks only the child it enters.
+Randomness enters only through the uniforms, so a seed fixes the output.
 """
 
 from __future__ import annotations
@@ -111,14 +111,14 @@ def cdf_descend(x, eps, max_depth, children, u, v):
     child's image of [u, v], stored once per model.  State 0 is the empty
     word and has mass 1.  A child's mass is its parent's times prob.  At each
     level, siblings lying entirely left of x contribute their full mass; the
-    last sibling whose interval holds x is entered (ties at shared endpoints
-    count the left cylinder as passed), and x in a gap between siblings ends
-    the descent.  x is carried as y, its preimage in the current cylinder's
-    own coordinates, so every comparison is made at the scale of that
-    cylinder; absolute endpoints s*u + t round onto x once the cylinder is
-    narrower than the float spacing near x (about 53 halvings).  Stops once
-    the containing mass drops below eps, closing with a linear interpolation
-    of the remainder.
+    first sibling whose interval holds x is entered, so in an overlap the
+    earlier one is (ties at shared endpoints count the left cylinder as
+    passed), and x in a gap between siblings ends the descent.  x is
+    carried as y, its preimage in the current cylinder's own coordinates, so
+    every comparison is made at the scale of that cylinder; absolute
+    endpoints s*u + t round onto x once the cylinder is narrower than the
+    float spacing near x (about 53 halvings).  Stops once the containing mass
+    drops below eps, closing with a linear interpolation of the remainder.
     """
     acc = 0.0
     state = 0
@@ -131,6 +131,7 @@ def cdf_descend(x, eps, max_depth, children, u, v):
                 acc += mass * p
             elif lo <= y:
                 chosen, child_p = child, p
+                break
         if chosen is None:
             return acc  # x fell in a gap between sibling cylinders
         state, r, o = chosen

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import suppress
 
 from . import __version__
 from .errors import ToolkitError, ValidationError
 from .model import ModelBundle, load_model
+from .sft import WORD_CAP
 from .thermo import (ALPHA_RANGE_TOL, BETA_PRESSURE_TOL, LEGENDRE_CONVENTION,
                      PRESSURE_RTOL, QALPHA_TOL, alpha_range, beta, beta_prime,
                      full_dim_alpha, pressure, spectrum_at, subaction)
@@ -92,6 +95,14 @@ def _parse_grid(text: str):
     return out
 
 
+def _number(text: str) -> float:
+    """argparse type: a float that is not NaN."""
+    with suppress(ValueError):
+        if not math.isnan(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+
+
 def _parse_family(bundle: ModelBundle, text: str):
     if not text:
         raise ValidationError("need at least one word")
@@ -119,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("pressure", parents=[common, single])
 
     q = sub.add_parser("beta", parents=[common, pair])
-    q.add_argument("--q", required=True, help="comma-separated q values")
+    q.add_argument("--q", required=True, help="comma-separated q values",
+                   type=lambda text: [_number(part) for part in text.split(",")])
 
     sp = sub.add_parser("spectrum", parents=[common, pair])
     sp.add_argument("--alpha-grid", required=True, help="start:stop:step")
@@ -132,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("words", parents=[common, single])
     w.add_argument("--K", type=float, required=True)
     w.add_argument("--m", type=int, required=True)
-    w.add_argument("--cap", type=int, default=10_000_000)
+    w.add_argument("--cap", type=int, default=WORD_CAP)
 
     pf = sub.add_parser("postfix", parents=[common, single])
     pf.add_argument("--Kp", type=float, required=True)
@@ -154,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cdf = sub.add_parser("cdf").add_subparsers(dest="mode", required=True)
     ce = cdf.add_parser("eval", parents=[common, single])
-    ce.add_argument("--x", type=float, required=True)
+    ce.add_argument("--x", type=_number, required=True)
     cc = cdf.add_parser("curve", parents=[common, single])
     cc.add_argument("--resolution", type=int, default=256)
     for c in (ce, cc):
@@ -197,11 +209,7 @@ def _run(args) -> int:
 
     if args.command == "beta":
         phi, psi = bundle.pair(args.phi, args.psi)
-        rows = []
-        for part in args.q.split(","):
-            qv = float(part)
-            b = beta(qv, phi, psi)
-            rows.append((qv, b, beta_prime(qv, phi, psi)))
+        rows = [(qv, beta(qv, phi, psi), beta_prime(qv, phi, psi)) for qv in args.q]
         emit.rows(("q", "beta", "beta_prime"), rows)
         return 0
 
@@ -211,10 +219,8 @@ def _run(args) -> int:
         a0 = full_dim_alpha(phi, psi)
         if not any(abs(a - a0) < 1e-12 for a in alphas):
             alphas = sorted(alphas + [a0])
-        rows = []
-        for a in alphas:
-            pt = spectrum_at(a, phi, psi)
-            rows.append((pt.q_alpha, pt.beta, pt.alpha, pt.alpha, pt.value))
+        points = [spectrum_at(a, phi, psi) for a in alphas]
+        rows = [(pt.q_alpha, pt.beta, pt.alpha, pt.alpha, pt.value) for pt in points]
         emit.rows(("q", "beta", "beta_prime", "alpha", "b_alpha"), rows)
         return 0
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import NumericalError
 
+MAX_RATIO_ROUNDS = 10_000   # most cycle jumps ``max_cycle_ratio`` takes
+
 
 def relax(adj: np.ndarray, w: np.ndarray, f: np.ndarray):
     """One max-plus step: g[v] = max over edges u -> v of f[u] + w[u, v].
@@ -100,8 +102,7 @@ def cycle_sum(w: np.ndarray, cycle) -> float:
     return float(total)
 
 
-def max_cycle_ratio(adj: np.ndarray, num: np.ndarray, den: np.ndarray,
-                    tol: float = 1e-13, max_rounds: int = 10_000):
+def max_cycle_ratio(adj: np.ndarray, num: np.ndarray, den: np.ndarray, tol: float = 1e-13):
     """max over directed cycles of sum(num)/sum(den); den must be positive on edges.
 
     Parametric search: at ratio r, some cycle beats r iff the weights
@@ -115,7 +116,7 @@ def max_cycle_ratio(adj: np.ndarray, num: np.ndarray, den: np.ndarray,
     r = float(np.min(num[adj] / den[adj])) - 1.0
     scale = max(1.0, float(np.max(np.abs(num[adj]))) + float(np.max(np.abs(den[adj]))))
     best_cycle = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_RATIO_ROUNDS):
         cyc = find_positive_cycle(adj, num - r * den, tol * scale)
         if cyc is None:
             if best_cycle is None:

@@ -22,6 +22,7 @@ from .thermo import (GibbsChain, _beta_pair, alpha_range, full_dim_alpha, gibbs_
                      pressure, spectrum_at)
 
 _GEOM_TOL = 1e-12
+PROBE_EPS = 1e-15   # cdf tolerance of the Holder probes
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +82,9 @@ class AffineIfs:
         s, t = self.map_word(word)
         return (s * u + t, s * v + t)
 
-    def coding_point(self, prefix: Word, period: Word = EMPTY_WORD) -> float:
+    def coding_point(self, prefix: Word, period: Word) -> float:
         """The coded point of ``prefix + period^inf`` (exact affine fixed point),
-        or the midpoint of the prefix cylinder when no period is given."""
+        or the midpoint of the prefix cylinder when the period is empty."""
         if len(period) == 0:
             lo, hi = self.cylinder_interval(prefix)
             return 0.5 * (lo + hi)
@@ -172,11 +173,12 @@ class CdfModel:
         """The descent table: state 0 is the empty word, the others the
         admissible words of length 1..width.  Row i lists (hi, lo, prob,
         (next_state, rate, offset)) for each admissible one-symbol extension
-        of state i's word, in ``ifs.symbol_order``; hi = rate*v + offset and
-        lo = rate*u + offset are the ends of the symbol's image of [u, v],
-        evaluated here once by the float expressions the descent compares
-        against.  An extension longer than width moves to its last width
-        symbols, with the chain's Q as its probability."""
+        of state i's word, in ``ifs.symbol_order``: the descent tries them in
+        that order and enters the first that holds the point.  hi = rate*v +
+        offset and lo = rate*u + offset are the ends of the symbol's image of
+        [u, v], evaluated here once by the float expressions the descent
+        compares against.  An extension longer than width moves to its last
+        width symbols, with the chain's Q as its probability."""
         chain = self.chain
         width = chain.coder.width
         spec = self.spec
@@ -213,10 +215,10 @@ class CdfModel:
         if not eps > 0.0:
             raise ValidationError("evaluation tolerance must be positive")
         u, v = self.ifs.interval
-        if x < u:
-            return 0.0
-        if x >= v:
-            return 1.0
+        if not u <= x < v:
+            if math.isnan(x):
+                raise ValidationError(f"cdf point must be a number, got {x!r}")
+            return 0.0 if x < u else 1.0
         return cdf_descend(float(x), float(eps), self.MAX_DEPTH, self._children, u, v)
 
     def curve(self, resolution: int, eps: float = 1e-12):
@@ -227,29 +229,28 @@ class CdfModel:
         xs = np.linspace(u, v, resolution)
         return [(float(x), self.cdf(float(x), eps)) for x in xs]
 
-    def gibbs_constant(self, max_len: int = 8) -> float:
+    def gibbs_constant(self, max_len: int) -> float:
         if max_len not in self._gibbs_bounds:
             self._gibbs_bounds[max_len] = self.chain.gibbs_constant_bound(max_len)
         return self._gibbs_bounds[max_len]
 
     # --- probes ------------------------------------------------------------
 
-    def holder_probe(self, x: float, alpha: float, depth: int,
-                     eps: float = 1e-15) -> HolderProbe:
+    def holder_probe(self, x: float, alpha: float, depth: int) -> HolderProbe:
         """Increment ratios |C(y)-C(x)| / |y-x|^alpha at scales 2^-1 .. 2^-depth,
         both sides (one side at the interval endpoints), plus a least-squares
         exponent fit of log-increment against log-scale.
 
         ``records`` keeps every increment.  The ratio range and the fit use
-        only increments above 2*eps, the error bound of the two ``cdf``
-        values each one subtracts; they are NaN when no increment (fewer
-        than two, for the fit) is that large."""
+        only increments above 2*``PROBE_EPS``, the error bound of the two
+        ``cdf`` values each one subtracts; they are NaN when no increment
+        (fewer than two, for the fit) is that large."""
         if depth < 1 or depth > 60:
             raise ValidationError("probe depth must be between 1 and 60")
-        floor = 2.0 * eps
+        floor = 2.0 * PROBE_EPS
         records = []
         resolved = []
-        for scale, side, dc in self._increments(x, 1, depth, eps):
+        for scale, side, dc in self._increments(x, 1, depth):
             ratio = dc / scale ** alpha
             records.append((scale, side, dc, ratio))
             if dc > floor:
@@ -266,33 +267,32 @@ class CdfModel:
                            ratio_min=min(ratios, default=math.nan),
                            ratio_max=max(ratios, default=math.nan))
 
-    def moderate_check(self, x: float, alpha: float, c: float,
-                       depth_range, eps: float = 1e-15) -> bool:
+    def moderate_check(self, x: float, alpha: float, c: float, depth_range) -> bool:
         """True iff every probed increment satisfies the two-sided power bound with
         the uniform constant c, at scales 2^-lo .. 2^-hi for depth_range =
         (lo, hi) with 1 <= lo <= hi <= 60, both sides of x in [u, v].  As in
-        ``holder_probe``, only increments above 2*eps are checked; raises
-        ValidationError when none is that large."""
+        ``holder_probe``, only increments above 2*``PROBE_EPS`` are checked;
+        raises ValidationError when none is that large."""
         if c < 1.0:
             raise ValidationError("the uniform constant must be at least 1")
         lo, hi = depth_range
         if not 1 <= lo <= hi <= 60:
             raise ValidationError("probe depths must form a non-empty range within 1 .. 60")
-        resolved = [(scale ** alpha, dc) for scale, _, dc in self._increments(x, lo, hi, eps)
-                    if dc > 2.0 * eps]
+        resolved = [(scale ** alpha, dc) for scale, _, dc in self._increments(x, lo, hi)
+                    if dc > 2.0 * PROBE_EPS]
         if not resolved:
             raise ValidationError(f"no probed increment exceeds the evaluation error "
-                                  f"2*eps = {2.0 * eps:g}")
+                                  f"2*eps = {2.0 * PROBE_EPS:g}")
         return all(bound / c <= dc <= bound * c for bound, dc in resolved)
 
-    def _increments(self, x, lo, hi, eps):
+    def _increments(self, x, lo, hi):
         """(scale, side, |C(x + side*scale) - C(x)|) at scales 2^-lo .. 2^-hi,
         both sides, skipping points outside the base interval.  Raises
         ValidationError for x outside the interval, or when no point is left."""
         u, v = self.ifs.interval
         if not u <= x <= v:
             raise ValidationError("probe point must lie in the base interval")
-        cx = self.cdf(x, eps)
+        cx = self.cdf(x, PROBE_EPS)
         probed = False
         for j in range(lo, hi + 1):
             scale = 2.0 ** (-j)
@@ -301,7 +301,7 @@ class CdfModel:
                 if y < u or y > v:
                     continue
                 probed = True
-                yield scale, side, abs(self.cdf(y, eps) - cx)
+                yield scale, side, abs(self.cdf(y, PROBE_EPS) - cx)
         if not probed:
             raise ValidationError("no admissible probe offsets inside the interval")
 
@@ -319,9 +319,6 @@ class CdfModel:
             "beta0": b0,
         }
 
-    def alpha_range(self):
-        return alpha_range(self.potential, self.psi)
-
     # --- certified points ------------------------------------------------------
 
     def certified_point(self, alpha: float, l: int = 2, depth: int = 4,
@@ -331,7 +328,7 @@ class CdfModel:
         from l-fold boundary-word repetitions."""
         from .massdist import build_mass_distribution
         from .wordsets import boundary_words, in_repetition_free_set
-        a_lo, a_hi = self.alpha_range()
+        a_lo, a_hi = alpha_range(self.potential, self.psi)
         if not (a_lo + 1e-9 < alpha < a_hi - 1e-9):
             raise InfeasibleError(
                 f"exponent must lie strictly inside ({a_lo:.9g}, {a_hi:.9g})"

@@ -23,7 +23,7 @@ which makes masses reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, build_postfix_set, in_frequen
                        window_family)
 
 DIM_MARGIN = 1e-3
-BASE_LENGTH_CAP = 64
+BASE_LENGTH_CAP = 64    # longest base length ``choose_base_length`` tries
+LEVEL_CAP = 200_000     # most words ``MassDistribution.level`` lists
 
 
 def _logsumexp(values) -> float:
@@ -46,8 +47,7 @@ def _logsumexp(values) -> float:
 
 
 def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotential,
-                       s: float, bound: float, postfix_norm: int, joined_len: int,
-                       infix_norm: int, cap: int = BASE_LENGTH_CAP):
+                       s: float, bound: float, postfix_norm: int, joined_len: int, infix_norm: int):
     """Window family of the least base length m whose weighted series beats the overhead.
 
     The criterion is (1/s) * log sum_{family} exp(-s * S_psi) > C0 with
@@ -58,7 +58,7 @@ def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotent
     if s <= 0:
         raise ValidationError("dimension parameter must be positive")
     c0 = (2 * infix_norm + postfix_norm + joined_len) * psi.sup_norm()
-    for m in range(1, cap + 1):
+    for m in range(1, BASE_LENGTH_CAP + 1):
         fam = window_family(phi, bound, m)
         if not fam.words:
             continue
@@ -66,7 +66,7 @@ def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotent
         if _logsumexp(logs) / s > c0:
             return fam, logs
     raise InfeasibleError(
-        f"no base length up to {cap} beats the overhead {c0:g};"
+        f"no base length up to {BASE_LENGTH_CAP} beats the overhead {c0:g};"
         " the dimension parameter is too close to the spectrum value"
     )
 
@@ -93,20 +93,9 @@ class MassCertificate:
         return self.prefix_ok and self.window_ok and self.band_ok
 
     def to_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "sum_bound": self.sum_bound,
-            "max_abs_prefix_sum": self.max_abs_prefix_sum,
-            "prefix_ok": self.prefix_ok,
-            "window_len": self.window_len,
-            "window_ok": self.window_ok,
-            "band_ok": self.band_ok,
-            "mass": self.mass,
-            "log_mass": self.log_mass,
-            "log_diam": self.log_diam,
-            "local_dim": self.local_dim,
-            "passed": self.passed,
-        }
+        """Every field but the word, in field order, then ``passed``."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "word"}
+        return dict(data, passed=self.passed)
 
 
 def _window_columns(f: LocallyConstantPotential, tail: Word, stems, taus):
@@ -301,8 +290,8 @@ class MassDistribution:
     def mass(self, word: Word) -> float:
         return math.exp(self.log_mass(word))
 
-    def level(self, k: int, cap: int = 200_000) -> dict:
-        """All generation-k words with their masses (use only for small families)."""
+    def level(self, k: int) -> dict:
+        """All generation-k words with their masses, for small families (``LEVEL_CAP`` words)."""
         if k < 1:
             raise ValidationError("generation index must be positive")
         current = {w: self._root_logmass[w] for w in self._root_words}
@@ -312,8 +301,8 @@ class MassDistribution:
                 words, _, logcond, _ = self.children(w)
                 for c, lc in zip(words, logcond):
                     nxt[c] = lm + float(lc)
-                if len(nxt) > cap:
-                    raise CapacityError(f"generation exceeds cap {cap}")
+                if len(nxt) > LEVEL_CAP:
+                    raise CapacityError(f"generation exceeds cap {LEVEL_CAP}")
             current = nxt
         return {w: math.exp(lm) for w, lm in current.items()}
 
@@ -359,8 +348,7 @@ class MassDistribution:
 
 def build_mass_distribution(phi: LocallyConstantPotential,
                             psi: LocallyConstantPotential,
-                            s: float, pattern_words, band: float = None,
-                            base_length_cap: int = BASE_LENGTH_CAP) -> MassDistribution:
+                            s: float, pattern_words, band: float = None) -> MassDistribution:
     """Assemble the tree: joined marker word, postfix family, base length, weights.
 
     Feasible when the cycle-ratio range of (phi, psi) straddles zero strictly
@@ -397,7 +385,7 @@ def build_mass_distribution(phi: LocallyConstantPotential,
     source_band = band + (2 * infixes.norm + len(joined)) * nrm
     postfix = build_postfix_set(phi, source_band, band)
     family, root_logs = choose_base_length(phi, psi, s, band, postfix.norm, len(joined),
-                                           infixes.norm, cap=base_length_cap)
+                                           infixes.norm)
     return MassDistribution(
         phi=phi, psi=psi, s=s, family=family, root_logs=root_logs, postfix=postfix,
         infixes=infixes, joined=joined, pattern_words=pattern, band=band,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -76,6 +77,15 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+@contextmanager
+def _section(key: str):
+    """Report a section missing a field or holding a wrong type as a ValidationError naming it."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"model file section {key!r} is malformed: {exc!r}") from None
+
+
 def load_model(path: str) -> ModelBundle:
     try:
         with open(path, "rb") as fh:
@@ -90,43 +100,41 @@ def load_model(path: str) -> ModelBundle:
     if not isinstance(doc, dict):
         raise ValidationError("model file must contain a JSON object")
 
-    alphabet = _require(doc, "alphabet")
-    incidence = _require(doc, "incidence")
-    spec = SftSpec(alphabet=tuple(alphabet), incidence=np.asarray(incidence))
+    with _section("alphabet"):
+        alphabet = tuple(_require(doc, "alphabet"))
+    with _section("incidence"):
+        spec = SftSpec(alphabet=alphabet, incidence=np.asarray(_require(doc, "incidence")))
 
     potentials = {}
-    for name, body in doc.get("potentials", {}).items():
-        if "values" in body:
-            pot = LocallyConstantPotential.from_values(spec, body["values"])
-            if int(body.get("depth", 1)) != 1:
-                raise ValidationError(f"potential {name!r}: 'values' form is depth 1")
-        else:
-            depth = int(body["depth"])
-            try:
-                entries = tuple(
-                    (spec.word(k), float(v)) for k, v in body["table"].items()
-                )
-            except KeyError:
-                raise ValidationError(f"potential {name!r} needs 'depth' and 'table'") from None
-            pot = LocallyConstantPotential(spec=spec, depth=depth, entries=entries)
-        potentials[name] = pot
+    with _section("potentials"):
+        for name, body in doc.get("potentials", {}).items():
+            if "values" in body:
+                pot = LocallyConstantPotential.from_values(spec, body["values"])
+                if int(body.get("depth", 1)) != 1:
+                    raise ValidationError(f"potential {name!r}: 'values' form is depth 1")
+            else:
+                entries = tuple((spec.word(k), float(v)) for k, v in body["table"].items())
+                pot = LocallyConstantPotential(spec, int(body["depth"]), entries)
+            potentials[name] = pot
 
     ifs = None
     if "ifs" in doc:
         from .ifs import AffineIfs
         body = doc["ifs"]
-        interval = tuple(float(x) for x in _require(body, "interval"))
-        maps = _require(body, "maps")
-        missing = [a for a in spec.alphabet if a not in maps]
-        if missing:
-            raise ValidationError(f"ifs section lacks maps for symbols {missing}")
-        rates = np.array([float(maps[a]["rate"]) for a in spec.alphabet])
-        offsets = np.array([float(maps[a]["offset"]) for a in spec.alphabet])
-        ifs = AffineIfs(spec=spec, interval=interval, rates=rates, offsets=offsets)
+        with _section("ifs"):
+            interval = tuple(float(x) for x in _require(body, "interval"))
+            maps = _require(body, "maps")
+            missing = [a for a in spec.alphabet if a not in maps]
+            if missing:
+                raise ValidationError(f"ifs section lacks maps for symbols {missing}")
+            rates = np.array([float(maps[a]["rate"]) for a in spec.alphabet])
+            offsets = np.array([float(maps[a]["offset"]) for a in spec.alphabet])
+            ifs = AffineIfs(spec=spec, interval=interval, rates=rates, offsets=offsets)
 
     gibbs = doc.get("gibbs")
-    if gibbs is not None and gibbs not in potentials:
-        raise ValidationError(f"gibbs names unknown potential {gibbs!r}")
+    with _section("gibbs"):
+        if gibbs is not None and gibbs not in potentials:
+            raise ValidationError(f"gibbs names unknown potential {gibbs!r}")
 
     return ModelBundle(path=str(path), sha256=sha, spec=spec,
                        potentials=potentials, ifs=ifs, gibbs_name=gibbs)

@@ -232,14 +232,10 @@ class LocallyConstantPotential:
         cached = self._distortion
         if cached is not None:
             return cached
-        if self.depth == 1:
-            value = 0.0
-        else:
-            value = 0.0
-            for length in range(1, self.depth):
-                for w in self.spec.words(length):
-                    b = self.word_sum_bounds(w)
-                    value = max(value, b.width)
+        value = 0.0
+        for length in range(1, self.depth):   # none at depth 1
+            for w in self.spec.words(length):
+                value = max(value, self.word_sum_bounds(w).width)
         object.__setattr__(self, "_distortion", value)
         return value
 

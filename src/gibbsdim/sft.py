@@ -19,7 +19,7 @@ Word = tuple  # tuple[int, ...]
 
 EMPTY_WORD: Word = ()
 
-DEFAULT_WORD_CAP = 10_000_000
+WORD_CAP = 10_000_000   # most words one enumeration or word family may hold
 
 _PLAIN_INT = frozenset({int})
 
@@ -171,13 +171,13 @@ class SftSpec:
             counts = [sum(counts[b] for b in self._succ[a]) for a in range(self.n)]
         return sum(counts)
 
-    def words(self, n: int, cap: int = DEFAULT_WORD_CAP) -> list:
-        """All admissible length-n words in lexicographic order."""
+    def words(self, n: int) -> list:
+        """All admissible length-n words in lexicographic order, at most ``WORD_CAP``."""
         if n < 0:
             raise ValidationError("word length must be non-negative")
         total = self.count_words(n)
-        if total > cap:
-            raise CapacityError(f"{total} admissible words of length {n} exceed the cap {cap}")
+        if total > WORD_CAP:
+            raise CapacityError(f"{total} admissible words of length {n} exceed the cap {WORD_CAP}")
         if n == 0:
             return [EMPTY_WORD]
         out = []
@@ -289,7 +289,7 @@ class BlockCoder:
         return tuple(out)
 
 
-def higher_block_recode(spec: SftSpec, d: int, cap: int = DEFAULT_WORD_CAP):
+def higher_block_recode(spec: SftSpec, d: int):
     """Recode so that depth-d tables become edge (depth-2) tables.
 
     Symbols of the new spec are the admissible (d-1)-words of ``spec``; edges
@@ -300,7 +300,7 @@ def higher_block_recode(spec: SftSpec, d: int, cap: int = DEFAULT_WORD_CAP):
     if d < 2:
         raise ValidationError("recoding depth must be at least 2")
     width = d - 1
-    blocks = spec.words(width, cap=cap)
+    blocks = spec.words(width)
     inc = np.array([[u[1:] == v[:-1] and spec.incidence[u[-1], v[-1]] for v in blocks]
                     for u in blocks], dtype=bool)
     names = tuple(spec.word_str(w) for w in blocks)

@@ -76,32 +76,32 @@ def _edge_space(*potentials: LocallyConstantPotential) -> EdgeSpace:
 # Perron data
 # --------------------------------------------------------------------------
 
-def _perron(M: np.ndarray, rtol: float = PRESSURE_RTOL, max_iter: int = PRESSURE_MAX_ITER,
-            x0: np.ndarray | None = None):
+def _perron(M: np.ndarray, x0: np.ndarray | None = None):
     """Leading eigenvalue and positive eigenvector of a primitive matrix.
 
     Every positive iterate x yields a Collatz-Wielandt bracket
     [min_a (Mx)_a/x_a, max_a (Mx)_a/x_a] for the eigenvalue; successive
-    brackets are intersected until the certified width is below rtol, and the
-    eigenvalue returned is the midpoint.  (An entry of x that underflowed to 0
-    gives an infinite or NaN ratio, which the intersection ignores.)  The
-    iterates are the seed x0 (all-ones when there is none, or when x0 is not
-    positive), one power step from it, the Perron vector of a dense
-    eigensolve, and then shifted inverse-iteration steps (``_perron_step``).
-    A seed that is already the Perron vector, such as the vector returned
-    for a positive multiple of M, certifies at iterate 0, with one
-    matrix-vector product and no eigensolve.  Any other seed
-    only adds its bracket to the intersection, so the certificate is the same
-    whatever the seed.  A bracket that is not finite and positive, or an
-    iterate that is not finite, means the matrix overflows or underflows and
-    raises NumericalError at once; a bracket still too wide after max_iter
-    iterates raises it at the end.  Both carry the bracket, and the inf and
-    NaN values on the way there raise no NumPy warnings.
+    brackets are intersected until the certified width is below
+    ``PRESSURE_RTOL``, and the eigenvalue returned is the midpoint.  (An
+    entry of x that underflowed to 0 gives an infinite or NaN ratio, which
+    the intersection ignores.)  The iterates are the seed x0 (all-ones when
+    there is none, or when x0 is not positive), one power step from it, the
+    Perron vector of a dense eigensolve, and then shifted inverse-iteration
+    steps (``_perron_step``).  A seed that is already the Perron vector,
+    such as the vector returned for a positive multiple of M, certifies at
+    iterate 0, with one matrix-vector product and no eigensolve.  Any other
+    seed only adds its bracket to the intersection, so the certificate is
+    the same whatever the seed.  A bracket that is not finite and positive,
+    or an iterate that is not finite, means the matrix overflows or
+    underflows and raises NumericalError at once; a bracket still too wide
+    after ``PRESSURE_MAX_ITER`` iterates raises it at the end.  Both carry
+    the bracket, and the inf and NaN values on the way there raise no NumPy
+    warnings.
     """
     x = x0 if x0 is not None and np.all(x0 > 0.0) else np.ones(M.shape[0])
     lo_best, hi_best = 0.0, math.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k in range(max_iter):
+        for k in range(PRESSURE_MAX_ITER):
             y = M @ x
             ratios = y / x
             lo, hi = float(ratios.min()), float(ratios.max())
@@ -109,10 +109,10 @@ def _perron(M: np.ndarray, rtol: float = PRESSURE_RTOL, max_iter: int = PRESSURE
             hi_best = min(hi_best, hi)
             if not 0.0 < hi_best < math.inf:
                 break
-            if hi_best - lo_best <= rtol * hi_best:
+            if hi_best - lo_best <= PRESSURE_RTOL * hi_best:
                 lam = 0.5 * (lo_best + hi_best)
                 return lam, y / y.max(), (lo_best, hi_best)
-            x = _perron_step(M, x, y, k, hi_best * (1.0 + rtol))
+            x = _perron_step(M, x, y, k, hi_best * (1.0 + PRESSURE_RTOL))
             if x is None:
                 break
     raise NumericalError(
@@ -251,7 +251,7 @@ class GibbsChain:
             total += self.pi[i] * self.Q[i, j] * weights[i, j]
         return float(total)
 
-    def gibbs_constant_bound(self, max_len: int, cap: int = 1_000_000) -> float:
+    def gibbs_constant_bound(self, max_len: int) -> float:
         """Empirical two-sided Gibbs constant over cylinders up to max_len.
 
         Requires the potential normalized to zero pressure; the value is
@@ -263,7 +263,7 @@ class GibbsChain:
             )
         best = 1.0
         for n in range(1, max_len + 1):
-            for w in self.spec.words(n, cap=cap):
+            for w in self.spec.words(n):
                 mu = self.cylinder_measure(w)
                 ratio = mu / math.exp(self.potential.word_sum_bounds(w).sup)
                 best = max(best, ratio, 1.0 / ratio)
@@ -383,7 +383,7 @@ def alpha_range(phi: LocallyConstantPotential, psi: LocallyConstantPotential):
 
 @lru_cache(maxsize=128)
 def _cap_probe(phi: LocallyConstantPotential, psi: LocallyConstantPotential, q: float):
-    """``_beta_pair`` at an endpoint probe q = +-q_cap, kept per (phi, psi)."""
+    """``_beta_pair`` at an endpoint probe q = +-Q_CAP, kept per (phi, psi)."""
     return _beta_pair(q, phi, psi)
 
 
@@ -460,39 +460,39 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
 
 
 def spectrum_at(alpha: float, phi: LocallyConstantPotential,
-                psi: LocallyConstantPotential, q_cap: float = Q_CAP) -> SpectrumPoint:
+                psi: LocallyConstantPotential) -> SpectrumPoint:
     """Spectrum value b(alpha) = beta(q_alpha) - q_alpha*alpha.
 
     Interior alpha: q_alpha solves beta'(q) = alpha (monotone root find,
     |beta' - alpha| <= 1e-9).  At the endpoints of the attainable range the
-    limiting value is approximated at |q| = q_cap, where convexity makes
+    limiting value is approximated at |q| = ``Q_CAP``, where convexity makes
     beta(q) - q*alpha monotone in |q|.  Each q is solved once: the probes at
-    +-q_cap are kept per (phi, psi), and the root finder's evaluations per call.
+    +-Q_CAP are kept per (phi, psi), and the root finder's evaluations per call.
     """
     a_lo, a_hi = alpha_range(phi, psi)
     if alpha < a_lo - 1e-9 or alpha > a_hi + 1e-9:
         raise EmptyLevelSetError(
             f"ratio {alpha:g} outside the attainable range [{a_lo:.9g}, {a_hi:.9g}]"
         )
-    solved = {-q_cap: _cap_probe(phi, psi, -q_cap), q_cap: _cap_probe(phi, psi, q_cap)}
+    solved = {-Q_CAP: _cap_probe(phi, psi, -Q_CAP), Q_CAP: _cap_probe(phi, psi, Q_CAP)}
 
     def g(q):
         if q not in solved:
             solved[q] = _beta_pair(q, phi, psi)
         return solved[q][1] - alpha
 
-    if g(-q_cap) >= 0.0:   # alpha at or below the ratio reachable at -q_cap
-        b = solved[-q_cap][0]
-        value = b + q_cap * alpha
+    if g(-Q_CAP) >= 0.0:   # alpha at or below the ratio reachable at -Q_CAP
+        b = solved[-Q_CAP][0]
+        value = b + Q_CAP * alpha
         return SpectrumPoint(alpha, -math.inf, max(0.0, value), endpoint=True)
-    if g(q_cap) <= 0.0:
-        b = solved[q_cap][0]
-        value = b - q_cap * alpha
+    if g(Q_CAP) <= 0.0:
+        b = solved[Q_CAP][0]
+        value = b - Q_CAP * alpha
         return SpectrumPoint(alpha, math.inf, max(0.0, value), endpoint=True)
-    q_star = _brentq(g, -q_cap, q_cap, 1e-12, 8.9e-16, 200)
+    q_star = _brentq(g, -Q_CAP, Q_CAP, 1e-12, 8.9e-16, 200)
     if abs(g(q_star)) > QALPHA_TOL:
         raise NumericalError("conjugate parameter did not meet tolerance",
-                             bracket=(-q_cap, q_cap))
+                             bracket=(-Q_CAP, Q_CAP))
     b = solved[q_star][0]
     value = b - q_star * alpha
     if -1e-9 < value < 0.0:

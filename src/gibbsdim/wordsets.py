@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sft
 from .cycles import relax
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
@@ -22,8 +23,9 @@ from .sft import EMPTY_WORD, SftSpec, Word, word_power
 from .thermo import alpha_range, birkhoff_sup
 
 ALPHA_SIGN_TOL = 1e-9
-WORD_CAP = 10_000_000   # most words a window family may hold at one length
-WITNESS_CAP = 32        # most failing source words a postfix check reports
+WITNESS_CAP = 32          # most failing source words a postfix check reports
+DRIFT_STEP_CAP = 100_000  # longest walk ``_extremal_word`` tries
+SEPARATING_MAX_LEN = 64   # longest word ``separating_word`` tries
 
 
 # --------------------------------------------------------------------------
@@ -40,8 +42,9 @@ class WindowFamily:
 
 
 def window_family(phi: LocallyConstantPotential, bound: float, length: int,
-                  cap: int = WORD_CAP) -> WindowFamily:
+                  cap: int | None = None) -> WindowFamily:
     """The family's words in lexicographic order: ``_window_walk`` at one length."""
+    cap = sft.WORD_CAP if cap is None else cap
     words = tuple(w for w, _ in _window_walk(phi, bound, length, length, cap))
     return WindowFamily(bound=float(bound), length=length, words=words)
 
@@ -141,9 +144,9 @@ class PostfixSet:
                      for a in range(spec.n))
 
 
-def _extremal_word(phi: LocallyConstantPotential, threshold: float, minimize: bool,
-                   step_cap: int = 100_000) -> Word:
-    """Shortest word whose exact point Birkhoff sum passes the threshold.
+def _extremal_word(phi: LocallyConstantPotential, threshold: float, minimize: bool) -> Word:
+    """Shortest word whose exact point Birkhoff sum passes the threshold,
+    within ``DRIFT_STEP_CAP`` steps.
 
     Walk DP on the edge recoding: the minimal (or maximal) weight of k-edge
     walks drifts linearly because some cycle ratio has the right sign.
@@ -152,7 +155,7 @@ def _extremal_word(phi: LocallyConstantPotential, threshold: float, minimize: bo
     gain = -weights if minimize else weights
     g = np.zeros(coder.block.n)
     parents = []
-    for k in range(1, step_cap + 1):
+    for k in range(1, DRIFT_STEP_CAP + 1):
         g, par = relax(coder.block.incidence, gain, g)
         parents.append(par)
         if float(g.max()) > abs(threshold):
@@ -164,7 +167,7 @@ def _extremal_word(phi: LocallyConstantPotential, threshold: float, minimize: bo
             path.reverse()
             word = coder.decode(tuple(path))
             return word[:k + phi.depth - 1]
-    raise NumericalError(f"no walk passed the drift threshold within {step_cap} steps")
+    raise NumericalError(f"no walk passed the drift threshold within {DRIFT_STEP_CAP} steps")
 
 
 def build_postfix_set(phi: LocallyConstantPotential, source_band: float,
@@ -232,7 +235,7 @@ def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential,
     band = pset.band
     checked = 0
     failures = {}   # length -> its first failing words
-    for w, run in _window_walk(phi, pset.source_band, 1, max_len, WORD_CAP):
+    for w, run in _window_walk(phi, pset.source_band, 1, max_len, sft.WORD_CAP):
         checked += 1
         tail = phi.tail(w)
         for tau in followers[w[-1]]:
@@ -356,15 +359,15 @@ def boundary_words(order, spec: SftSpec) -> BoundaryWords:
 # separating words and the counterexample construction
 # --------------------------------------------------------------------------
 
-def separating_word(spec: SftSpec, words, max_len: int = 64) -> Word:
-    """Shortest admissible word that is a prefix of no shift of any listed word's
-    infinite repetition, so its cylinder misses all those periodic orbits."""
+def separating_word(spec: SftSpec, words) -> Word:
+    """Shortest admissible word, up to ``SEPARATING_MAX_LEN``, that is a prefix of no
+    shift of any listed word's infinite repetition, so its cylinder misses those orbits."""
     fam = [tuple(w) for w in words]
     for w in fam:
         if len(w) == 0 or not spec.is_cyclically_admissible(w):
             raise ValidationError("family words must be non-empty and cyclically admissible")
     rotations = {w[i:] + w[:i] for w in fam for i in range(len(w))}
-    for length in range(1, max_len + 1):
+    for length in range(1, SEPARATING_MAX_LEN + 1):
         forbidden = set()
         for rot in rotations:
             reps = -(-length // len(rot))
@@ -372,7 +375,7 @@ def separating_word(spec: SftSpec, words, max_len: int = 64) -> Word:
         for cand in spec.words(length):
             if cand not in forbidden:
                 return cand
-    raise CapacityError(f"no separating word of length <= {max_len}")
+    raise CapacityError(f"no separating word of length <= {SEPARATING_MAX_LEN}")
 
 
 def counterexample_word(phi: LocallyConstantPotential,

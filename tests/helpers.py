@@ -361,6 +361,7 @@ def reference_cdf_descend(x, eps, max_depth, root_next, root_mass, succ, step_pr
                 child_mass = m
                 cr = r
                 co = o
+                break
         if chosen < 0:
             return acc  # x fell in a gap between sibling cylinders
         state = chosen

@@ -151,8 +151,12 @@ def test_cdf_commands(capsys, models_dir):
     ("spectrum", "--alpha-grid", "0.5:2.0:0"),
     ("cdf", "eval"),
     ("postfix", "--Kp", "2", "--K", "0.6", "--verify-maxlen", "-3"),
+    ("beta", "--q=abc"),
+    ("beta", "--q="),
+    ("cdf", "eval", "--x", "nan"),
 ], ids=["spectrum-seed", "pressure-phi", "separating-word-potential", "cdf-tol",
-        "grid-malformed", "grid-step-zero", "cdf-eval-without-x", "postfix-maxlen-negative"])
+        "grid-malformed", "grid-step-zero", "cdf-eval-without-x", "postfix-maxlen-negative",
+        "beta-q-not-a-number", "beta-q-empty", "cdf-x-nan"])
 def test_rejected_arguments_exit_2(capsys, models_dir, argv):
     # a postfix family needs drift both ways, which bin14's potentials lack
     name = "phipm.json" if argv[0] == "postfix" else "bin14.json"
@@ -165,6 +169,8 @@ def test_rejected_arguments_exit_2(capsys, models_dir, argv):
     assert "error:" in err
     if "--verify-maxlen" in argv:
         assert "--verify-maxlen" in err and "-3" in err
+    if argv[0] == "beta" or "nan" in argv:
+        assert re.search(r"argument --[qx]: expected a number", err)
 
 
 def test_holder_and_alpha0(capsys, models_dir):
@@ -306,12 +312,30 @@ def test_readme_commands_run_as_written(capsys, monkeypatch):
     assert moved == []
 
 
-def test_invalid_model_exit_code(tmp_path, capsys):
+FULL2 = {"alphabet": ["a", "b"], "incidence": [[1, 1], [1, 1]]}
+MAPS = {"a": {"rate": 0.5, "offset": 0.0}, "b": {"rate": 0.5, "offset": 0.5}}
+
+
+BAD_MODELS = [  # (model file, what the error names)
+    ({"alphabet": ["a", "b"], "incidence": [[1, 1], [0, 0]]}, "successor"),
+    (dict(FULL2, potentials={"phi": {"table": {"a": 1.0, "b": 2.0}}}), "'potentials'"),
+    (dict(FULL2, potentials={"phi": {"depth": 1, "table": {"a": "x", "b": 2.0}}}),
+     "'potentials'"),
+    (dict(FULL2, ifs={"interval": [0, 1], "maps": dict(MAPS, b={"rate": 0.5})}), "'ifs'"),
+    ({"alphabet": ["a", "b"], "incidence": [[1, 1], [1]]}, "'incidence'"),
+    (dict(FULL2, potentials=[{"depth": 1, "values": [1.0, 2.0]}]), "'potentials'"),
+    (dict(FULL2, gibbs=["phi"]), "'gibbs'"),
+]
+
+
+def test_invalid_model_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"alphabet": ["a", "b"], "incidence": [[1, 1], [0, 0]]}))
-    code, _, err = run(capsys, "validate", "--model", str(bad))
-    assert code == 2
-    assert "successor" in err
+    for doc, message in BAD_MODELS:
+        bad.write_text(json.dumps(doc))
+        proc = python("-m", "gibbsdim.cli", "validate", "--model", str(bad))
+        assert proc.returncode == 2, doc
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_missing_model_file_exit_code(tmp_path, capsys):
@@ -481,3 +505,41 @@ def test_package_functions_are_all_referenced():
                 refs[name] = refs.get(name, 0) + 1
     dead = sorted(f"{where} {name}" for name, where in defined.items() if name not in refs)
     assert not dead, dead
+
+
+def test_package_defaults_are_all_set_by_some_caller():
+    # a defaulted parameter of a package function that no call in the package
+    # or the benchmark passes, by keyword or by position, is a knob with one
+    # value: it belongs in a module constant (tests may monkeypatch that)
+    root = pathlib.Path(gibbsdim.__file__).parents[2]
+    defaulted, set_by_call = {}, set()
+    for path in sorted(root.glob("src/gibbsdim/*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef) or f.name.startswith("__"):
+                continue
+            a = f.args
+            positional = [p.arg for p in a.posonlyargs + a.args][int(id(f) in methods):]
+            named = positional[len(positional) - len(a.defaults):] + [
+                p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            defaulted.setdefault(f.name, []).append(
+                (f"{path.name}:{f.lineno}", positional, named))
+    for path in sorted(root.glob("src/gibbsdim/*.py")) + sorted(root.glob("perfbench/*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            for _, positional, named in defaulted.get(name, ()):
+                # a *args call may fill every position, a **kwargs call every name
+                starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+                given = ((positional if starred else positional[:len(call.args)])
+                         + [k.arg for k in call.keywords])
+                if any(k.arg is None for k in call.keywords):
+                    given += named
+                set_by_call.update((name, p) for p in given)
+    unset = sorted(f"{where} {name}({p})" for name, defs in defaulted.items()
+                   for where, _, named in defs for p in named if (name, p) not in set_by_call)
+    assert not unset, unset

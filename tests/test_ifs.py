@@ -7,6 +7,7 @@ import pytest
 import helpers
 from gibbsdim import (AffineIfs, CdfModel, InfeasibleError, LocallyConstantPotential,
                       ValidationError, beta, in_repetition_free_set, spectrum_at)
+from gibbsdim import ifs
 
 ALPHA0 = 1.2075187496394422
 
@@ -50,12 +51,12 @@ def test_coding_points(ifs_bin, full2):
     assert ifs_bin.coding_point((), full2.word("0")) == 0.0
     assert ifs_bin.coding_point((), full2.word("01")) == pytest.approx(1 / 3, abs=1e-15)
     assert ifs_bin.coding_point(full2.word("1"), full2.word("0")) == 0.5
-    mid = ifs_bin.coding_point(full2.word("01"))
+    mid = ifs_bin.coding_point(full2.word("01"), ())
     assert 0.25 < mid < 0.5
 
 
 def test_coding_respects_order(ifs_bin, full2):
-    pts = [ifs_bin.coding_point(w) for w in full2.words(8)]
+    pts = [ifs_bin.coding_point(w, ()) for w in full2.words(8)]
     assert pts == sorted(pts)
 
 
@@ -89,6 +90,11 @@ def test_cdf_oracles(bin_model):
 def test_cdf_requires_positive_eps(bin_model):
     with pytest.raises(ValidationError):
         bin_model.cdf(0.5, 0.0)
+
+
+def test_cdf_rejects_nan(bin_model):
+    with pytest.raises(ValidationError, match="nan"):
+        bin_model.cdf(math.nan)
 
 
 def test_curve_monotone_with_unit_endpoints(bin_model):
@@ -198,8 +204,9 @@ def test_probe_ratios_skip_increments_within_the_evaluation_error(bin_model):
     assert probe.exponent == pytest.approx(1.2075, abs=0.01)
 
 
-def test_probe_without_resolved_increments_reports_nan(bin_model):
-    probe = bin_model.holder_probe(1 / 3, 1.0, 3, eps=1.0)
+def test_probe_without_resolved_increments_reports_nan(bin_model, monkeypatch):
+    monkeypatch.setattr(ifs, "PROBE_EPS", 1.0)
+    probe = bin_model.holder_probe(1 / 3, 1.0, 3)
     assert len(probe.records) == 5
     assert math.isnan(probe.ratio_min) and math.isnan(probe.ratio_max)
     assert math.isnan(probe.exponent)

@@ -56,7 +56,7 @@ def _overlap_model():
     """Two halves whose images overlap by 4e-13, less than AffineIfs's tolerance.
 
     Symbol b codes the left half, so a point of the overlap lies in both
-    siblings and the descent enters the later one in interval order, a.
+    siblings and the descent enters the earlier one in interval order, b.
     """
     spec = SftSpec(alphabet=tuple("ab"), incidence=np.ones((2, 2), dtype=int))
     phi = LocallyConstantPotential.from_values(spec, np.log([0.25, 0.75]))
@@ -104,6 +104,15 @@ def test_cdf_matches_array_descent_bit_for_bit(name, eps):
             want = float(helpers.reference_cdf_descend(
                 x, eps, model.MAX_DEPTH, *tables, rates, offsets, u, v))
         assert model.cdf(x, eps) == want, x
+
+
+def test_cdf_is_monotone_across_an_overlap():
+    # entering the earlier sibling keeps its passed mass; entering the later
+    # one dropped it, and the cdf fell from 0.75 to 2e-6 inside the overlap
+    model = _overlap_model()
+    ys = [model.cdf(x) for x in np.linspace(0.5 - 1e-12, 0.5 + 1e-12, 201).tolist()]
+    assert ys == sorted(ys)
+    assert model.cdf(0.4999999999998) == pytest.approx(0.75, abs=1e-9)
 
 
 # --- markov_path against the step-by-step loop ------------------------------

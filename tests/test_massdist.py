@@ -10,6 +10,7 @@ from gibbsdim import (InfeasibleError, LocallyConstantPotential, NumericalError,
                       ValidationError, add_constant, alpha_range, build_mass_distribution,
                       choose_base_length, combine, full_dim_alpha, in_frequent_set,
                       spectrum_at, window_family)
+from gibbsdim import massdist
 
 
 def small_dist(phi_pm, s=0.1):
@@ -27,7 +28,9 @@ def centred_dist(depth, seed):
     lo, hi = alpha_range(phi, psi)
     phi = combine(1.0, phi, (lo + hi) / 2, psi)
     b0 = spectrum_at(0.0, phi, psi).value
-    return build_mass_distribution(phi, psi, 0.05 * b0, [(0,)], base_length_cap=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(massdist, "BASE_LENGTH_CAP", 8)
+        return build_mass_distribution(phi, psi, 0.05 * b0, [(0,)])
 
 
 # (depth, seed): (3, 1) and (3, 11) are full shifts, the others have
@@ -56,11 +59,12 @@ def test_choose_base_length_worked_constants(phi_pm):
     assert value > overhead
 
 
-def test_choose_base_length_infeasible_above_dimension(phi_pm):
+def test_choose_base_length_infeasible_above_dimension(phi_pm, monkeypatch):
     _, pm, psi = phi_pm
+    monkeypatch.setattr(massdist, "BASE_LENGTH_CAP", 12)
     with pytest.raises(InfeasibleError):
         # at s >= 1 (the full dimension) the weighted series cannot diverge
-        choose_base_length(pm, psi, 1.0, 0.6, 5, 2, 0, cap=12)
+        choose_base_length(pm, psi, 1.0, 0.6, 5, 2, 0)
 
 
 def test_series_value_monotone_on_doubling(phi_pm):

@@ -7,6 +7,7 @@ import pytest
 import helpers
 from gibbsdim import (CapacityError, SftSpec, ValidationError, higher_block_recode,
                       word_power)
+from gibbsdim import sft
 
 
 def test_admissibility(gold):
@@ -195,9 +196,10 @@ def test_enumeration_three_symbols():
         assert spec.words(n) == helpers.brute_words(spec, n)
 
 
-def test_enumeration_cap(full2):
+def test_enumeration_cap(full2, monkeypatch):
+    monkeypatch.setattr(sft, "WORD_CAP", 100)
     with pytest.raises(CapacityError):
-        full2.words(8, cap=100)
+        full2.words(8)
 
 
 def test_word_power(full2, gold):
@@ -243,6 +245,7 @@ def test_higher_block_requires_depth(gold):
         higher_block_recode(gold, 1)
 
 
-def test_higher_block_capacity(full2):
+def test_higher_block_capacity(full2, monkeypatch):
+    monkeypatch.setattr(sft, "WORD_CAP", 100)
     with pytest.raises(CapacityError):
-        higher_block_recode(full2, 12, cap=100)
+        higher_block_recode(full2, 12)

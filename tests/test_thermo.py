@@ -426,15 +426,16 @@ def test_sample_orbit_rejects_bad_arguments(bin14, n, seed):
         chain.sample_orbit(n, seed)
 
 
-def test_perron_nonconvergence_carries_bracket():
+def test_perron_nonconvergence_carries_bracket(monkeypatch):
+    from gibbsdim import thermo
     from gibbsdim.errors import NumericalError
-    from gibbsdim.thermo import _perron
     # nearly period-2 transition structure: one or two iterates cannot close it
     m = np.array([[1e-12, 2.0], [1.0, 1e-12]])
     true_lam = math.sqrt(2.0) + 1e-12
     for max_iter in (1, 2):
+        monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", max_iter)
         with pytest.raises(NumericalError) as info:
-            _perron(m, max_iter=max_iter)
+            thermo._perron(m)
         lo, hi = info.value.bracket
         assert lo <= true_lam <= hi
 

@@ -9,7 +9,7 @@ from gibbsdim import (CapacityError, InfeasibleError, LocallyConstantPotential,
                       ValidationError, boundary_words, build_postfix_set,
                       counterexample_word, in_frequent_set, in_repetition_free_set,
                       separating_word, verify_postfix, window_family, word_power)
-from gibbsdim import wordsets
+from gibbsdim import sft, wordsets
 
 
 # --------------------------------------------------------------------------
@@ -49,7 +49,7 @@ def test_window_walk_yields_each_length_with_its_run(trial):
     bound = float(rng.uniform(0.5, 2.5))
     lo, hi = int(rng.integers(1, 4)), 7
     by_length = {m: [] for m in range(lo, hi + 1)}
-    for w, run in wordsets._window_walk(phi, bound, lo, hi, wordsets.WORD_CAP):
+    for w, run in wordsets._window_walk(phi, bound, lo, hi, sft.WORD_CAP):
         assert run == phi.window_sums(w)[0]
         by_length[len(w)].append(w)
     for m, words in by_length.items():
