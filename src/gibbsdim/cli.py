@@ -85,6 +85,8 @@ def _parse_grid(text: str):
         a, b, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValidationError("grid must be start:stop:step") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValidationError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValidationError("grid step must be positive")
     out = []
@@ -142,20 +144,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("counterexample", parents=[common, pair])
 
     w = sub.add_parser("words", parents=[common, single])
-    w.add_argument("--K", type=float, required=True)
+    w.add_argument("--K", type=_number, required=True)
     w.add_argument("--m", type=int, required=True)
     w.add_argument("--cap", type=int, default=WORD_CAP)
 
     pf = sub.add_parser("postfix", parents=[common, single])
-    pf.add_argument("--Kp", type=float, required=True)
-    pf.add_argument("--K", type=float, required=True)
+    pf.add_argument("--Kp", type=_number, required=True)
+    pf.add_argument("--K", type=_number, required=True)
     pf.add_argument("--verify-maxlen", type=int, default=0)
 
     # a command with modes gives each mode its own options, after the mode word
     tree = argparse.ArgumentParser(add_help=False)
-    tree.add_argument("--s", type=float, required=True)
+    tree.add_argument("--s", type=_number, required=True)
     tree.add_argument("--F", required=True, help="comma-separated pattern words")
-    tree.add_argument("--K", type=float, default=None)
+    tree.add_argument("--K", type=_number, default=None)
     md = sub.add_parser("massdist").add_subparsers(dest="mode", required=True)
     md.add_parser("build", parents=[common, pair, tree])
     md.add_parser("sample", parents=[common, pair, tree, tree_walk])
@@ -170,17 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
     cc = cdf.add_parser("curve", parents=[common, single])
     cc.add_argument("--resolution", type=int, default=256)
     for c in (ce, cc):
-        c.add_argument("--eps", type=float, default=1e-9)
+        c.add_argument("--eps", type=_number, default=1e-9)
 
     hp = sub.add_parser("holder", parents=[common, single])
-    hp.add_argument("--x", type=float, required=True)
-    hp.add_argument("--alpha", type=float, required=True)
+    hp.add_argument("--x", type=_number, required=True)
+    hp.add_argument("--alpha", type=_number, required=True)
     hp.add_argument("--depth", type=int, default=30)
 
     cp = sub.add_parser("certified-point", parents=[common, single, tree_walk])
-    cp.add_argument("--alpha", type=float, required=True)
+    cp.add_argument("--alpha", type=_number, required=True)
     cp.add_argument("--l", type=int, default=2)
-    cp.add_argument("--s-frac", type=float, default=0.5)
+    cp.add_argument("--s-frac", type=_number, default=0.5)
 
     return p
 

@@ -164,7 +164,6 @@ class CdfModel:
         if abs(self.chain.pressure) > 1e-9:
             raise ValidationError("normalization failed to reach zero pressure")
         self.psi = ifs.geometric_potential()
-        self._gibbs_bounds = {}
         self._build_states()
 
     # --- state machine over short words feeding the descent kernel ----------
@@ -228,11 +227,6 @@ class CdfModel:
         u, v = self.ifs.interval
         xs = np.linspace(u, v, resolution)
         return [(float(x), self.cdf(float(x), eps)) for x in xs]
-
-    def gibbs_constant(self, max_len: int) -> float:
-        if max_len not in self._gibbs_bounds:
-            self._gibbs_bounds[max_len] = self.chain.gibbs_constant_bound(max_len)
-        return self._gibbs_bounds[max_len]
 
     # --- probes ------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
 from .potentials import LocallyConstantPotential, cylinder_diam_psi
 from .sft import InfixSet, SftSpec, Word
-from .thermo import alpha_range, spectrum_at
+from .thermo import alpha_range, seeded_rng, spectrum_at
 from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, build_postfix_set, in_frequent_set,
                        window_family)
 
@@ -310,7 +310,7 @@ class MassDistribution:
         """Draw a generation-k word with probability equal to its mass."""
         if k < 1:
             raise ValidationError("generation index must be positive")
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         idx = int(np.searchsorted(np.cumsum(self._root_probs), rng.random(), side="left"))
         cur = self._root_words[min(idx, len(self._root_words) - 1)]
         for _ in range(k - 1):

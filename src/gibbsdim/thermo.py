@@ -1,9 +1,10 @@
 """Transfer operators, pressure, Gibbs chains, Birkhoff spectra and sub-actions.
 
-Every potential is read on its higher-block graph (``edges``), an edge table,
-before spectral work, so one dense-matrix code path serves all depths.  The
-Legendre convention used throughout: with beta(q) the zero-pressure root and
-q_alpha the solution of beta'(q) = alpha, the spectrum value is
+Every potential is read on its higher-block graph as the pair ``(coder,
+weights)`` that ``edges`` returns, an edge table, before spectral work, so one
+dense-matrix code path serves all depths.  The Legendre convention used
+throughout: with beta(q) the zero-pressure root and q_alpha the solution of
+beta'(q) = alpha, the spectrum value is
 
     b(alpha) = min_q [beta(q) - q*alpha] = beta(q_alpha) - q_alpha*alpha,
 
@@ -37,39 +38,35 @@ LEGENDRE_CONVENTION = "b(alpha) = min_q beta(q) - q*alpha"
 
 
 # --------------------------------------------------------------------------
-# edge spaces: several potentials on their one higher-block graph
+# (coder, weights): several potentials on their one higher-block graph
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class EdgeSpace:
-    """A spec recoded so the supplied potentials read at most one edge."""
-
-    block_spec: SftSpec
-    coder: BlockCoder
-    adj: np.ndarray
-    weights: tuple  # one (n, n) matrix per potential, 0 off-edges
-
-    def matrix(self, coeffs) -> np.ndarray:
-        w = np.zeros_like(self.weights[0])
-        for c, mat in zip(coeffs, self.weights):
-            w = w + c * mat
-        with np.errstate(over="ignore"):  # an overflow fails the Perron solve
-            return np.where(self.adj, np.exp(w), 0.0)
-
-    def edge_mean(self, pi, Q, k: int) -> float:
-        return float(np.sum(pi[:, None] * Q * self.weights[k]))
-
-
 @lru_cache(maxsize=128)
-def _edge_space(*potentials: LocallyConstantPotential) -> EdgeSpace:
+def _edge_space(*potentials: LocallyConstantPotential):
+    """``(coder, weights)`` on the one higher-block graph ``coder.block`` that
+    every potential reads at most one edge of: one (n, n) weight matrix per
+    potential, 0 off edges, as ``edges`` gives it."""
     spec = potentials[0].spec
     if any(p.spec != spec for p in potentials):
         raise ValidationError("potentials live on different specs")
     spec.require_mixing()
     depth = max(2, *(p.depth for p in potentials))
-    coder = potentials[0].edges(depth)[0]
-    return EdgeSpace(block_spec=coder.block, coder=coder, adj=coder.block.incidence,
-                     weights=tuple(p.edges(depth)[1] for p in potentials))
+    return potentials[0].edges(depth)[0], tuple(p.edges(depth)[1] for p in potentials)
+
+
+def _transfer(coder: BlockCoder, weights, coeffs) -> np.ndarray:
+    """The transfer matrix exp(sum_k coeffs[k] * weights[k]) on the edges of
+    ``coder.block``, 0 off them."""
+    w = np.zeros_like(weights[0])
+    for c, mat in zip(coeffs, weights):
+        w = w + c * mat
+    with np.errstate(over="ignore"):  # an overflow fails the Perron solve
+        return np.where(coder.block.incidence, np.exp(w), 0.0)
+
+
+def _chain_mean(pi: np.ndarray, Q: np.ndarray, w: np.ndarray) -> float:
+    """The mean sum_ij pi_i Q_ij w_ij of the edge weight w under the chain (pi, Q)."""
+    return float(np.sum(pi[:, None] * Q * w))
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +171,7 @@ def _stochasticize(M: np.ndarray, lam: float, h: np.ndarray, nu0: np.ndarray | N
 
 def pressure(f: LocallyConstantPotential) -> float:
     """Topological pressure: log of the spectral radius of the weighted edge matrix."""
-    es = _edge_space(f)
-    lam, _, _ = _perron(es.matrix((1.0,)))
+    lam, _, _ = _perron(_transfer(*_edge_space(f), (1.0,)))
     return math.log(lam)
 
 
@@ -189,7 +185,6 @@ class GibbsChain:
 
     spec: SftSpec
     potential: LocallyConstantPotential
-    block_spec: SftSpec
     coder: BlockCoder
     lam: float
     pressure: float
@@ -198,8 +193,7 @@ class GibbsChain:
     Q: np.ndarray
     pi: np.ndarray
 
-    def _validate(self):
-        M = _edge_space(self.potential).matrix((1.0,))
+    def _validate(self, M: np.ndarray):
         lam = self.lam
         res_h = float(np.max(np.abs(M @ self.h - lam * self.h)))
         res_nu = float(np.max(np.abs(self.nu @ M - lam * self.nu)))
@@ -245,11 +239,7 @@ class GibbsChain:
             raise ValidationError(
                 f"chain resolves depth {depth}; integrand has depth {g.depth}"
             )
-        weights = g.edges(depth)[1]
-        total = 0.0
-        for i, j in zip(*np.nonzero(self.block_spec.incidence)):  # row-major
-            total += self.pi[i] * self.Q[i, j] * weights[i, j]
-        return float(total)
+        return _chain_mean(self.pi, self.Q, g.edges(depth)[1])
 
     def gibbs_constant_bound(self, max_len: int) -> float:
         """Empirical two-sided Gibbs constant over cylinders up to max_len.
@@ -275,26 +265,29 @@ class GibbsChain:
         """A length-n word drawn from the stationary chain; deterministic per seed."""
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValidationError(f"orbit length must be a positive integer (got {n!r})")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer (got {seed!r})")
         start_cum = np.cumsum(self.pi)
         q_cum = np.cumsum(self.Q, axis=1)
-        draw = np.random.default_rng(seed).random
+        draw = seeded_rng(seed).random
         return markov_path(start_cum, q_cum, draw, max(1, n - self.coder.width + 1),
                            self.coder.blocks)[:n]
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """NumPy's default generator for a seed that must be a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer (got {seed!r})")
+    return np.random.default_rng(seed)
+
+
 def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:
     """Eigendata of the weighted transfer matrix; the equilibrium state of f."""
-    es = _edge_space(f)
-    M = es.matrix((1.0,))
+    coder, weights = _edge_space(f)
+    M = _transfer(coder, weights, (1.0,))
     lam, h, _ = _perron(M)
     nu, Q, pi = _stochasticize(M, lam, h)
-    chain = GibbsChain(
-        spec=f.spec, potential=f, block_spec=es.block_spec, coder=es.coder,
-        lam=lam, pressure=math.log(lam), h=h, nu=nu, Q=Q, pi=pi,
-    )
-    chain._validate()
+    chain = GibbsChain(spec=f.spec, potential=f, coder=coder,
+                       lam=lam, pressure=math.log(lam), h=h, nu=nu, Q=Q, pi=pi)
+    chain._validate(M)
     return chain
 
 
@@ -302,14 +295,15 @@ def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:
 # the pressure equation beta(q) and its Legendre transform
 # --------------------------------------------------------------------------
 
-def _pair_space(phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> EdgeSpace:
+def _pair_space(phi: LocallyConstantPotential, psi: LocallyConstantPotential):
     if not psi.is_strictly_positive():
         raise ValidationError("the metric potential must be strictly positive")
     return _edge_space(phi, psi)
 
 
 def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
-    """beta(q), with the edge space, matrix and right Perron data of its last step.
+    """beta(q), with the weights of its ``(coder, weights)`` pair, and the matrix
+    and right Perron data of its last step.
 
     Every step solves exp(-q*phi - b*psi) at a new b, and each of its Perron
     solves starts from the vectors of the step before it: the right solve
@@ -321,9 +315,9 @@ def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential
     The last left vector is returned too (None if no step needed one), to
     seed the left solve of ``_beta_pair``.
     """
-    es = _pair_space(phi, psi)
+    coder, weights = _pair_space(phi, psi)
     psi_min = psi.min_value()
-    lam0, h, _ = _perron(es.matrix((-q, 0.0)))
+    lam0, h, _ = _perron(_transfer(coder, weights, (-q, 0.0)))
     p0 = math.log(lam0)
     if p0 >= 0.0:
         lo, hi = 0.0, p0 / psi_min + 1e-12
@@ -332,17 +326,17 @@ def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential
     b = 0.5 * (lo + hi)
     nu = None
     for _ in range(200):
-        M = es.matrix((-q, -b))
+        M = _transfer(coder, weights, (-q, -b))
         lam, h, _ = _perron(M, x0=h)
         p = math.log(lam)
         if abs(p) <= BETA_PRESSURE_TOL:
-            return b, es, M, lam, h, nu
+            return b, weights, M, lam, h, nu
         if p > 0:
             lo = b
         else:
             hi = b
         nu, Q, pi = _stochasticize(M, lam, h, nu)
-        nb = b + p / es.edge_mean(pi, Q, 1)
+        nb = b + p / _chain_mean(pi, Q, weights[1])
         if not (lo < nb < hi):
             nb = 0.5 * (lo + hi)
         b = nb
@@ -360,9 +354,9 @@ def beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential)
 
 def _beta_pair(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
     """(beta(q), beta'(q)) from one root solve and one left Perron solve."""
-    b, es, M, lam, h, nu = _beta(q, phi, psi)
+    b, (w_phi, w_psi), M, lam, h, nu = _beta(q, phi, psi)
     _, Q, pi = _stochasticize(M, lam, h, nu)
-    return b, -es.edge_mean(pi, Q, 0) / es.edge_mean(pi, Q, 1)
+    return b, -_chain_mean(pi, Q, w_phi) / _chain_mean(pi, Q, w_psi)
 
 
 def beta_prime(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:
@@ -373,11 +367,10 @@ def beta_prime(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPote
 @lru_cache(maxsize=128)
 def alpha_range(phi: LocallyConstantPotential, psi: LocallyConstantPotential):
     """Extreme asymptotic Birkhoff ratios -S(phi)/S(psi): extreme directed-cycle ratios."""
-    es = _pair_space(phi, psi)
-    num = -es.weights[0]
-    den = es.weights[1]
-    hi, _ = cycles.max_cycle_ratio(es.adj, num, den, tol=ALPHA_RANGE_TOL)
-    lo_neg, _ = cycles.max_cycle_ratio(es.adj, -num, den, tol=ALPHA_RANGE_TOL)
+    coder, (w_phi, den) = _pair_space(phi, psi)
+    adj, num = coder.block.incidence, -w_phi
+    hi, _ = cycles.max_cycle_ratio(adj, num, den, tol=ALPHA_RANGE_TOL)
+    lo_neg, _ = cycles.max_cycle_ratio(adj, -num, den, tol=ALPHA_RANGE_TOL)
     return (-lo_neg, hi)
 
 
@@ -481,14 +474,11 @@ def spectrum_at(alpha: float, phi: LocallyConstantPotential,
             solved[q] = _beta_pair(q, phi, psi)
         return solved[q][1] - alpha
 
-    if g(-Q_CAP) >= 0.0:   # alpha at or below the ratio reachable at -Q_CAP
-        b = solved[-Q_CAP][0]
-        value = b + Q_CAP * alpha
-        return SpectrumPoint(alpha, -math.inf, max(0.0, value), endpoint=True)
-    if g(Q_CAP) <= 0.0:
-        b = solved[Q_CAP][0]
-        value = b - Q_CAP * alpha
-        return SpectrumPoint(alpha, math.inf, max(0.0, value), endpoint=True)
+    for cap in (-Q_CAP, Q_CAP):
+        if cap * g(cap) <= 0.0:  # alpha at or beyond the ratio reachable at this cap
+            value = solved[cap][0] - cap * alpha
+            return SpectrumPoint(alpha, math.copysign(math.inf, cap), max(0.0, value),
+                                 endpoint=True)
     q_star = _brentq(g, -Q_CAP, Q_CAP, 1e-12, 8.9e-16, 200)
     if abs(g(q_star)) > QALPHA_TOL:
         raise NumericalError("conjugate parameter did not meet tolerance",
@@ -529,26 +519,26 @@ def subaction(phi: LocallyConstantPotential) -> dict:
     the extracted critical cycle.  Computed as the longest-walk weight into
     that cycle (Bellman iteration; finite since no cycle is positive).
     """
-    es = _edge_space(phi)
-    w = es.weights[0]
+    coder, (w,) = _edge_space(phi)
+    adj = coder.block.incidence
     scale = max(1.0, phi.sup_norm())
-    mean, cyc = cycles.karp_max_cycle_mean(es.adj, w)
+    mean, cyc = cycles.karp_max_cycle_mean(adj, w)
     if abs(mean) > 1e-9 * scale:
         kind = "positive" if mean > 0 else "negative"
         raise ValidationError(
             f"sub-action requires zero maximal cycle mean; got {kind} mean {mean:g}"
         )
-    f = _bellman_to_targets(es.adj, w, cyc)
-    return {es.coder.blocks[i]: float(f[i]) for i in range(es.block_spec.n)}
+    f = _bellman_to_targets(adj, w, cyc)
+    return {blk: float(v) for blk, v in zip(coder.blocks, f)}
 
 
 def birkhoff_sup(phi: LocallyConstantPotential) -> float:
     """sup over sequences and n of the n-step Birkhoff sum; +inf iff a cycle is positive."""
-    es = _edge_space(phi)
-    w = es.weights[0]
+    coder, (w,) = _edge_space(phi)
+    adj = coder.block.incidence
     scale = max(1.0, phi.sup_norm())
-    mean, _ = cycles.karp_max_cycle_mean(es.adj, w)
+    mean, _ = cycles.karp_max_cycle_mean(adj, w)
     if mean > 1e-12 * scale:
         return math.inf
-    h = _bellman_to_targets(es.adj, w, range(es.block_spec.n))
-    return float(cycles.relax(es.adj.T, w.T, h)[0].max())
+    h = _bellman_to_targets(adj, w, range(coder.block.n))
+    return float(cycles.relax(adj.T, w.T, h)[0].max())

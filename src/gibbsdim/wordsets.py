@@ -45,6 +45,8 @@ def window_family(phi: LocallyConstantPotential, bound: float, length: int,
                   cap: int | None = None) -> WindowFamily:
     """The family's words in lexicographic order: ``_window_walk`` at one length."""
     cap = sft.WORD_CAP if cap is None else cap
+    if cap < 1:
+        raise ValidationError(f"word cap must be at least 1, got {cap}")
     words = tuple(w for w, _ in _window_walk(phi, bound, length, length, cap))
     return WindowFamily(bound=float(bound), length=length, words=words)
 

@@ -13,7 +13,13 @@ import sys
 import pytest
 
 import gibbsdim
-from gibbsdim.cli import build_parser, main
+from gibbsdim.cli import _number, _parse_grid, build_parser, main
+from gibbsdim.errors import ValidationError
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README_COMMANDS = [line for block in re.findall(r"```sh\n(.*?)```",
+                                                (ROOT / "README.md").read_text(), re.S)
+                   for line in block.splitlines() if line.startswith("gibbsdim ")]
 
 
 def run(capsys, *argv):
@@ -154,12 +160,21 @@ def test_cdf_commands(capsys, models_dir):
     ("beta", "--q=abc"),
     ("beta", "--q="),
     ("cdf", "eval", "--x", "nan"),
+    ("massdist", "sample", "--s", "0.5", "--F", "01", "--depth", "5", "--seed", "-1"),
+    ("certified-point", "--alpha", "1.2075187", "--l", "12", "--depth", "4", "--seed", "-1"),
+    ("words", "--K", "nan", "--m", "2"),
+    ("holder", "--x", "0.3", "--alpha", "nan", "--depth", "3"),
+    ("spectrum", "--alpha-grid", "1:nan:0.5"),
+    ("words", "--K", "0.6", "--m", "2", "--cap", "-1"),
 ], ids=["spectrum-seed", "pressure-phi", "separating-word-potential", "cdf-tol",
         "grid-malformed", "grid-step-zero", "cdf-eval-without-x", "postfix-maxlen-negative",
-        "beta-q-not-a-number", "beta-q-empty", "cdf-x-nan"])
+        "beta-q-not-a-number", "beta-q-empty", "cdf-x-nan", "massdist-seed-negative",
+        "certified-point-seed-negative", "words-K-nan", "holder-alpha-nan", "grid-stop-nan",
+        "words-cap-negative"])
 def test_rejected_arguments_exit_2(capsys, models_dir, argv):
-    # a postfix family needs drift both ways, which bin14's potentials lack
-    name = "phipm.json" if argv[0] == "postfix" else "bin14.json"
+    # a postfix family and a mass tree need drift both ways, which bin14's potentials
+    # lack; words runs on phipm, as in README.md
+    name = "phipm.json" if argv[0] in ("postfix", "massdist", "words") else "bin14.json"
     try:
         code = main([*argv, "--model", model(models_dir, name)])
     except SystemExit as exc:  # argparse rejects an option the command does not take
@@ -170,7 +185,61 @@ def test_rejected_arguments_exit_2(capsys, models_dir, argv):
     if "--verify-maxlen" in argv:
         assert "--verify-maxlen" in err and "-3" in err
     if argv[0] == "beta" or "nan" in argv:
-        assert re.search(r"argument --[qx]: expected a number", err)
+        assert re.search(r"argument --[\w-]+: expected a number", err)
+    expected = {("--seed", "-1"): "seed must be a non-negative integer",
+                ("--cap", "-1"): "word cap must be at least 1",
+                ("--alpha-grid", "1:nan:0.5"): "grid start, stop and step must be finite"}
+    for pair in zip(argv, argv[1:]):
+        if pair in expected:
+            assert expected[pair] in err
+
+
+def test_grid_rejects_bounds_that_are_not_finite():
+    # NaN first: a parser that lets NaN through also loops forever on an infinite stop
+    for text in ("1:nan:0.5", "nan:1:0.5", "0:1:nan", "0:inf:1", "-inf:0:1", "0:1:inf"):
+        with pytest.raises(ValidationError, match="must be finite"):
+            _parse_grid(text)
+
+
+def _subparsers(parser):
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), None)
+
+
+def _invalid_option_cases():
+    """Each README command with one of its int options set to -1, or one of
+    its float options to NaN: the README value replaced, or the option appended."""
+    commands = _subparsers(build_parser())
+    bad = {int: "-1", float: "nan", _number: "nan"}
+    for line in README_COMMANDS:
+        argv = shlex.split(line)[1:]
+        parser = commands[argv[0]]
+        parser = (_subparsers(parser) or {}).get(argv[1], parser)
+        for action in parser._actions:
+            if action.type not in bad:
+                continue
+            option, value = action.option_strings[0], bad[action.type]
+            case = list(argv)
+            if option in case:
+                case[case.index(option) + 1] = value
+            else:
+                case += [option, value]
+            name = "-".join(a for a in argv[:2] if not a.startswith("-"))
+            yield pytest.param(case, id=f"{name}{option}={value}")
+
+
+@pytest.mark.parametrize("argv", list(_invalid_option_cases()))
+def test_readme_command_rejects_an_invalid_option_value(capsys, monkeypatch, argv):
+    # every int option is invalid at -1 and every float option at NaN
+    monkeypatch.chdir(ROOT)  # the commands name models/ relative to the repository
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    except Exception as exc:  # a raw error the CLI did not map to an exit code
+        code = repr(exc)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_holder_and_alpha0(capsys, models_dir):
@@ -290,13 +359,10 @@ README_STDOUT_SHA256 = {
 
 
 def test_readme_commands_run_as_written(capsys, monkeypatch):
-    root = pathlib.Path(__file__).resolve().parent.parent
-    blocks = re.findall(r"```sh\n(.*?)```", (root / "README.md").read_text(), re.S)
-    lines = [l for b in blocks for l in b.splitlines() if l.startswith("gibbsdim ")]
-    assert len(lines) >= 18
-    monkeypatch.chdir(root)  # the commands name models/ relative to the repository
+    assert len(README_COMMANDS) >= 18
+    monkeypatch.chdir(ROOT)  # the commands name models/ relative to the repository
     failed, moved = [], []
-    for line in lines:
+    for line in README_COMMANDS:
         try:
             code = main(shlex.split(line)[1:])
         except SystemExit as exc:  # argparse rejects the arguments
@@ -414,10 +480,6 @@ def test_each_command_accepts_only_the_options_it_reads():
     tree = ast.parse((pathlib.Path(gibbsdim.__file__).parent / "cli.py").read_text())
     run_fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_run")
 
-    def subparsers(parser):
-        return next((a.choices for a in parser._actions
-                     if isinstance(a, argparse._SubParsersAction)), None)
-
     def compared(node, name):
         """X of a branch `if args.<name> == X`, else None."""
         if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
@@ -430,8 +492,8 @@ def test_each_command_accepts_only_the_options_it_reads():
                 if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "args"}
 
     parsers = {(name, mode): parser
-               for name, sub in subparsers(build_parser()).items()
-               for mode, parser in (subparsers(sub) or {None: sub}).items()}
+               for name, sub in _subparsers(build_parser()).items()
+               for mode, parser in (_subparsers(sub) or {None: sub}).items()}
     accepted = {key: {a.dest for a in parser._actions if a.dest != "help"}
                 for key, parser in parsers.items()}
     reads = {}

@@ -149,7 +149,7 @@ def test_cdf_increment_equals_cylinder_mass(bin_model, full2):
 
 
 def test_gibbs_sandwich(bin_model, full2):
-    c = bin_model.gibbs_constant(8)
+    c = bin_model.chain.gibbs_constant_bound(8)
     for n in range(1, 13):
         for w in full2.words(n):
             lo, hi = bin_model.ifs.cylinder_interval(w)

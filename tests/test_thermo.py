@@ -145,6 +145,22 @@ def test_integrate(bin14, full2):
     assert uniform.integrate(phi) == pytest.approx(0.5 * (math.log(0.25) + math.log(0.75)), abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_integrate_matches_brute_cylinder_sum(seed):
+    # the chain mean against the brute sum of mass * value over the words of
+    # the chain's resolved length, for chain and integrand depths 1-3
+    rng = np.random.default_rng(300 + seed)
+    spec = helpers.random_mixing_spec(rng)
+    for chain_depth in (1, 2, 3):
+        chain = gibbs_chain(helpers.random_potential(rng, spec, chain_depth))
+        length = chain.coder.width + 1
+        for depth in range(1, length + 1):
+            g = helpers.random_potential(rng, spec, depth)
+            brute = sum(chain.cylinder_measure(w) * g.value(w)
+                        for w in helpers.brute_words(spec, length))
+            assert chain.integrate(g) == pytest.approx(brute, rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # beta and its derivative
 # --------------------------------------------------------------------------
@@ -215,10 +231,10 @@ def test_alpha_range_runs_at_its_stated_tolerance():
         spec = helpers.random_mixing_spec(rng)
         phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)))
         psi = LocallyConstantPotential.constant(spec, 1.0)
-        es = _edge_space(phi, psi)
-        num, den = -es.weights[0], es.weights[1]
-        hi, _ = cycles.max_cycle_ratio(es.adj, num, den, tol=ALPHA_RANGE_TOL)
-        lo_neg, _ = cycles.max_cycle_ratio(es.adj, -num, den, tol=ALPHA_RANGE_TOL)
+        coder, (w_phi, den) = _edge_space(phi, psi)
+        adj, num = coder.block.incidence, -w_phi
+        hi, _ = cycles.max_cycle_ratio(adj, num, den, tol=ALPHA_RANGE_TOL)
+        lo_neg, _ = cycles.max_cycle_ratio(adj, -num, den, tol=ALPHA_RANGE_TOL)
         assert alpha_range(phi, psi) == (-lo_neg, hi)
 
 
@@ -453,7 +469,7 @@ def test_perron_certifies_near_periodic_matrix():
 
 
 def test_perron_certifies_past_an_underflowed_iterate():
-    from gibbsdim.thermo import _edge_space, _perron
+    from gibbsdim.thermo import _edge_space, _perron, _transfer
     # entries from 1e-102 to 1e160: the inverse steps give no positive vector,
     # and the power step that stands in underflows one entry to 0; the
     # bracket certifies from that iterate, so the solve must go on with it
@@ -461,7 +477,7 @@ def test_perron_certifies_past_an_underflowed_iterate():
     spec = helpers.random_mixing_spec(rng, int(rng.integers(3, 8)))
     phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)),
                                    scale=float(rng.choice([1, 3, 10])))
-    m = _edge_space(phi).matrix((-40.0,))
+    m = _transfer(*_edge_space(phi), (-40.0,))
     lam, vec, (lo, hi) = _perron(m)
     o_lo, o_hi, certified = helpers.power_perron(m, max_iter=100)
     assert certified
@@ -480,7 +496,7 @@ def test_perron_brackets_overlap_power_iteration(seed, monkeypatch):
     spec = helpers.random_mixing_spec(rng)
     phi = helpers.random_potential(rng, spec, 2)
     psi = LocallyConstantPotential.constant(spec, 1.0)
-    es = thermo._edge_space(phi, psi)
+    pair = thermo._edge_space(phi, psi)
     steps = []
     step = thermo._perron_step
 
@@ -490,7 +506,7 @@ def test_perron_brackets_overlap_power_iteration(seed, monkeypatch):
 
     monkeypatch.setattr(thermo, "_perron_step", counted_step)
     for q in (0.0, 1.0, -1.0, 40.0, -40.0):
-        m = es.matrix((-q, 0.0))
+        m = thermo._transfer(*pair, (-q, 0.0))
         o_lo, o_hi, _ = helpers.power_perron(m, max_iter=20_000)
         # seeds: the Perron vector of a multiple of m, and a positive vector far from it
         _, exact, _ = thermo._perron(0.5 * m)
@@ -517,7 +533,7 @@ def test_beta_prime_certifies_on_stress_model_seed2():
     from gibbsdim.thermo import _edge_space
     # power iteration stalled here at |q| = 40 and raised NumericalError
     phi, psi = _stress_model(2)
-    assert _edge_space(phi, psi).block_spec.n == 16
+    assert _edge_space(phi, psi)[0].block.n == 16
     lo, hi = alpha_range(phi, psi)
     slope = beta_prime(-40.0, phi, psi)
     assert lo - 1e-9 <= slope < 0.5 * (lo + hi)
@@ -559,16 +575,16 @@ def test_beta_root_reuses_its_perron_vectors(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_beta_root_with_nonconstant_psi(seed):
-    from gibbsdim.thermo import BETA_PRESSURE_TOL, PRESSURE_RTOL, _edge_space
+    from gibbsdim.thermo import BETA_PRESSURE_TOL, PRESSURE_RTOL, _edge_space, _transfer
     rng = np.random.default_rng(100 + seed)
     spec = helpers.random_mixing_spec(rng)
     phi = helpers.random_potential(rng, spec, 2)
     psi = LocallyConstantPotential.from_table(
         spec, 2, [(w, float(rng.uniform(0.2, 2.0))) for w in spec.words(2)])
-    es = _edge_space(phi, psi)
+    pair = _edge_space(phi, psi)
     for q in (-2.0, -0.5, 0.0, 1.0, 2.0):
         b = beta(q, phi, psi)
-        lo, hi, certified = helpers.power_perron(es.matrix((-q, -b)))
+        lo, hi, certified = helpers.power_perron(_transfer(*pair, (-q, -b)))
         assert certified
         assert max(abs(math.log(lo)), abs(math.log(hi))) <= BETA_PRESSURE_TOL + PRESSURE_RTOL
         h = 1e-4
