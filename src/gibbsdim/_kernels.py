@@ -1,13 +1,18 @@
 """Hot inner loops: Markov path sampling in NumPy and CDF tree descent.
 
-``markov_path`` draws an orbit one chunk of uniforms at a time.  NumPy maps
-each uniform to its place among the chain's cumulative transition
-probabilities; where that place sends every state to the same next state
-(a coalescing step, as in Propp and Wilson's coupling from the past) the
-step is resolved for the whole chunk at once.  When at least half of a
-chunk is resolved so, vector rounds resolve the rest, one step after each
-known state per round; otherwise one plain loop walks the chunk from its
-first unresolved step to its last.  ``cdf_descend`` walks the cylinder tree
+``markov_path`` draws an orbit one chunk of uniforms at a time.  Each uniform
+is ranked among the chain's cumulative transition probabilities by a guide
+table (Chen and Asau, 1974; Devroye 1986, III.2.4): 2**12 equal buckets of
+[0, 1) each store the rank their uniforms share, and only the few uniforms in
+a bucket that a cut splits are ranked by binary search.  Where a rank sends
+every state to the same next state (a coalescing step, as in Propp and
+Wilson's coupling from the past) the step is resolved for the whole chunk at
+once.  When at least half of a chunk is resolved so, vector rounds resolve
+the rest, one step after each known state per round; otherwise one plain
+loop walks the chunk from its first unresolved step to its last.  Each chunk's
+states are decoded into one preallocated array of the narrowest integer type
+that holds the alphabet, which is converted to the word once.
+``cdf_descend`` walks the cylinder tree
 one level at a time over a table of plain tuples, one row per state of the
 chain's short words, so each level is a loop over the siblings up to the
 first whose image holds the point.  Each sibling carries the endpoints of its
@@ -22,6 +27,7 @@ import numpy as np
 
 BACKEND = "numpy"  # the only backend; benchmark records report it
 CHUNK = 1 << 16  # uniforms drawn and steps resolved at once; bounds the orbit's scratch arrays
+GUIDE = 1 << 12  # buckets of the rank table; a power of two, so u * GUIDE is exact
 
 
 def markov_path(start_cum, q_cum, draw, count, blocks):
@@ -37,44 +43,86 @@ def markov_path(start_cum, q_cum, draw, count, blocks):
     first uniform.  The start contributes its whole block to the word, every
     later state the last symbol of its block.  The same table decides every
     step, whether a vector lookup or the loop takes it, so the word does not
-    depend on how a chunk's steps are shared out between them.
+    depend on how a chunk's steps are shared out between them.  The word is
+    filled into one array of the narrowest type that holds every symbol and
+    converted to a tuple once.
     """
     n = start_cum.shape[0]
     s = int(np.searchsorted(start_cum, draw(1)[0], side="right"))
     if s == n:
         s = _last_positive(start_cum)
     cuts, table, fixed = step_table(q_cum)
+    guide = rank_guide(cuts)
     rows = table.tolist()
-    last = [blk[-1] for blk in blocks]
-    symbols = np.array(last)
-    out = list(blocks[s])
+    symbols = np.array([blk[-1] for blk in blocks],
+                       dtype=np.min_scalar_type(max(map(max, blocks))))
+    head = len(blocks[s])
+    word = np.empty(head + count - 1, dtype=symbols.dtype)
+    word[:head] = blocks[s]
     for lo in range(1, count, CHUNK):
-        cols = np.searchsorted(cuts, draw(min(CHUNK, count - lo)), side="right")
-        path = fixed[cols]
-        if path[0] < 0:
-            path[0] = rows[s][cols[0]]
-        free = np.flatnonzero(path < 0)
-        # A round costs a few array passes over every free step and resolves
-        # those that follow a known state, about the chunk's known share of
-        # them (whether a step is free depends on its own uniform alone), so
-        # rounds beat the loop only while at least half of the chunk is known.
-        while 0 < 2 * free.size <= path.size:
-            prev = path[free - 1]
-            known = prev >= 0
-            now = free[known]
-            path[now] = table[prev[known], cols[now]]
-            free = free[~known]
-        # The loop walks from the first free step to the last, through any
-        # known steps between them; the known ends are copied.
-        a, b = (free[0], free[-1] + 1) if free.size else (path.size, path.size)
-        out += symbols[path[:a]].tolist()
+        m = min(CHUNK, count - lo)
+        s = _chunk(cuts, guide, table, rows, fixed, symbols, s, draw,
+                   word[head - 1 + lo:head - 1 + lo + m])
+    return tuple(memoryview(word))
+
+
+def _chunk(cuts, guide, table, rows, fixed, symbols, s, draw, out):
+    """Write the symbols of the out.size states that follow s into out; return the last state.
+
+    The chunk's uniforms live only while they are ranked, and the other
+    scratch arrays only in this call, so none is alive when the word is
+    converted.
+    """
+    cols = rank(cuts, guide, draw(out.size))
+    path = fixed[cols]
+    if path[0] < 0:
+        path[0] = rows[s][cols[0]]
+    free = np.flatnonzero(path < 0)
+    # A round costs a few array passes over every free step and resolves
+    # those that follow a known state, about the chunk's known share of
+    # them (whether a step is free depends on its own uniform alone), so
+    # rounds beat the loop only while at least half of the chunk is known.
+    while 0 < 2 * free.size <= path.size:
+        prev = path[free - 1]
+        known = prev >= 0
+        now = free[known]
+        path[now] = table[prev[known], cols[now]]
+        free = free[~known]
+    # The loop walks from the first free step to the last, through any known
+    # steps between them, and writes each state back (path[0] is known, so
+    # the walk starts from a state).
+    if free.size:
+        a, b = free[0], free[-1] + 1
         t = int(path[a - 1])
-        for j in cols[a:b].tolist():
-            t = rows[t][j]
-            out.append(last[t])
-        out += symbols[path[b:]].tolist()
-        s = t if b == path.size else int(path[-1])
-    return tuple(out)
+        path[a:b] = [t := rows[t][j] for j in cols[a:b].tolist()]
+    out[:] = symbols[path]
+    return int(path[-1])
+
+
+def rank_guide(cuts):
+    """The rank #(cuts <= x) shared by every x of each bucket [i, i+1) / GUIDE, else -1.
+
+    Entry i is -1 where a cut lies strictly inside bucket i.  Entry 0, which
+    also takes the uniforms below 0, and entry GUIDE, which takes every
+    x >= 1, are always -1.  ``rank`` searches the uniforms of those entries.
+    """
+    edges = np.arange(GUIDE + 1) / GUIDE
+    guide = np.searchsorted(cuts, edges, side="right")
+    split = np.searchsorted(cuts, edges[1:], side="left") > guide[:-1]
+    guide[:-1][split] = -1
+    guide[0] = guide[-1] = -1
+    return guide
+
+
+def rank(cuts, guide, u):
+    """np.searchsorted(cuts, u, side="right"), read from the guide table where it can be."""
+    k = u * GUIDE
+    np.clip(k, 0, GUIDE, out=k)
+    k = k.astype(np.intp)
+    cols = guide[k]
+    search = np.flatnonzero(cols < 0)
+    cols[search] = np.searchsorted(cuts, u[search], side="right")
+    return cols
 
 
 def step_table(q_cum):

@@ -332,7 +332,7 @@ class CdfModel:
         phi_a = combine(1.0, self.potential, alpha, self.psi)
         b0 = spectrum_at(0.0, phi_a, self.psi).value
         s = s_frac * b0
-        dist = build_mass_distribution(phi_a, self.psi, s, pattern)
+        dist = build_mass_distribution(phi_a, self.psi, s, pattern, b0=b0)
         word = dist.sample(depth, seed)
         cert = dist.certify(word)
         rep_free = in_repetition_free_set(self.spec, word, pattern, l)

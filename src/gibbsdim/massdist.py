@@ -348,11 +348,13 @@ class MassDistribution:
 
 def build_mass_distribution(phi: LocallyConstantPotential,
                             psi: LocallyConstantPotential,
-                            s: float, pattern_words, band: float = None) -> MassDistribution:
+                            s: float, pattern_words, band: float = None,
+                            b0: float = None) -> MassDistribution:
     """Assemble the tree: joined marker word, postfix family, base length, weights.
 
     Feasible when the cycle-ratio range of (phi, psi) straddles zero strictly
-    and s stays below the spectrum value at ratio zero.
+    and s stays below the spectrum value at ratio zero, b0; a caller that
+    already holds ``spectrum_at(0.0, phi, psi).value`` passes it as b0.
     """
     if phi.spec != psi.spec:
         raise ValidationError("potentials live on different specs")
@@ -363,7 +365,8 @@ def build_mass_distribution(phi: LocallyConstantPotential,
         raise InfeasibleError(
             f"cycle-ratio range ({a_lo:.9g}, {a_hi:.9g}) must straddle zero strictly"
         )
-    b0 = spectrum_at(0.0, phi, psi).value
+    if b0 is None:
+        b0 = spectrum_at(0.0, phi, psi).value
     if not 0.0 < s < b0 - DIM_MARGIN:
         raise InfeasibleError(
             f"dimension parameter must lie in (0, {b0 - DIM_MARGIN:.6g}); got {s:g}"

@@ -280,6 +280,18 @@ def test_certified_point_passes_moderate_check(bin_model):
     assert bin_model.moderate_check(point.x, ALPHA0, 1e3, (5, 20))
 
 
+def test_certified_point_roots_the_zero_spectrum_once(bin_model, monkeypatch):
+    # the README's certified-point: b0 = spectrum_at(0) is rooted once and
+    # handed to the tree, which rooted it again (10 beta roots)
+    from gibbsdim import thermo
+    thermo._cap_probe.cache_clear()
+    calls = []
+    root = thermo._beta
+    monkeypatch.setattr(thermo, "_beta", lambda *a: calls.append(a[0]) or root(*a))
+    bin_model.certified_point(1.2075187, l=12, depth=4, seed=0)
+    assert len(calls) == 6
+
+
 def test_certified_point_repetition_freedom(bin_model, full2):
     point = bin_model.certified_point(ALPHA0, l=2, depth=4, seed=0)
     assert point.guaranteed_power > 0

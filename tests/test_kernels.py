@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -300,3 +303,70 @@ def test_markov_path_decodes_symbols_past_255():
     word = _kernels.markov_path(start_cum, q_cum, helpers.serve(u), len(u),
                                 tuple((s,) for s in range(300)))
     assert word == tuple(want.tolist())
+
+
+# --- the guide table that ranks the uniforms --------------------------------
+
+def _bucket_edges():
+    """Every bucket edge k / GUIDE, the floats either side of it, and uniforms below 0 and at or above 1."""
+    exact = np.arange(_kernels.GUIDE + 1) / _kernels.GUIDE
+    outside = [-np.inf, -1.0, -1e-300, -0.0, 1.0, 1.0 + 2**-52, 1.5, 1e300, np.inf]
+    return np.concatenate([exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+                           outside])
+
+
+def test_rank_matches_searchsorted_at_bucket_edges(chain):
+    cuts = _kernels.step_table(_cums(chain)[1])[0]
+    u = np.concatenate([_bucket_edges(), _ties(chain), np.random.default_rng(6).random(5000)])
+    guide = _kernels.rank_guide(cuts)
+    assert (_kernels.rank(cuts, guide, u) == np.searchsorted(cuts, u, side="right")).all()
+
+
+def test_markov_path_matches_loop_at_bucket_edges(chain):
+    edges = _bucket_edges()
+    steps = np.random.default_rng(7).permutation(np.tile(edges, 2))
+    for first in (-1.0, 0.0, 0.5, np.nextafter(1.0, 0.0), 1.0):
+        u = np.concatenate([[first], steps])
+        assert _path(chain, u) == _reference_word(chain, u)
+
+
+def test_markov_path_ranks_cuts_that_share_a_bucket():
+    # three cuts strictly inside bucket 409 = [409, 410) / 4096, a row with
+    # a zero-probability state, a row that rounding left above 1, and
+    # uniforms at, between and either side of the cuts
+    start_cum = np.array([0.3, 0.6, 1.0])
+    q_cum = np.array([[0.1, 0.10002, 1.0], [0.10001, 0.6, 1.0 + 2**-52],
+                      [0.10002, 0.10002, 1.0]])
+    cuts = _kernels.step_table(q_cum)[0]
+    inside = cuts[(cuts > 409 / 4096) & (cuts < 410 / 4096)]
+    assert _kernels.GUIDE == 4096 and inside.size == 3
+    guide = _kernels.rank_guide(cuts)
+    assert guide[409] == -1
+    near = np.concatenate([inside, np.nextafter(inside, -np.inf), np.nextafter(inside, np.inf),
+                           np.linspace(409 / 4096, 410 / 4096, 101)])
+    probes = np.concatenate([near, _bucket_edges()])
+    assert (_kernels.rank(cuts, guide, probes) == np.searchsorted(cuts, probes, side="right")).all()
+    rng = np.random.default_rng(8)
+    u = np.concatenate([[0.5], rng.permutation(np.concatenate([np.tile(near, 19), probes])),
+                        rng.random(1000)])
+    blocks = ((0,), (1,), (2,))
+    word = _kernels.markov_path(start_cum, q_cum, helpers.serve(u), len(u), blocks)
+    assert word == tuple(helpers.reference_markov_path(start_cum, q_cum, u).tolist())
+    assert set(word) == {0, 1, 2}
+
+
+def test_sample_orbit_peak_memory_stays_near_its_word():
+    # the symbols fill one byte array, converted once; a growing list and
+    # its tuple copy peaked at about twice the word
+    chain = _bin14_chain()
+    chain.sample_orbit(10, 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        word = chain.sample_orbit(200_000, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(word) == 200_000
+    assert peak <= 1.3 * sys.getsizeof(word)
