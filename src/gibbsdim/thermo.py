@@ -2,9 +2,14 @@
 
 Every potential is read on its higher-block graph as the pair ``(coder,
 weights)`` that ``edges`` returns, an edge table, before spectral work, so one
-dense-matrix code path serves all depths.  The Legendre convention used
-throughout: with beta(q) the zero-pressure root and q_alpha the solution of
-beta'(q) = alpha, the spectrum value is
+dense-matrix code path serves all depths.  Its Perron data carry certified
+Collatz-Wielandt brackets (``_perron``).  A right solve whose seed does not
+certify runs a dense eigensolve; the left solve of the same matrix shifts
+its inverse steps from the top of the right solve's bracket instead, so a
+beta(q) root usually makes one eigensolve, its bracket solve at b = 0.
+
+The Legendre convention used throughout: with beta(q) the zero-pressure root
+and q_alpha the solution of beta'(q) = alpha, the spectrum value is
 
     b(alpha) = min_q [beta(q) - q*alpha] = beta(q_alpha) - q_alpha*alpha,
 
@@ -73,32 +78,66 @@ def _chain_mean(pi: np.ndarray, Q: np.ndarray, w: np.ndarray) -> float:
 # Perron data
 # --------------------------------------------------------------------------
 
-def _perron(M: np.ndarray, x0: np.ndarray | None = None):
+def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
     """Leading eigenvalue and positive eigenvector of a primitive matrix.
 
     Every positive iterate x yields a Collatz-Wielandt bracket
     [min_a (Mx)_a/x_a, max_a (Mx)_a/x_a] for the eigenvalue; successive
     brackets are intersected until the certified width is below
-    ``PRESSURE_RTOL``, and the eigenvalue returned is the midpoint.  (An
-    entry of x that underflowed to 0 gives an infinite or NaN ratio, which
-    the intersection ignores.)  The iterates are the seed x0 (all-ones when
-    there is none, or when x0 is not positive), one power step from it, the
-    Perron vector of a dense eigensolve, and then shifted inverse-iteration
-    steps (``_perron_step``).  A seed that is already the Perron vector,
-    such as the vector returned for a positive multiple of M, certifies at
-    iterate 0, with one matrix-vector product and no eigensolve.  Any other
-    seed only adds its bracket to the intersection, so the certificate is
-    the same whatever the seed.  A bracket that is not finite and positive,
-    or an iterate that is not finite, means the matrix overflows or
-    underflows and raises NumericalError at once; a bracket still too wide
-    after ``PRESSURE_MAX_ITER`` iterates raises it at the end.  Both carry
-    the bracket, and the inf and NaN values on the way there raise no NumPy
-    warnings.
+    ``PRESSURE_RTOL``, and the eigenvalue returned is the midpoint
+    (``_certify``).  The iterates are the seed x0 (all-ones when there is
+    none, or when x0 is not positive), one power step from it, the Perron
+    vector of a dense eigensolve, and then shifted inverse-iteration steps
+    (``_perron_step``).  A seed that is already the Perron vector, such as
+    the vector returned for a positive multiple of M, certifies at iterate
+    0, with one matrix-vector product and no eigensolve.  Any other seed only
+    adds its bracket to the intersection, so the certificate is the same
+    whatever the seed.
+
+    ``top`` is an upper bound on the eigenvalue known from elsewhere: the top
+    of the certified bracket of the right solve of the same matrix, when
+    this is the left solve.  If it is finite, the seed is followed first by
+    at most three shifted inverse steps (``_inverse_step``) alone, with the
+    shift a rounding margin above min(top, the bracket's top), and no power
+    step or eigensolve.  Only if they give no positive vector or do not
+    certify does the solve start again without ``top``, and it then returns
+    what a solve without ``top`` returns.  ``top`` only places the shift and
+    never enters a bracket, so a wrong ``top`` costs steps, not the
+    certificate.
     """
     x = x0 if x0 is not None and np.all(x0 > 0.0) else np.ones(M.shape[0])
+    if top < math.inf:
+        # a computed CW ratio of an n x n nonnegative product is within n + 1
+        # roundings of the exact one; twice that keeps the shift above lambda_1
+        margin = 1.0 + 2 * (M.shape[0] + 1) * np.finfo(float).eps
+        # from all-ones, each step gains ~16 orders of relative accuracy in
+        # the smallest entries: a vector spanning 36 orders needs three
+        try:
+            return _certify(M, x, 3,
+                            lambda x, y, k, hi: _inverse_step(M, x, min(hi, top) * margin))
+        except NumericalError:
+            pass
+    return _certify(M, x, PRESSURE_MAX_ITER - 1,
+                    lambda x, y, k, hi: _perron_step(M, x, y, k, hi * (1.0 + PRESSURE_RTOL)))
+
+
+def _certify(M: np.ndarray, x: np.ndarray, steps: int, step):
+    """(eigenvalue, vector, bracket) from the Collatz-Wielandt brackets of x
+    and of at most ``steps`` iterates after it.
+
+    Iterate k + 1 is ``step(x, y, k, hi)``, with x iterate k, y = M @ x and
+    hi the top of the intersected bracket.  The solve certifies once that
+    bracket is narrower than ``PRESSURE_RTOL`` relative to its top, and
+    returns its midpoint and y scaled to max 1.  (An entry of x that
+    underflowed to 0 gives an infinite or NaN ratio, which the intersection
+    ignores.)  A bracket that is not finite and positive, or a step that
+    gives no iterate, raises NumericalError at once, and so does a bracket
+    still too wide after the last step.  It carries the bracket, and the inf
+    and NaN values on the way there raise no NumPy warnings.
+    """
     lo_best, hi_best = 0.0, math.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k in range(PRESSURE_MAX_ITER):
+        for k in range(steps + 1):
             y = M @ x
             ratios = y / x
             lo, hi = float(ratios.min()), float(ratios.max())
@@ -109,7 +148,9 @@ def _perron(M: np.ndarray, x0: np.ndarray | None = None):
             if hi_best - lo_best <= PRESSURE_RTOL * hi_best:
                 lam = 0.5 * (lo_best + hi_best)
                 return lam, y / y.max(), (lo_best, hi_best)
-            x = _perron_step(M, x, y, k, hi_best * (1.0 + PRESSURE_RTOL))
+            if k == steps:
+                break
+            x = step(x, y, k, hi_best)
             if x is None:
                 break
     raise NumericalError(
@@ -123,40 +164,59 @@ def _perron_step(M: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, sigma: flo
 
     After iterate 0 it is a power step.  After iterate 1 it is the Perron
     vector of ``np.linalg.eig``.  After that it is one shifted
-    inverse-iteration step x <- (sigma I - M)^{-1} x with sigma just above the
-    bracket, so above lambda_1: the resolvent is then a positive matrix, and
-    the error shrinks by (sigma - lambda_1)/|sigma - lambda_2| per step
-    instead of lambda_2/lambda_1.  The step is solved in coordinates scaled by
-    x, as (sigma I - D^{-1} M D) z = 1 with D = diag(x), because the entries
-    of an eigenvector can span dozens of orders of magnitude and an unscaled
-    solve loses the relative accuracy of the small ones, which the bracket
-    needs.  Where the eigensolve or the step gives no positive vector, the
+    inverse-iteration step (``_inverse_step``) with sigma just above the
+    bracket.  Where the eigensolve or the step gives no positive vector, the
     power step stands in; where that is not finite either, there is none.
     """
-    if k > 0:
+    if k == 1:
         try:
-            if k == 1:
-                vals, vecs = np.linalg.eig(M)
-                z = np.abs(vecs[:, np.argmax(vals.real)].real)
-            else:
-                n = x.shape[0]
-                scaled = M * x[None, :] / x[:, None]
-                z = x * np.linalg.solve(sigma * np.eye(n) - scaled, np.ones(n))
+            vals, vecs = np.linalg.eig(M)
         except np.linalg.LinAlgError:
-            z = y
-        z = z / z.max()
-        if np.all(z > 0.0):
+            pass
+        else:
+            z = np.abs(vecs[:, np.argmax(vals.real)].real)
+            z = z / z.max()
+            if np.all(z > 0.0):
+                return z
+    elif k > 1:
+        z = _inverse_step(M, x, sigma)
+        if z is not None:
             return z
     power = y / y.max()
     return power if np.all(np.isfinite(power)) else None
 
 
-def _stochasticize(M: np.ndarray, lam: float, h: np.ndarray, nu0: np.ndarray | None = None):
-    """Right Perron data (lam, h) of M -> (nu, Q, pi) with the normalizations used everywhere.
+def _inverse_step(M: np.ndarray, x: np.ndarray, sigma: float):
+    """x <- (sigma I - M)^{-1} x scaled to max 1, or None when that is not positive.
 
-    nu0 seeds the left Perron solve.
+    With sigma above lambda_1 the resolvent is a positive matrix, and the
+    error shrinks by (sigma - lambda_1)/|sigma - lambda_2| per step instead
+    of lambda_2/lambda_1 (Noda, Numer. Math. 16, 1971).  The step is solved
+    in coordinates scaled by x, as (sigma I - D^{-1} M D) z = 1 with
+    D = diag(x), because the entries of an eigenvector can span dozens of
+    orders of magnitude and an unscaled solve loses the relative accuracy of
+    the small ones, which the bracket needs.
     """
-    _, nu, _ = _perron(M.T, x0=nu0)
+    n = x.shape[0]
+    scaled = M * x[None, :] / x[:, None]
+    try:
+        z = x * np.linalg.solve(sigma * np.eye(n) - scaled, np.ones(n))
+    except np.linalg.LinAlgError:
+        return None
+    z = z / z.max()
+    return z if np.all(z > 0.0) else None
+
+
+def _stochasticize(M: np.ndarray, bracket, h: np.ndarray, nu0: np.ndarray | None = None):
+    """Right Perron data (bracket, h) of M -> (nu, Q, pi) with the normalizations used everywhere.
+
+    ``bracket`` is the certified eigenvalue bracket of the right solve, and
+    its midpoint the eigenvalue.  The left Perron solve starts from nu0 and
+    shifts from the bracket's top, so it needs no eigensolve when its
+    shifted inverse steps certify.
+    """
+    lam = 0.5 * (bracket[0] + bracket[1])
+    _, nu, _ = _perron(M.T, x0=nu0, top=bracket[1])
     Q = M * h[None, :] / (lam * h[:, None])
     Q = Q / Q.sum(axis=1, keepdims=True)
     nu = nu / float(nu @ h)
@@ -283,8 +343,8 @@ def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:
     """Eigendata of the weighted transfer matrix; the equilibrium state of f."""
     coder, weights = _edge_space(f)
     M = _transfer(coder, weights, (1.0,))
-    lam, h, _ = _perron(M)
-    nu, Q, pi = _stochasticize(M, lam, h)
+    lam, h, bracket = _perron(M)
+    nu, Q, pi = _stochasticize(M, bracket, h)
     chain = GibbsChain(spec=f.spec, potential=f, coder=coder,
                        lam=lam, pressure=math.log(lam), h=h, nu=nu, Q=Q, pi=pi)
     chain._validate(M)
@@ -303,7 +363,7 @@ def _pair_space(phi: LocallyConstantPotential, psi: LocallyConstantPotential):
 
 def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
     """beta(q), with the weights of its ``(coder, weights)`` pair, and the matrix
-    and right Perron data of its last step.
+    and right Perron data (certified eigenvalue bracket, h) of its last step.
 
     Every step solves exp(-q*phi - b*psi) at a new b, and each of its Perron
     solves starts from the vectors of the step before it: the right solve
@@ -311,6 +371,8 @@ def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential
     the left solve from the last nu.  For a constant psi = c the matrix is
     e^(-b*c) times the one at b = 0, so the seeds are its Perron vectors and
     each solve certifies at iterate 0; for any other psi they are close ones.
+    The first left solve has no seed, but it shifts from the top of the right
+    solve's bracket, so a root's one eigensolve is usually the bracket solve.
     The seeds live within one call, so beta(q) depends on (q, phi, psi) alone.
     The last left vector is returned too (None if no step needed one), to
     seed the left solve of ``_beta_pair``.
@@ -327,15 +389,15 @@ def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential
     nu = None
     for _ in range(200):
         M = _transfer(coder, weights, (-q, -b))
-        lam, h, _ = _perron(M, x0=h)
+        lam, h, bracket = _perron(M, x0=h)
         p = math.log(lam)
         if abs(p) <= BETA_PRESSURE_TOL:
-            return b, weights, M, lam, h, nu
+            return b, weights, M, bracket, h, nu
         if p > 0:
             lo = b
         else:
             hi = b
-        nu, Q, pi = _stochasticize(M, lam, h, nu)
+        nu, Q, pi = _stochasticize(M, bracket, h, nu)
         nb = b + p / _chain_mean(pi, Q, weights[1])
         if not (lo < nb < hi):
             nb = 0.5 * (lo + hi)
@@ -354,8 +416,8 @@ def beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential)
 
 def _beta_pair(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
     """(beta(q), beta'(q)) from one root solve and one left Perron solve."""
-    b, (w_phi, w_psi), M, lam, h, nu = _beta(q, phi, psi)
-    _, Q, pi = _stochasticize(M, lam, h, nu)
+    b, (w_phi, w_psi), M, bracket, h, nu = _beta(q, phi, psi)
+    _, Q, pi = _stochasticize(M, bracket, h, nu)
     return b, -_chain_mean(pi, Q, w_phi) / _chain_mean(pi, Q, w_psi)
 
 

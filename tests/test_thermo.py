@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -511,14 +512,99 @@ def test_perron_brackets_overlap_power_iteration(seed, monkeypatch):
         # seeds: the Perron vector of a multiple of m, and a positive vector far from it
         _, exact, _ = thermo._perron(0.5 * m)
         far = rng.uniform(0.1, 10.0, m.shape[0])
-        for x0 in (None, exact, far):
+        # tops: none, and two wrong ones that must cost steps, not the certificate
+        cold, _, _ = thermo._perron(m)
+        for x0, top in itertools.product((None, exact, far), (math.inf, 0.5 * cold, 2.0 * cold)):
             steps.clear()
-            lam, _, (lo, hi) = thermo._perron(m, x0=x0)
+            lam, _, (lo, hi) = thermo._perron(m, x0=x0, top=top)
             assert lo <= lam <= hi
             assert hi - lo <= thermo.PRESSURE_RTOL * hi
-            assert max(lo, o_lo) <= min(hi, o_hi), (q, (lo, hi), (o_lo, o_hi))
+            assert max(lo, o_lo) <= min(hi, o_hi), (q, top, (lo, hi), (o_lo, o_hi))
             if x0 is exact:
                 assert steps == []  # certified at the seed
+
+
+def _left_solves(seed, monkeypatch):
+    """Every left solve of the ``_beta_pair`` roots on the seeded model of
+    ``seed`` with psi = 1 and with a random psi > 0, at q in 0, +-1, +-10
+    and +-40: ((psi kind, q), M, bracket, nu0) per ``_stochasticize`` call.
+    A root that fails (a matrix out of the float range) keeps the solves it
+    reached; on its way there ``_stochasticize`` can divide by a right
+    vector entry that underflowed to 0, which is not what this records."""
+    from gibbsdim import thermo
+    from gibbsdim.errors import NumericalError
+    rng = np.random.default_rng(seed)
+    spec = helpers.random_mixing_spec(rng, rng.integers(2, 8))
+    phi = helpers.random_potential(rng, spec, rng.integers(1, 4),
+                                   scale=rng.choice([1, 3, 10]))
+    psis = {"one": LocallyConstantPotential.constant(spec, 1.0),
+            "table": LocallyConstantPotential.from_table(
+                spec, 2, [(w, float(rng.uniform(0.2, 2.0))) for w in spec.words(2)])}
+    solves = []
+    stochasticize = thermo._stochasticize
+
+    def recorded(M, bracket, h, nu0=None):
+        solves.append((case, M, bracket, nu0))
+        return stochasticize(M, bracket, h, nu0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(thermo, "_stochasticize", recorded)
+        for case in itertools.product(psis, (0.0, 1.0, -1.0, 10.0, -10.0, 40.0, -40.0)):
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    thermo._beta_pair(case[1], phi, psis[case[0]])
+            except NumericalError:
+                pass
+    return solves
+
+
+def test_left_solve_from_the_right_bracket_matches_a_cold_solve(monkeypatch):
+    from gibbsdim import thermo
+    from gibbsdim.errors import NumericalError
+    # seeds 40-51 draw scales 1, 3 and 10; at seed 48 (psi = 1, q = -40) the
+    # first left solve is on a 2 x 2 matrix with entries 1e-186 ... 5e74,
+    # where the shifted steps alone never certify and the cold solve must
+    # (it is the only path that calls ``_perron_step``).
+    # No solve here that certifies takes 130 iterates, so 500 only makes the
+    # ones that fail (out of the float range) fail sooner.
+    monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", 500)
+    calls = []
+    step = thermo._perron_step
+    fell_back = []
+    for seed in range(40, 52):
+        for case, m, (_, top), nu0 in _left_solves(seed, monkeypatch):
+            try:
+                cold = thermo._perron(m.T, x0=nu0)
+            except NumericalError:
+                cold = None
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(thermo, "_perron_step", lambda *a: calls.append(1) or step(*a))
+                try:
+                    fast = thermo._perron(m.T, x0=nu0, top=top)
+                except NumericalError:
+                    fast = None
+            assert fast is not None or cold is None, (seed, case)
+            if fast is None:
+                continue
+            if calls:  # then it returns what the cold solve returns
+                fell_back.append((seed, *case))
+                assert fast[0] == cold[0] and fast[2] == cold[2]
+                assert np.array_equal(fast[1], cold[1])
+            _, nu, (lo, hi) = fast
+            assert hi - lo <= thermo.PRESSURE_RTOL * hi
+            if cold is not None:
+                # both vectors have max 1; entry by entry they can differ far
+                # below 1e-12, where a bracket certified across iterates
+                # leaves the vector of either solve inexact
+                assert np.max(np.abs(nu - cold[1])) <= 1e-12, (seed, case)
+            # a computed ratio is within n + 1 roundings of the exact one
+            slack = 1.0 + 2 * (m.shape[0] + 1) * np.finfo(float).eps
+            o_lo, o_hi, _ = helpers.power_perron(m.T, max_iter=100)
+            assert max(lo, o_lo) <= min(hi, o_hi) * slack, (seed, case, (lo, hi), (o_lo, o_hi))
+    assert (48, "one", -40.0) in fell_back
+    # within |q| <= 1 the shifted steps alone certify every left solve
+    assert all(abs(q) >= 10.0 for _, _, q in fell_back)
 
 
 def _stress_model(seed):
@@ -556,19 +642,28 @@ def test_stress_model_spectrum_row():
 def test_beta_root_reuses_its_perron_vectors(monkeypatch):
     from gibbsdim import thermo
     # psi = 1, so each step's matrix is a multiple of the last one and every
-    # seeded solve certifies at its seed: only the bracket solve at b = 0 and
-    # the first left solve run an eigensolve
+    # seeded solve certifies at its seed; the first left solve shifts from the
+    # right solve's bracket, so the bracket solve at b = 0 is the one eigensolve
     phi, psi = _stress_model(1)
     qs = (-40.0, -3.0, -0.5, 0.0, 0.7, 5.0, 40.0)
     fresh = [(beta(q, phi, psi), beta_prime(q, phi, psi)) for q in qs]
     calls = []
     eig = np.linalg.eig
     monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    stochasticize = thermo._stochasticize
+
+    def no_eig_stochasticize(*args):
+        before = len(calls)
+        out = stochasticize(*args)
+        assert len(calls) == before, "a left solve ran an eigensolve"
+        return out
+
+    monkeypatch.setattr(thermo, "_stochasticize", no_eig_stochasticize)
     for q, want in zip(reversed(qs), reversed(fresh)):
         for solve in (beta, beta_prime):
             calls.clear()
             solve(q, phi, psi)
-            assert len(calls) <= 2, (q, solve.__name__, len(calls))
+            assert len(calls) == 1, (q, solve.__name__, len(calls))
         # the same bits after other roots: no seed outlives its call
         assert (beta(q, phi, psi), beta_prime(q, phi, psi)) == want
 
