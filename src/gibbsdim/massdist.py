@@ -10,11 +10,11 @@ construction.  Masses follow the recursive exponential weighting in the metric
 potential and are normalized within each sibling set, so they are consistent
 along the tree.
 
-A node's postfixes are picked from arrays: the window terms of every stem and
-postfix are tabulated once per parent tail and added onto the parent's running
-sum column by column, which keeps every sum equal to a full re-sum bit for
-bit.  A node is cached as its picks and masses; child words are built only
-when asked for.
+A node's postfixes are picked from arrays: the stems' window terms and the
+postfixes' term table (``term_table``) are taken once per parent tail, added
+onto the parent's running sum column by column (``first_landing``), so every
+sum equals a full re-sum bit for bit.  A node is cached as its picks and
+masses; child words are built only when asked for.
 
 All choices (connectors, member order, postfix selection) are deterministic,
 which makes masses reproducible bit for bit.
@@ -29,11 +29,11 @@ import numpy as np
 
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
-from .potentials import LocallyConstantPotential, cylinder_diam_psi
+from .potentials import LocallyConstantPotential, add_terms, cylinder_diam_psi
 from .sft import InfixSet, SftSpec, Word
 from .thermo import alpha_range, seeded_rng, spectrum_at
-from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, build_postfix_set, in_frequent_set,
-                       window_family)
+from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, build_postfix_set, first_landing,
+                       in_frequent_set, window_family)
 
 DIM_MARGIN = 1e-3
 BASE_LENGTH_CAP = 64    # longest base length ``choose_base_length`` tries
@@ -98,39 +98,6 @@ class MassCertificate:
         return dict(data, passed=self.passed)
 
 
-def _window_columns(f: LocallyConstantPotential, tail: Word, stems, taus):
-    """The window terms of f on every candidate child ``parent + stem + tau``
-    of a parent whose tail is ``tail``, as column arrays.
-
-    Returns ``(stem_cols, tau_cols, tau_real, tau_bounds)``: the stems' window
-    values (stem_cols[c, i] is stem i's c-th window), the taus' window values
-    after each stem (tau_cols[c, i, j], zero-padded where tau_real is false)
-    and the sup and inf overhang bounds at the end (tau_bounds[:, i, j]).
-    Added in that order, they give ``window_sums`` of the whole candidate.
-    The tau terms depend on a stem only through its tail, so they are taken
-    once per distinct tail.
-    """
-    heads = [tail + stem for stem in stems]
-    stem_cols = np.array([f.window_terms(h)[0] for h in heads], dtype=float)
-    ends = {}
-    which = [ends.setdefault(f.tail(h), len(ends)) for h in heads]
-    terms = [[f.window_terms(end + tau) for tau in taus] for end in ends]
-    width = max(len(t[0]) for row in terms for t in row)
-    values = np.zeros((len(ends), len(taus), width))
-    count = np.zeros((len(ends), len(taus)), dtype=int)
-    bounds = np.zeros((2, len(ends), len(taus)))
-    for u, row in enumerate(terms):
-        for j, (vals, sup, inf) in enumerate(row):
-            values[u, j, :len(vals)] = vals
-            count[u, j] = len(vals)
-            bounds[:, u, j] = sup, inf
-    real = np.arange(width) < count[..., None]
-    return (np.ascontiguousarray(stem_cols.T),
-            np.ascontiguousarray(values[which].transpose(2, 0, 1)),
-            np.ascontiguousarray(real[which].transpose(2, 0, 1)),
-            bounds[:, which])
-
-
 class MassDistribution:
     """Lazy tree of bounded-sum words with consistent cylinder masses."""
 
@@ -150,7 +117,7 @@ class MassDistribution:
         self.spectrum_value = float(spectrum_value)
         self._nodes = {}          # parent -> (picks, probs, logs, z)
         self._stem_cache = {}
-        self._column_cache = {}
+        self._term_cache = {}
         self._taus = postfix.followers(self.spec)[joined[-1]]   # every stem ends in joined
         z = _logsumexp(root_logs)           # root_logs from choose_base_length
         self._root_words = tuple(family.words)
@@ -190,16 +157,21 @@ class MassDistribution:
             stems = self._stem_cache[last] = (words, {w: i for i, w in enumerate(words)})
         return stems
 
-    def _columns(self, key):
-        """``_window_columns`` of phi and psi for a parent with tails and last
-        symbol ``key``; memoised."""
-        cols = self._column_cache.get(key)
-        if cols is None:
-            stems = self._stems(key[2])[0]
-            cols = self._column_cache[key] = (
-                _window_columns(self.phi, key[0], stems, self._taus),
-                _window_columns(self.psi, key[1], stems, self._taus))
-        return cols
+    def _terms(self, key):
+        """Per potential f of (phi, psi), for a parent with tails and last
+        symbol ``key``: f's window columns on the stems after the tail, each
+        stem's row in the taus' ``term_table``, and that table over the stems'
+        distinct tails, as tau terms depend on a stem only by its tail; memoised."""
+        terms = self._term_cache.get(key)
+        if terms is None:
+            stems, terms = self._stems(key[2])[0], []
+            for f, tail in zip((self.phi, self.psi), key):
+                rows = {}
+                ends = np.array([rows.setdefault(f.tail(tail + stem), len(rows)) for stem in stems])
+                terms.append((f.term_table((tail,), stems)[0][:, 0], ends,
+                              f.term_table(tuple(rows), self._taus)))
+            self._term_cache[key] = terms
+        return terms
 
     def _make_children(self, parent: Word):
         """The node of ``parent``: ``(picks, probs, logs, z)``.
@@ -215,30 +187,20 @@ class MassDistribution:
         """
         if not parent or not self.spec.is_admissible(parent):
             raise ValidationError("parent word is not admissible")
-        phi, psi, band = self.phi, self.psi, self.band
-        (p_stem, p_vals, p_mask, p_bounds), (q_stem, q_vals, q_mask, q_bounds) = \
-            self._columns((phi.tail(parent), psi.tail(parent), parent[-1]))
-        acc = np.full(len(self._root_words), phi.window_sums(parent)[0])
-        for col in p_stem:
-            acc = acc + col
-        acc = acc[:, None]
-        for col, real in zip(p_vals, p_mask):
-            acc = np.where(real, acc + col, acc)
-        fits = (acc + p_bounds[0] <= band) & (acc + p_bounds[1] >= -band)
-        picks = fits.argmax(axis=1)
-        rows = np.arange(len(picks))
-        missing = np.flatnonzero(~fits[rows, picks])
+        phi, psi = self.phi, self.psi
+        (p_stem, p_ends, p_terms), (q_stem, q_ends, (values, bounds)) = \
+            self._terms((phi.tail(parent), psi.tail(parent), parent[-1]))
+        run = np.full(len(p_ends), phi.window_sums(parent)[0])
+        picks = first_landing(add_terms(run, p_stem), p_ends, p_terms, self.band)
+        missing = np.flatnonzero(picks < 0)
         if missing.size:
             raise NumericalError(
                 "no postfix returns a child into the band; "
                 f"parent length {len(parent)}, member {self._root_words[missing[0]]}"
             )
-        acc = np.full(len(picks), psi.window_sums(parent)[0])
-        for col in q_stem:
-            acc = acc + col
-        for col, real in zip(q_vals[:, rows, picks], q_mask[:, rows, picks]):
-            acc = np.where(real, acc + col, acc)
-        logs = -self.s * (acc + q_bounds[0][rows, picks])
+        acc = add_terms(np.full(len(picks), psi.window_sums(parent)[0]), q_stem)
+        acc = add_terms(acc, values[:, q_ends, picks])
+        logs = -self.s * (acc + bounds[0, q_ends, picks])
         z = _logsumexp(logs)
         return picks, np.exp(logs - z), logs - z, float(z)
 

@@ -7,7 +7,9 @@ admissible (d-1)-words, its edges their overlaps, and each edge carries one
 window value.  Pressure, Gibbs chains, cycle ratios and window-family bounds
 all read that graph.  All word sums, suprema over cylinders and distortion
 constants below are exact; the windows sliding off a word's end are bounded
-by max-plus steps over the graph.
+by max-plus steps over the graph.  ``term_table`` lists the terms that words
+add to a word's running sum, as arrays, so a sum extended column by column
+equals a full re-sum bit for bit.
 """
 
 from __future__ import annotations
@@ -183,18 +185,17 @@ class LocallyConstantPotential:
         # a fold from 0.0 never ends on -0.0; adding 0.0 drops the min-plus sign
         return float(top.max()), -float(neg.max()) + 0.0
 
-    def window_sums(self, word: Word, acc: float = 0.0):
-        """Carry ``acc`` over the depth-d windows of ``word``.
+    def window_sums(self, word: Word):
+        """Add the depth-d windows of ``word`` to 0.0.
 
         Returns ``(run, sup, inf)``: ``run`` adds the windows inside ``word``
         left to right, and ``sup``/``inf`` add to it the exact overhang bounds
         of the windows sliding off its end.  ``word`` is not validated.
-        ``word_sum_bounds`` and ``birkhoff_sum`` sum through here too, so a
-        word extended from its prefix's ``run`` (with ``tail(prefix) +
-        suffix``) sums bit for bit as the whole word does.
+        ``word_sum_bounds`` and ``birkhoff_sum`` sum through here too.
         """
         d = self.depth
         table = self._table
+        acc = 0.0
         n = len(word) - d + 1   # windows inside ``word``
         for k in range(n):
             acc += table[word[k:k + d]]
@@ -204,21 +205,24 @@ class LocallyConstantPotential:
             bounds = self._overhang[tail] = self._overhang_bounds(tail)
         return acc, acc + bounds[0], acc + bounds[1]
 
-    def window_terms(self, word: Word):
-        """The terms ``window_sums`` adds for ``word``: ``(values, sup, inf)``.
-
-        ``values`` are the depth-d windows inside ``word``, left to right, and
-        ``sup``/``inf`` the overhang bounds of its end, so adding ``values`` to
-        ``acc`` one by one and then each bound gives ``window_sums(word, acc)``
-        bit for bit.  ``word`` is not validated.
-        """
+    def term_table(self, ends, words):
+        """``(values, bounds)``: ``values[c, e, i]`` is the c-th depth-d window
+        of ``ends[e] + words[i]`` (0.0 past its last), ``bounds[:, e, i]`` the
+        sup and inf overhang bounds of its end.  With ``ends[e]`` the tail of
+        w, ``add_terms`` of these values to w's run, then a bound, give
+        ``window_sums(w + words[i])`` bit for bit: a run, a fold from 0.0, is
+        never -0.0, so a padding 0.0 leaves it as it is.  Not validated."""
         d = self.depth
-        table = self._table
-        n = len(word) - d + 1
-        values = [table[word[k:k + d]] for k in range(n)]
-        # the end holds fewer than d symbols, hence no window: only its bounds
-        _, sup, inf = self.window_sums(word[max(n, 0):])
-        return values, sup, inf
+        cells = [[end + word for word in words] for end in ends]
+        values = np.zeros((max([len(h) - d + 1 for r in cells for h in r] + [0]),
+                           len(ends), len(words)))
+        bounds = np.zeros((2, len(ends), len(words)))
+        for e, row in enumerate(cells):
+            for i, h in enumerate(row):
+                n = max(len(h) - d + 1, 0)   # h[n:] holds no window, only its bounds
+                values[:n, e, i] = [self._table[h[k:k + d]] for k in range(n)]
+                bounds[:, e, i] = self.window_sums(h[n:])[1:]
+        return values, bounds
 
     def word_sum_bounds(self, word: Word) -> WordSumBounds:
         """Exact sup/inf of the length-|word| Birkhoff sum over the cylinder [word]."""
@@ -238,6 +242,14 @@ class LocallyConstantPotential:
                 value = max(value, self.word_sum_bounds(w).width)
         object.__setattr__(self, "_distortion", value)
         return value
+
+
+def add_terms(acc, values):
+    """``acc`` plus each column of ``values`` in turn, left to right, as
+    ``window_sums`` adds the same terms (never ``np.sum``, which adds pairwise)."""
+    for col in values:
+        acc = acc + col
+    return acc
 
 
 def combine(a: float, f: LocallyConstantPotential, b: float,

@@ -1,16 +1,18 @@
 """Word families with bounded Birkhoff sums and the machinery built on them.
 
 Covers: the bounded-sum window families of any range of lengths, from one
-walk over the word tree; the finite postfix family that steers any
-bounded-sum word back into a tighter band; membership checkers for the
-frequent-appearance and repetition-free sequence sets; boundary words of an
-interval order; separating words; and the bounded-band counterexample word.
+walk that holds a length at a time as arrays; the finite postfix family that
+steers any bounded-sum word back into a tighter band, checked against a table
+of its window terms; membership checkers for the frequent-appearance and
+repetition-free sequence sets; boundary words of an interval order;
+separating words; and the bounded-band counterexample word.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,8 +20,8 @@ from . import sft
 from .cycles import relax
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
-from .potentials import LocallyConstantPotential, combine
-from .sft import EMPTY_WORD, SftSpec, Word, word_power
+from .potentials import LocallyConstantPotential, add_terms, combine
+from .sft import SftSpec, Word, word_power
 from .thermo import alpha_range, birkhoff_sup
 
 ALPHA_SIGN_TOL = 1e-9
@@ -47,72 +49,83 @@ def window_family(phi: LocallyConstantPotential, bound: float, length: int,
     cap = sft.WORD_CAP if cap is None else cap
     if cap < 1:
         raise ValidationError(f"word cap must be at least 1, got {cap}")
-    words = tuple(w for w, _ in _window_walk(phi, bound, length, length, cap))
-    return WindowFamily(bound=float(bound), length=length, words=words)
+    _, state, _, words = next(_window_walk(phi, bound, length, length, cap))
+    return WindowFamily(bound=float(bound), length=length,
+                        words=tuple(words(np.arange(len(state)))))
 
 
 def _window_walk(phi: LocallyConstantPotential, bound: float, lo: int, hi: int,
                  cap: int):
-    """Yield ``(word, run)`` for every window-family word of length lo..hi.
+    """Yield ``(keys, state, run, words)`` per length lo..hi, the family's words
+    in lexicographic order: ``keys[state[i]]`` ends word i (its last max(1,
+    d-1) symbols, or all of it), ``run[i]`` is its ``phi.window_sums(word)[0]``
+    bit for bit, and ``words(idx)`` spells the words at the indices idx.
 
-    One branch-and-bound walk, depth first: each length's words come out in
-    lexicographic order, and ``run`` equals ``phi.window_sums(word)[0]`` bit
-    for bit.  A word's state is its last max(1, d-1) symbols, a block of
-    ``phi.edges()``, and appending a symbol steps along an edge of that graph.
-    Pruning takes exact extremal continuation sums (max-plus steps over the
-    graph) over the lengths still open, so the test at each length equals the
-    exact cylinder bounds.  ``cap`` is per length.
+    Branch and bound one length at a time over arrays, on a graph of the blocks
+    of ``phi.edges()`` and the words shorter than a block: a child adds its
+    edge's window to its parent's run, as a left fold does, and pruning takes
+    exact extremal continuation sums (max-plus steps) over the lengths still
+    open.  ``cap`` bounds each length's words; more than ``sft.WORD_CAP``
+    candidates at one length raise CapacityError before their arrays exist.
     """
-    if bound <= 0:
+    if not bound > 0:
         raise ValidationError("window bound must be positive")
     if not 1 <= lo <= hi:
         raise ValidationError("window length must be positive")
-    spec, d, table = phi.spec, phi.depth, phi.table
-    coder, wt = phi.edges()
-    swidth = coder.width
-    adj = coder.block.incidence
-    sid = {w: i for i, w in enumerate(coder.blocks)}
-    # a step adds the window starting at the block it leaves, as ``edges`` weighs
-    if d == 1:  # except at d = 1, where it adds the symbol it enters
-        wt = np.where(adj, [table[u] for u in coder.blocks], 0.0)
-
-    # sup and inf overhang of the windows sliding off a word in state u
-    over_sup, over_inf = zip(*(phi.window_sums(phi.tail(u))[1:] for u in coder.blocks))
-
+    spec, (coder, wt) = phi.spec, phi.edges()
+    nb = len(coder.blocks)
+    keys = coder.blocks + tuple(w for j in range(1, coder.width) for w in spec.words(j))
+    index = {k: i for i, k in enumerate(keys)}
+    adj, weights = np.zeros((len(keys),) * 2, dtype=bool), np.zeros((len(keys),) * 2)
+    adj[:nb, :nb] = coder.block.incidence
+    for w in keys[nb:]:   # a word shorter than a block grows by a symbol and no window
+        adj[index[w], [index[w + (b,)] for b in spec.successors(w[-1])]] = True
+    # a step adds the window starting at the block it leaves, as ``edges`` weighs,
+    # except at d = 1, where it adds the symbol it enters
+    weights[:nb, :nb] = wt if phi.depth > 1 else np.where(
+        adj[:nb, :nb], [phi.table[u] for u in coder.blocks], 0.0)
+    # sup and inf overhang of the windows sliding off a word in each state
+    over_sup, over_inf = np.array([phi.window_sums(phi.tail(k))[1:] for k in keys]).T
     # minsup[r][u]: least achievable (continuation sum + final sup-overhang) in r steps
-    minsup, maxinf = [np.array(over_sup)], [np.array(over_inf)]
-    for _ in range(hi):
-        minsup.append(-relax(adj.T, -wt.T, -minsup[-1])[0])
-        maxinf.append(relax(adj.T, wt.T, maxinf[-1])[0])
-    # at depth j the lengths max(lo, j)..hi are still open
-    prune = {j: (np.min(minsup[max(lo - j, 0):hi - j + 1], axis=0).tolist(),
-                 np.max(maxinf[max(lo - j, 0):hi - j + 1], axis=0).tolist())
-             for j in range(swidth, hi + 1)}
+    minsup, maxinf = [over_sup], [over_inf]
+    for _ in range(hi - 1):
+        minsup.append(-relax(adj.T, -weights.T, -minsup[-1])[0])
+        maxinf.append(relax(adj.T, weights.T, maxinf[-1])[0])
+    src, dst = np.nonzero(adj)   # edges in (u, v) order: children in symbol order
+    step, degree = weights[src, dst], np.bincount(src, minlength=len(keys))
+    first, last = np.cumsum(degree) - degree, np.array([k[-1] for k in keys])
+    chain = []   # per length: the states kept and their parents' indices
 
-    count = [0] * (hi + 1)
-    stack = [(EMPTY_WORD, 0.0)]
-    while stack:
-        word, partial = stack.pop()
-        j = len(word)
-        if j >= swidth:
-            state = sid[word[-swidth:]]
-            sup_floor, inf_ceil = prune[j]
-            if partial + sup_floor[state] > bound or partial + inf_ceil[state] < -bound:
-                continue
-            hit = (j >= lo and partial + over_sup[state] <= bound
-                   and partial + over_inf[state] >= -bound)
-        else:
-            hit = j >= lo and phi.word_sum_bounds(word).within(bound)
-        if hit:
-            if count[j] >= cap:
+    def words(j, found, idx):
+        out, idx = np.empty((len(idx), j), dtype=int), found[idx]
+        for k in range(j - 1, -1, -1):
+            out[:, k] = last[chain[k][0][idx]]
+            idx = chain[k][1][idx]
+        return list(map(tuple, out.tolist()))
+
+    state = np.array([index[(a,)] for a in range(spec.n)])
+    run = np.array([phi.window_sums((a,))[0] for a in range(spec.n)])
+    parent = np.zeros(spec.n, dtype=int)
+    for j in range(1, hi + 1):
+        if j > 1:
+            kids = degree[state]
+            if kids.sum() > sft.WORD_CAP:
+                raise CapacityError(
+                    f"{kids.sum()} candidate words of length {j} exceed the cap {sft.WORD_CAP}")
+            parent = np.repeat(np.arange(len(state)), kids)
+            edge = np.arange(len(parent)) + np.repeat(first[state] - np.cumsum(kids) + kids, kids)
+            state, run = dst[edge], run[parent] + step[edge]
+        open_ = slice(max(lo - j, 0), hi - j + 1)   # lengths max(lo, j)..hi are open
+        keep = ~((run + np.min(minsup[open_], axis=0)[state] > bound)
+                 | (run + np.max(maxinf[open_], axis=0)[state] < -bound))
+        state, run, parent = state[keep], run[keep], parent[keep]
+        chain.append((state, parent))
+        if j >= lo:
+            found = np.flatnonzero((run + over_sup[state] <= bound)
+                                   & (run + over_inf[state] >= -bound))
+            if len(found) > cap:
                 raise CapacityError(f"window family exceeds cap {cap}")
-            count[j] += 1
-            yield word, partial
-        if j < hi:
-            # children pushed in reverse pop in lexicographic order
-            for b in reversed(spec.successors(word[-1]) if word else range(spec.n)):
-                nw = word + (b,)
-                stack.append((nw, partial + (table[nw[-d:]] if len(nw) >= d else 0.0)))
+            yield keys, state[found], run[found], partial(words, j, found)
 
 
 # --------------------------------------------------------------------------
@@ -191,6 +204,8 @@ def build_postfix_set(phi: LocallyConstantPotential, source_band: float,
             f"band {band:g} must exceed 2*distortion + |connectors|*norm "
             f"= {2.0 * v_phi + infixes.norm * nrm:g}"
         )
+    if not source_band > 0:   # the source family's window bound
+        raise ValidationError(f"source band must be positive, got {source_band:g}")
     one = LocallyConstantPotential.constant(spec, 1.0)
     a_lo, a_hi = alpha_range(phi, one)
     if not (a_lo < -ALPHA_SIGN_TOL and a_hi > ALPHA_SIGN_TOL):
@@ -200,16 +215,9 @@ def build_postfix_set(phi: LocallyConstantPotential, source_band: float,
     slack = source_band + 2.0 * v_phi + infixes.norm * nrm
     seg_down = _extremal_word(phi, slack, minimize=True)
     seg_up = _extremal_word(phi, slack, minimize=False)
-    prefixes = {EMPTY_WORD}
-    for seg in (seg_down, seg_up):
-        for k in range(1, len(seg) + 1):
-            prefixes.add(seg[:k])
-    words = set()
-    for rho in infixes.words:
-        for tau in prefixes:
-            cand = rho + tau
-            if spec.is_admissible(cand):
-                words.add(cand)
+    prefixes = {seg[:k] for seg in (seg_down, seg_up) for k in range(len(seg) + 1)}
+    words = {rho + tau for rho in infixes.words for tau in prefixes
+             if spec.is_admissible(rho + tau)}
     return PostfixSet(
         words=tuple(sorted(words, key=lambda w: (len(w), w))),
         seg_down=seg_down, seg_up=seg_up,
@@ -225,32 +233,50 @@ class VerifyReport:
     failures: tuple  # words with no working postfix
 
 
+def first_landing(run, ends, terms, band: float):
+    """Per row, the index of the first word of the ``term_table`` ``terms``
+    whose columns, added after end ``ends[row]`` to ``run[row]`` in the order
+    a full re-sum adds them, land it in the band (sup at most band, inf at
+    least -band), or -1.  The words are tried in turn on the rows still open."""
+    values, bounds = terms
+    pick = np.full(len(run), -1)
+    for t in range(values.shape[2]):
+        todo = np.flatnonzero(pick < 0)
+        if not todo.size:
+            break
+        e = ends[todo]
+        acc = add_terms(run[todo], values[:, :, t].take(e, axis=1))
+        sup, inf = bounds[:, :, t].take(e, axis=1)
+        pick[todo[(acc + sup <= band) & (acc + inf >= -band)]] = t
+    return pick
+
+
 def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential,
                    max_len: int) -> VerifyReport:
     """Exhaustively check the postfix property for all source words up to max_len.
 
-    One walk yields every source word with its running sum, which each
-    ``w + tau`` extends.  ``failures`` holds the first ``WITNESS_CAP`` failing
-    words by length, then lexicographically.  Raises ValidationError when max_len < 1.
+    One walk gives each length's source words with their runs; those ending in
+    symbol a are checked together against the term table of a's followers.
+    ``failures`` holds the first ``WITNESS_CAP`` failing words by length, then
+    lexicographically.  Raises ValidationError when max_len < 1.
     """
     followers = pset.followers(phi.spec)
-    band = pset.band
-    checked = 0
-    failures = {}   # length -> its first failing words
-    for w, run in _window_walk(phi, pset.source_band, 1, max_len, sft.WORD_CAP):
-        checked += 1
-        tail = phi.tail(w)
-        for tau in followers[w[-1]]:
-            _, hi, lo = phi.window_sums(tail + tau, run)
-            if hi <= band and lo >= -band:
-                break
-        else:
-            bucket = failures.setdefault(len(w), [])
-            if len(bucket) < WITNESS_CAP:
-                bucket.append(w)
-    first = [w for length in sorted(failures) for w in failures[length]][:WITNESS_CAP]
-    return VerifyReport(passed=not first, max_len=max_len, checked=checked,
-                        failures=tuple(first))
+    checked, failures, tables = 0, [], None
+    for keys, state, run, words in _window_walk(phi, pset.source_band, 1, max_len,
+                                                sft.WORD_CAP):
+        if tables is None:   # per last symbol: the table rows of the ends it closes
+            ends = [{} for _ in followers]
+            row = np.array([ends[k[-1]].setdefault(phi.tail(k), len(ends[k[-1]])) for k in keys])
+            last = np.array([k[-1] for k in keys])
+            tables = [phi.term_table(tuple(e), taus) for e, taus in zip(ends, followers)]
+        failed = np.zeros(len(state), dtype=bool)
+        for a, terms in enumerate(tables):
+            rows = np.flatnonzero(last[state] == a)
+            failed[rows] = first_landing(run[rows], row[state[rows]], terms, pset.band) < 0
+        checked += len(state)
+        failures += words(np.flatnonzero(failed)[:WITNESS_CAP - len(failures)])
+    return VerifyReport(passed=not failures, max_len=max_len, checked=checked,
+                        failures=tuple(failures))
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,10 @@ code path with them.
 
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +76,27 @@ def random_potential(rng, spec, depth, scale=1.0, quantize=None):
             v = round(v * quantize) / quantize
         entries.append((w, v))
     return LocallyConstantPotential.from_table(spec, depth, entries)
+
+
+def run_limited(snippet):
+    """Run ``snippet`` in a fresh interpreter whose address space is capped at
+    1 GiB, with one BLAS thread, so that a runaway allocation fails there
+    instead of exhausting the machine.  The snippet can import this package
+    and ``helpers``.  Returns ``(stdout, ru_maxrss)``, the child's peak
+    resident set in KiB; a failing snippet fails the test with its stderr.
+    """
+    here = pathlib.Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    program = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+               f"exec({snippet!r})\n"
+               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+    done = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, int(done.stderr.split()[-1])
 
 
 # --- brute-force oracles ----------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 import helpers
 from gibbsdim import (InsufficientContextError, LocallyConstantPotential,
                       ValidationError, combine, cylinder_diam_psi, d_psi)
+from gibbsdim.potentials import add_terms
 
 
 def test_table_must_cover_admissible_words(gold):
@@ -72,18 +73,24 @@ def random_admissible_word(rng, spec, length):
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4])
 def test_window_sums_extend_a_prefix_bit_for_bit(depth):
+    """A prefix's run plus the term-table columns of each extension (suffixes
+    of every length in one table, so the shorter ones are padded) equals the
+    whole word's sums bit for bit."""
     rng = np.random.default_rng(60 + depth)
     for _ in range(6):
         spec = helpers.random_mixing_spec(rng)
         phi = helpers.random_potential(rng, spec, depth, scale=3.0)
         for length in (1, 2, 3, 7, 16):
             word = random_admissible_word(rng, spec, length)
-            whole = phi.word_sum_bounds(word)
-            want = (whole.sup.hex(), whole.inf.hex())
             for i in range(length + 1):
                 run = phi.window_sums(word[:i])[0]
-                _, sup, inf = phi.window_sums(phi.tail(word[:i]) + word[i:], run)
-                assert (sup.hex(), inf.hex()) == want
+                ext = tuple(word[i:k] for k in range(i, length + 1))
+                values, bounds = phi.term_table((phi.tail(word[:i]),), ext)
+                for k, suffix in enumerate(ext):
+                    acc = add_terms(run, values[:, 0, k])
+                    whole = phi.word_sum_bounds(word[:i] + suffix)
+                    assert ([(acc + b).hex() for b in bounds[:, 0, k]]
+                            == [whole.sup.hex(), whole.inf.hex()])
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])

@@ -31,14 +31,15 @@ def test_window_family_oracles(bin14, phi_pm):
 def test_window_family_matches_filter(trial):
     rng = np.random.default_rng(100 + trial)
     spec = helpers.random_mixing_spec(rng, n=3)
-    phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)))
-    bound = float(rng.uniform(0.5, 2.5))
-    for m in range(1, 8):
-        fam = window_family(phi, bound, m)
-        expect = tuple(
-            w for w in spec.words(m) if phi.word_sum_bounds(w).within(bound)
-        )
-        assert fam.words == expect
+    for depth in (1, 2, 3):
+        phi = helpers.random_potential(rng, spec, depth)
+        bound = float(rng.uniform(0.5, 2.5))
+        for m in range(1, 8):
+            fam = window_family(phi, bound, m)
+            expect = tuple(
+                w for w in spec.words(m) if phi.word_sum_bounds(w).within(bound)
+            )
+            assert fam.words == expect
 
 
 @pytest.mark.parametrize("trial", range(4))
@@ -48,17 +49,57 @@ def test_window_walk_yields_each_length_with_its_run(trial):
     phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)))
     bound = float(rng.uniform(0.5, 2.5))
     lo, hi = int(rng.integers(1, 4)), 7
-    by_length = {m: [] for m in range(lo, hi + 1)}
-    for w, run in wordsets._window_walk(phi, bound, lo, hi, sft.WORD_CAP):
-        assert run == phi.window_sums(w)[0]
-        by_length[len(w)].append(w)
-    for m, words in by_length.items():
-        assert tuple(words) == window_family(phi, bound, m).words
+    by_length = {}
+    walk = wordsets._window_walk(phi, bound, lo, hi, sft.WORD_CAP)
+    for m, (keys, state, run, words) in enumerate(walk, start=lo):
+        ws = by_length[m] = words(np.arange(len(state)))
+        for w, k, r in zip(ws, state, run.tolist()):
+            assert len(w) == m and w[-len(keys[k]):] == keys[k]
+            assert r.hex() == phi.window_sums(w)[0].hex()
+    assert sorted(by_length) == list(range(lo, hi + 1))
+    for m, ws in by_length.items():
+        assert tuple(ws) == window_family(phi, bound, m).words
     # the cap counts the words of each length, not of the whole walk
-    most = max(len(words) for words in by_length.values())
-    assert sum(1 for _ in wordsets._window_walk(phi, bound, lo, hi, most)) > most
+    most = max(len(ws) for ws in by_length.values())
+    assert sum(len(level[1]) for level in wordsets._window_walk(phi, bound, lo, hi, most)) > most
     with pytest.raises(CapacityError):
         window_family(phi, bound, hi, cap=len(by_length[hi]) - 1)
+
+
+def test_window_bound_must_be_a_positive_number(phi_pm):
+    _, pm, _ = phi_pm
+    for bound in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="window bound must be positive"):
+            window_family(pm, bound, 16)
+    for source_band in (0.0, math.nan):
+        with pytest.raises(ValidationError, match="source band must be positive"):
+            build_postfix_set(pm, source_band, 0.6)
+
+
+def test_a_loose_family_fails_its_level_cap_in_bounded_memory():
+    """Each length of the walk holds at most sft.WORD_CAP candidate words, so
+    a loose family raises CapacityError before it grows: on phipm at K = 2 the
+    length-29 family has ~2.9e8 words.  Run in a child under an address-space
+    limit, so that a regression fails here instead of exhausting memory."""
+    out, maxrss_kib = helpers.run_limited(
+        "import time, tracemalloc\n"
+        "import helpers\n"
+        "from gibbsdim import CapacityError, sft, window_family\n"
+        "_, pm, _ = helpers.phi_pm()\n"
+        "sft.WORD_CAP = 50_000\n"
+        "tracemalloc.start()\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    window_family(pm, 2.0, 29)\n"
+        "except CapacityError as exc:\n"
+        "    print('capacity', exc)\n"
+        "print(tracemalloc.get_traced_memory()[1], time.perf_counter() - start)\n")
+    verdict, figures = out.splitlines()
+    assert verdict.startswith("capacity") and "exceed the cap 50000" in verdict
+    peak, seconds = figures.split()
+    assert int(peak) < 8 * 2**20
+    assert float(seconds) < 10.0
+    assert maxrss_kib < 512 * 2**10
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +194,7 @@ def test_verify_postfix_walks_the_word_tree_once(monkeypatch, phi_pm):
     walk, lengths = wordsets._window_walk, []
 
     def counted(phi, bound, lo, hi, cap):
-        lengths.append((lo, hi))
+        lengths.append((lo, hi, cap))
         return walk(phi, bound, lo, hi, cap)
 
     def forbidden(*args, **kwargs):
@@ -162,7 +203,32 @@ def test_verify_postfix_walks_the_word_tree_once(monkeypatch, phi_pm):
     monkeypatch.setattr(wordsets, "_window_walk", counted)
     monkeypatch.setattr(wordsets, "window_family", forbidden)
     assert verify_postfix(pset, pm, 10).passed
-    assert lengths == [(1, 10)]
+    assert lengths == [(1, 10, sft.WORD_CAP)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_verify_postfix_matches_reference_on_random_models(depth):
+    """The array check against the brute-force oracle on seeded models at a
+    tight band, whole and cut down (fewer words, a narrower target band) so
+    that many reports fail and their witness lists are compared."""
+    rng = np.random.default_rng(700 + depth)
+    compared = failing = 0
+    while compared < 10:
+        spec = helpers.random_mixing_spec(rng, n=int(rng.integers(2, 4)))
+        phi = helpers.random_potential(rng, spec, depth, scale=float(rng.uniform(0.3, 1.5)))
+        band = 2.0 * phi.distortion() + spec.connecting_words().norm * phi.sup_norm() + 0.1
+        try:
+            pset = build_postfix_set(phi, band + float(rng.uniform(0.5, 3.0)), band)
+        except InfeasibleError:
+            continue
+        compared += 1
+        max_len = 6 if spec.n == 3 else 8
+        for cut in (pset, truncated(pset, lambda w: 0 not in w),
+                    replace(pset, words=pset.words[:3], band=band / 2)):
+            report = verify_postfix(cut, phi, max_len)
+            assert_matches_brute_verify(report, cut, phi, max_len)
+            failing += not report.passed
+    assert failing >= 5
 
 
 def test_verify_postfix_rejects_nonpositive_max_len(phi_pm):
