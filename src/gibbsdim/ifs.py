@@ -82,20 +82,6 @@ class AffineIfs:
         s, t = self.map_word(word)
         return (s * u + t, s * v + t)
 
-    def coding_point(self, prefix: Word, period: Word) -> float:
-        """The coded point of ``prefix + period^inf`` (exact affine fixed point),
-        or the midpoint of the prefix cylinder when the period is empty."""
-        if len(period) == 0:
-            lo, hi = self.cylinder_interval(prefix)
-            return 0.5 * (lo + hi)
-        whole = prefix + period + period
-        if not self.spec.is_admissible(whole):
-            raise ValidationError("prefix followed by the repeated period is inadmissible")
-        sp, tp = self.map_word(prefix)
-        s, t = self.map_word(period)
-        fixed = t / (1.0 - s)
-        return sp * fixed + tp
-
     def geometric_potential(self) -> LocallyConstantPotential:
         """Depth-1 table -log(rate); strictly positive, zero distortion for affine maps."""
         return LocallyConstantPotential.from_values(self.spec, -np.log(self.rates))

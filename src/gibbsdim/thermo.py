@@ -4,9 +4,9 @@ Every potential is read on its higher-block graph as the pair ``(coder,
 weights)`` that ``edges`` returns, an edge table, before spectral work, so one
 dense-matrix code path serves all depths.  Its Perron data carry certified
 Collatz-Wielandt brackets (``_perron``).  A right solve whose seed does not
-certify runs a dense eigensolve; the left solve of the same matrix shifts
-its inverse steps from the top of the right solve's bracket instead, so a
-beta(q) root usually makes one eigensolve, its bracket solve at b = 0.
+certify runs a dense eigensolve; the left solve of the same matrix first
+tries three inverse steps shifted from the top of the right solve's bracket,
+so a beta(q) root usually makes one eigensolve, its bracket solve at b = 0.
 
 The Legendre convention used throughout: with beta(q) the zero-pressure root
 and q_alpha the solution of beta'(q) = alpha, the spectrum value is
@@ -79,111 +79,69 @@ def _chain_mean(pi: np.ndarray, Q: np.ndarray, w: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
-    """Leading eigenvalue and positive eigenvector of a primitive matrix.
+    """Leading eigenvalue, positive eigenvector and certified eigenvalue
+    bracket of a primitive matrix.
 
-    Every positive iterate x yields a Collatz-Wielandt bracket
-    [min_a (Mx)_a/x_a, max_a (Mx)_a/x_a] for the eigenvalue; successive
-    brackets are intersected until the certified width is below
-    ``PRESSURE_RTOL``, and the eigenvalue returned is the midpoint
-    (``_certify``).  The iterates are the seed x0 (all-ones when there is
-    none, or when x0 is not positive), one power step from it, the Perron
-    vector of a dense eigensolve, and then shifted inverse-iteration steps
-    (``_perron_step``).  A seed that is already the Perron vector, such as
-    the vector returned for a positive multiple of M, certifies at iterate
-    0, with one matrix-vector product and no eigensolve.  Any other seed only
-    adds its bracket to the intersection, so the certificate is the same
-    whatever the seed.
+    Every iterate x yields a Collatz-Wielandt bracket [min_a (Mx)_a/x_a,
+    max_a (Mx)_a/x_a], whose infinite or NaN ratios (from entries of x that
+    underflowed to 0) are ignored.  The brackets are intersected until
+    narrower than ``PRESSURE_RTOL`` times their top; the solve returns the
+    midpoint, M @ x scaled to max 1, and the bracket.
 
-    ``top`` is an upper bound on the eigenvalue known from elsewhere: the top
-    of the certified bracket of the right solve of the same matrix, when
-    this is the left solve.  If it is finite, the seed is followed first by
-    at most three shifted inverse steps (``_inverse_step``) alone, with the
-    shift a rounding margin above min(top, the bracket's top), and no power
-    step or eigensolve.  Only if they give no positive vector or do not
-    certify does the solve start again without ``top``, and it then returns
-    what a solve without ``top`` returns.  ``top`` only places the shift and
-    never enters a bracket, so a wrong ``top`` costs steps, not the
-    certificate.
+    Iterate 0 is the seed x0, or all-ones when there is none or it is not
+    positive.  ``top`` is an upper bound on the eigenvalue: the top of the
+    right solve's bracket, when this is the left solve of the same matrix.
+    Iterate k + 1 follows iterate k by one schedule, with j = k - 3 if
+    ``top`` is finite and j = k if not: j = 0 takes a power step, j = 1 the
+    Perron vector of a dense eigensolve (``_eig_vector``), and any other j a
+    shifted inverse step (``_inverse_step``) from a rounding margin above
+    min(top, the bracket's top).  Where a step gives no positive vector, the
+    power step stands in.  A seed that is already the Perron vector
+    certifies at iterate 0 with no eigensolve.  A seed or a ``top`` changes
+    only the iterates, never a bracket, so a wrong one costs steps, not the
+    certificate.  A bracket that is not finite and positive, a power step
+    that is not finite, or no certificate by iterate ``PRESSURE_MAX_ITER`` - 1
+    raises NumericalError with the bracket, and no NumPy warning.
     """
     x = x0 if x0 is not None and np.all(x0 > 0.0) else np.ones(M.shape[0])
-    if top < math.inf:
-        # a computed CW ratio of an n x n nonnegative product is within n + 1
-        # roundings of the exact one; twice that keeps the shift above lambda_1
-        margin = 1.0 + 2 * (M.shape[0] + 1) * np.finfo(float).eps
-        # from all-ones, each step gains ~16 orders of relative accuracy in
-        # the smallest entries: a vector spanning 36 orders needs three
-        try:
-            return _certify(M, x, 3,
-                            lambda x, y, k, hi: _inverse_step(M, x, min(hi, top) * margin))
-        except NumericalError:
-            pass
-    return _certify(M, x, PRESSURE_MAX_ITER - 1,
-                    lambda x, y, k, hi: _perron_step(M, x, y, k, hi * (1.0 + PRESSURE_RTOL)))
-
-
-def _certify(M: np.ndarray, x: np.ndarray, steps: int, step):
-    """(eigenvalue, vector, bracket) from the Collatz-Wielandt brackets of x
-    and of at most ``steps`` iterates after it.
-
-    Iterate k + 1 is ``step(x, y, k, hi)``, with x iterate k, y = M @ x and
-    hi the top of the intersected bracket.  The solve certifies once that
-    bracket is narrower than ``PRESSURE_RTOL`` relative to its top, and
-    returns its midpoint and y scaled to max 1.  (An entry of x that
-    underflowed to 0 gives an infinite or NaN ratio, which the intersection
-    ignores.)  A bracket that is not finite and positive, or a step that
-    gives no iterate, raises NumericalError at once, and so does a bracket
-    still too wide after the last step.  It carries the bracket, and the inf
-    and NaN values on the way there raise no NumPy warnings.
-    """
+    # from all-ones, each shifted step gains ~16 orders of relative accuracy
+    # in the smallest entries: a vector spanning 36 orders needs three
+    shifted = 3 if top < math.inf else 0
+    # a computed CW ratio of an n x n nonnegative product is within n + 1
+    # roundings of the exact one; twice that keeps the shift above lambda_1
+    margin = 1.0 + 2 * (M.shape[0] + 1) * math.ulp(1.0)
     lo_best, hi_best = 0.0, math.inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k in range(steps + 1):
+        for k in range(PRESSURE_MAX_ITER):
             y = M @ x
             ratios = y / x
-            lo, hi = float(ratios.min()), float(ratios.max())
-            lo_best = max(lo_best, lo)
-            hi_best = min(hi_best, hi)
+            lo_best = max(lo_best, float(ratios.min()))
+            hi_best = min(hi_best, float(ratios.max()))
             if not 0.0 < hi_best < math.inf:
                 break
             if hi_best - lo_best <= PRESSURE_RTOL * hi_best:
-                lam = 0.5 * (lo_best + hi_best)
-                return lam, y / y.max(), (lo_best, hi_best)
-            if k == steps:
+                return 0.5 * (lo_best + hi_best), y / y.max(), (lo_best, hi_best)
+            if k == PRESSURE_MAX_ITER - 1:
                 break
-            x = step(x, y, k, hi_best)
+            j = k - shifted
+            x = (None if j == 0 else _eig_vector(M) if j == 1
+                 else _inverse_step(M, x, min(hi_best, top) * margin))
             if x is None:
-                break
-    raise NumericalError(
-        f"Perron solve did not certify; certified eigenvalue bracket {lo_best, hi_best}",
-        bracket=(lo_best, hi_best),
-    )
+                x = y / y.max()
+                if not np.all(np.isfinite(x)):
+                    break
+    raise NumericalError(f"Perron solve did not certify; certified eigenvalue bracket "
+                         f"{lo_best, hi_best}", bracket=(lo_best, hi_best))
 
 
-def _perron_step(M: np.ndarray, x: np.ndarray, y: np.ndarray, k: int, sigma: float):
-    """The iterate that follows iterate k of ``_perron`` (y = M @ x), or None.
-
-    After iterate 0 it is a power step.  After iterate 1 it is the Perron
-    vector of ``np.linalg.eig``.  After that it is one shifted
-    inverse-iteration step (``_inverse_step``) with sigma just above the
-    bracket.  Where the eigensolve or the step gives no positive vector, the
-    power step stands in; where that is not finite either, there is none.
-    """
-    if k == 1:
-        try:
-            vals, vecs = np.linalg.eig(M)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            z = np.abs(vecs[:, np.argmax(vals.real)].real)
-            z = z / z.max()
-            if np.all(z > 0.0):
-                return z
-    elif k > 1:
-        z = _inverse_step(M, x, sigma)
-        if z is not None:
-            return z
-    power = y / y.max()
-    return power if np.all(np.isfinite(power)) else None
+def _eig_vector(M: np.ndarray):
+    """The Perron vector of ``np.linalg.eig`` scaled to max 1, or None when it is not positive."""
+    try:
+        vals, vecs = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        return None
+    z = np.abs(vecs[:, np.argmax(vals.real)].real)
+    return z / z.max() if np.all(z > 0.0) else None
 
 
 def _inverse_step(M: np.ndarray, x: np.ndarray, sigma: float):
@@ -211,10 +169,12 @@ def _stochasticize(M: np.ndarray, bracket, h: np.ndarray, nu0: np.ndarray | None
     """Right Perron data (bracket, h) of M -> (nu, Q, pi) with the normalizations used everywhere.
 
     ``bracket`` is the certified eigenvalue bracket of the right solve, and
-    its midpoint the eigenvalue.  The left Perron solve starts from nu0 and
-    shifts from the bracket's top, so it needs no eigensolve when its
-    shifted inverse steps certify.
+    its midpoint the eigenvalue.  The left Perron solve starts from nu0 with
+    the bracket's top as its ``top``.  An h with an entry that is not
+    positive (one that underflowed to 0) raises NumericalError with the bracket.
     """
+    if not h.min() > 0.0:
+        raise NumericalError("right Perron vector is not positive", bracket=bracket)
     lam = 0.5 * (bracket[0] + bracket[1])
     _, nu, _ = _perron(M.T, x0=nu0, top=bracket[1])
     Q = M * h[None, :] / (lam * h[:, None])

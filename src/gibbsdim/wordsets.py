@@ -189,20 +189,23 @@ def build_postfix_set(phi: LocallyConstantPotential, source_band: float,
                       band: float) -> PostfixSet:
     """Construct the postfix family from two extremal drift segments.
 
-    Hypotheses: the band exceeds 2*distortion + |connectors|*|phi|, and the
-    cycle ratios of phi take both signs.  Both segments overshoot the source
-    band (plus slack) so a first-crossing prefix lands any bounded-sum word
-    back inside the tight band.
+    Hypotheses: the band exceeds max(2*distortion + |connectors|*|phi|,
+    |phi|/2 + distortion), and the cycle ratios of phi take both signs.  Both
+    segments overshoot the source band (plus slack) so a first-crossing
+    prefix lands any bounded-sum word back inside the tight band; a first
+    crossing moves by at most one window value, at most |phi|, so the band
+    must exceed half of that plus the distortion.
     """
     spec = phi.spec
     spec.require_mixing()
     infixes = spec.connecting_words()
     v_phi = phi.distortion()
     nrm = phi.sup_norm()
-    if not band > 2.0 * v_phi + infixes.norm * nrm:
+    need = max(2.0 * v_phi + infixes.norm * nrm, 0.5 * nrm + v_phi)
+    if not band > need:
         raise InfeasibleError(
-            f"band {band:g} must exceed 2*distortion + |connectors|*norm "
-            f"= {2.0 * v_phi + infixes.norm * nrm:g}"
+            f"band {band:g} must exceed max(2*distortion + |connectors|*norm, "
+            f"norm/2 + distortion) = {need:g}"
         )
     if not source_band > 0:   # the source family's window bound
         raise ValidationError(f"source band must be positive, got {source_band:g}")

@@ -47,16 +47,8 @@ def test_open_set_condition_enforced(full2):
                   rates=np.array([0.5, 0.7]), offsets=np.array([0.0, 0.5]))
 
 
-def test_coding_points(ifs_bin, full2):
-    assert ifs_bin.coding_point((), full2.word("0")) == 0.0
-    assert ifs_bin.coding_point((), full2.word("01")) == pytest.approx(1 / 3, abs=1e-15)
-    assert ifs_bin.coding_point(full2.word("1"), full2.word("0")) == 0.5
-    mid = ifs_bin.coding_point(full2.word("01"), ())
-    assert 0.25 < mid < 0.5
-
-
 def test_coding_respects_order(ifs_bin, full2):
-    pts = [ifs_bin.coding_point(w, ()) for w in full2.words(8)]
+    pts = [sum(ifs_bin.cylinder_interval(w)) / 2 for w in full2.words(8)]
     assert pts == sorted(pts)
 
 
@@ -255,10 +247,10 @@ def test_moderate_check_rejects_scales_wider_than_the_interval(full2):
             probe()
 
 
-def test_probe_consistency_at_fixed_points(bin_model, full2):
-    # at the coded fixed point of symbol 1 the exponent is the cycle ratio
-    x = bin_model.ifs.coding_point((), full2.word("1"))
-    probe = bin_model.holder_probe(x, 1.0, 30)
+def test_probe_consistency_at_fixed_points(bin_model):
+    # at x = 1.0, the fixed point of symbol 1's map x/2 + 1/2, the exponent
+    # is the cycle ratio
+    probe = bin_model.holder_probe(1.0, 1.0, 30)
     expect = -math.log(0.75) / math.log(2.0)
     assert probe.exponent == pytest.approx(expect, abs=0.02)
 

@@ -449,10 +449,12 @@ def test_perron_nonconvergence_carries_bracket(monkeypatch):
     # nearly period-2 transition structure: one or two iterates cannot close it
     m = np.array([[1e-12, 2.0], [1.0, 1e-12]])
     true_lam = math.sqrt(2.0) + 1e-12
-    for max_iter in (1, 2):
+    # the budget bounds the shifted steps of a finite top too
+    _, _, (_, cold_top) = thermo._perron(m)
+    for max_iter, top in ((1, math.inf), (2, math.inf), (1, cold_top)):
         monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", max_iter)
         with pytest.raises(NumericalError) as info:
-            thermo._perron(m)
+            thermo._perron(m, top=top)
         lo, hi = info.value.bracket
         assert lo <= true_lam <= hi
 
@@ -499,13 +501,9 @@ def test_perron_brackets_overlap_power_iteration(seed, monkeypatch):
     psi = LocallyConstantPotential.constant(spec, 1.0)
     pair = thermo._edge_space(phi, psi)
     steps = []
-    step = thermo._perron_step
-
-    def counted_step(*args):
-        steps.append(args)
-        return step(*args)
-
-    monkeypatch.setattr(thermo, "_perron_step", counted_step)
+    inverse_step, eig = thermo._inverse_step, np.linalg.eig
+    monkeypatch.setattr(thermo, "_inverse_step", lambda *a: steps.append(a) or inverse_step(*a))
+    monkeypatch.setattr(np.linalg, "eig", lambda *a: steps.append(a) or eig(*a))
     for q in (0.0, 1.0, -1.0, 40.0, -40.0):
         m = thermo._transfer(*pair, (-q, 0.0))
         o_lo, o_hi, _ = helpers.power_perron(m, max_iter=20_000)
@@ -516,30 +514,36 @@ def test_perron_brackets_overlap_power_iteration(seed, monkeypatch):
         cold, _, _ = thermo._perron(m)
         for x0, top in itertools.product((None, exact, far), (math.inf, 0.5 * cold, 2.0 * cold)):
             steps.clear()
-            lam, _, (lo, hi) = thermo._perron(m, x0=x0, top=top)
+            lam, vec, (lo, hi) = thermo._perron(m, x0=x0, top=top)
             assert lo <= lam <= hi
             assert hi - lo <= thermo.PRESSURE_RTOL * hi
             assert max(lo, o_lo) <= min(hi, o_hi), (q, top, (lo, hi), (o_lo, o_hi))
-            if x0 is exact:
-                assert steps == []  # certified at the seed
+            if x0 is exact:  # certified at the seed: no step, one product
+                assert steps == []
+                y = m @ exact
+                assert np.array_equal(vec, y / y.max())
 
 
-def _left_solves(seed, monkeypatch):
-    """Every left solve of the ``_beta_pair`` roots on the seeded model of
-    ``seed`` with psi = 1 and with a random psi > 0, at q in 0, +-1, +-10
-    and +-40: ((psi kind, q), M, bracket, nu0) per ``_stochasticize`` call.
-    A root that fails (a matrix out of the float range) keeps the solves it
-    reached; on its way there ``_stochasticize`` can divide by a right
-    vector entry that underflowed to 0, which is not what this records."""
-    from gibbsdim import thermo
-    from gibbsdim.errors import NumericalError
+def _sweep_model(seed):
+    """The seeded random model of ``seed``: phi, and psi = 1 ("one") and a
+    random psi > 0 ("table")."""
     rng = np.random.default_rng(seed)
     spec = helpers.random_mixing_spec(rng, rng.integers(2, 8))
     phi = helpers.random_potential(rng, spec, rng.integers(1, 4),
                                    scale=rng.choice([1, 3, 10]))
-    psis = {"one": LocallyConstantPotential.constant(spec, 1.0),
-            "table": LocallyConstantPotential.from_table(
-                spec, 2, [(w, float(rng.uniform(0.2, 2.0))) for w in spec.words(2)])}
+    return phi, {"one": LocallyConstantPotential.constant(spec, 1.0),
+                 "table": LocallyConstantPotential.from_table(
+                     spec, 2, [(w, float(rng.uniform(0.2, 2.0))) for w in spec.words(2)])}
+
+
+def _left_solves(seed, monkeypatch):
+    """Every left solve of the ``_beta_pair`` roots on ``_sweep_model(seed)``
+    at q in 0, +-1, +-10 and +-40: ((psi kind, q), M, bracket, nu0) per
+    ``_stochasticize`` call.  A root that fails (a matrix out of the float
+    range) keeps the solves it reached."""
+    from gibbsdim import thermo
+    from gibbsdim.errors import NumericalError
+    phi, psis = _sweep_model(seed)
     solves = []
     stochasticize = thermo._stochasticize
 
@@ -551,8 +555,7 @@ def _left_solves(seed, monkeypatch):
         patch.setattr(thermo, "_stochasticize", recorded)
         for case in itertools.product(psis, (0.0, 1.0, -1.0, 10.0, -10.0, 40.0, -40.0)):
             try:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    thermo._beta_pair(case[1], phi, psis[case[0]])
+                thermo._beta_pair(case[1], phi, psis[case[0]])
             except NumericalError:
                 pass
     return solves
@@ -563,34 +566,35 @@ def test_left_solve_from_the_right_bracket_matches_a_cold_solve(monkeypatch):
     from gibbsdim.errors import NumericalError
     # seeds 40-51 draw scales 1, 3 and 10; at seed 48 (psi = 1, q = -40) the
     # first left solve is on a 2 x 2 matrix with entries 1e-186 ... 5e74,
-    # where the shifted steps alone never certify and the cold solve must
-    # (it is the only path that calls ``_perron_step``).
+    # where the shifted steps alone do not certify and the solve goes on to
+    # the power step with the bracket they reached.
     # No solve here that certifies takes 130 iterates, so 500 only makes the
     # ones that fail (out of the float range) fail sooner.
     monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", 500)
-    calls = []
-    step = thermo._perron_step
-    fell_back = []
+    eigs = []
+    eig = np.linalg.eig
+    went_on, model48 = [], []
     for seed in range(40, 52):
         for case, m, (_, top), nu0 in _left_solves(seed, monkeypatch):
             try:
                 cold = thermo._perron(m.T, x0=nu0)
             except NumericalError:
                 cold = None
-            calls.clear()
+            eigs.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(thermo, "_perron_step", lambda *a: calls.append(1) or step(*a))
+                patch.setattr(np.linalg, "eig", lambda *a: eigs.append(1) or eig(*a))
                 try:
                     fast = thermo._perron(m.T, x0=nu0, top=top)
                 except NumericalError:
                     fast = None
+            if (seed, *case) == (48, "one", -40.0):
+                model48.append(fast)
+            # it certifies wherever the cold solve does
             assert fast is not None or cold is None, (seed, case)
             if fast is None:
                 continue
-            if calls:  # then it returns what the cold solve returns
-                fell_back.append((seed, *case))
-                assert fast[0] == cold[0] and fast[2] == cold[2]
-                assert np.array_equal(fast[1], cold[1])
+            if eigs:
+                went_on.append((seed, *case))
             _, nu, (lo, hi) = fast
             assert hi - lo <= thermo.PRESSURE_RTOL * hi
             if cold is not None:
@@ -602,9 +606,21 @@ def test_left_solve_from_the_right_bracket_matches_a_cold_solve(monkeypatch):
             slack = 1.0 + 2 * (m.shape[0] + 1) * np.finfo(float).eps
             o_lo, o_hi, _ = helpers.power_perron(m.T, max_iter=100)
             assert max(lo, o_lo) <= min(hi, o_hi) * slack, (seed, case, (lo, hi), (o_lo, o_hi))
-    assert (48, "one", -40.0) in fell_back
-    # within |q| <= 1 the shifted steps alone certify every left solve
-    assert all(abs(q) >= 10.0 for _, _, q in fell_back)
+    assert model48 and all(fast is not None for fast in model48)
+    # within |q| <= 1 no left solve needs the eigensolve
+    assert went_on and all(abs(q) >= 10.0 for _, _, q in went_on)
+
+
+@pytest.mark.parametrize("seed, kind, q", [(43, "one", -40.0), (66, "table", 40.0)])
+def test_underflowed_right_vector_raises_numerical_error(seed, kind, q):
+    from gibbsdim.errors import NumericalError
+    # an entry of h underflows to 0 before the root fails; forming Q from it
+    # would divide by 0
+    phi, psis = _sweep_model(seed)
+    with pytest.raises(NumericalError, match="right Perron vector") as info:
+        beta_prime(q, phi, psis[kind])
+    lo, hi = info.value.bracket
+    assert 0.0 < lo <= hi
 
 
 def _stress_model(seed):

@@ -246,6 +246,16 @@ def test_postfix_vacuous_when_source_family_empty(phi_pm):
     assert report.passed and report.checked == 0
 
 
+def test_postfix_band_must_exceed_half_a_drift_step(full2):
+    # full 2-shift at depth 1: no distortion and no connectors, so only the
+    # step bound applies; a first crossing of [-0.1, 0.1] can move by 0.689
+    # and step over it (verify_postfix fails 32 source words at max_len 8)
+    phi = LocallyConstantPotential.from_values(full2, np.array([0.276, -0.689]))
+    with pytest.raises(InfeasibleError, match=r"norm/2 \+ distortion\) = 0.3445"):
+        build_postfix_set(phi, 2.331, 0.1)
+    assert verify_postfix(build_postfix_set(phi, 2.331, 0.35), phi, 8).passed
+
+
 def test_postfix_on_golden_spec_edges():
     phi = gold_edge_phi()
     # hypothesis floor: 2*distortion + |connectors|*norm = 2.5 for these weights
