@@ -16,7 +16,7 @@ import sys
 from contextlib import suppress
 
 from . import __version__
-from .errors import ToolkitError, ValidationError
+from .errors import CapacityError, ToolkitError, ValidationError
 from .model import ModelBundle, load_model
 from .sft import WORD_CAP
 from .thermo import (ALPHA_RANGE_TOL, BETA_PRESSURE_TOL, LEGENDRE_CONVENTION,
@@ -93,6 +93,8 @@ def _parse_grid(text: str):
     x = a
     while x <= b + 1e-12:
         out.append(round(x, 12))
+        if x + step == x:
+            raise ValidationError(f"grid step {step:g} does not advance the point {x:g}")
         x += step
     return out
 
@@ -361,6 +363,9 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:   # an allocation no cap foresaw
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return CapacityError.exit_code
 
 
 if __name__ == "__main__":

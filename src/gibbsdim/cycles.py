@@ -5,7 +5,8 @@ in the package they are the block graphs of ``LocallyConstantPotential.edges``.
 All routines assume every vertex has an outgoing edge; the cycle searches are
 fed mixing specs only, which are strongly connected, as Karp's formula needs.
 Every walk search here, and the ones in ``potentials`` (overhang bounds),
-``thermo`` and ``wordsets``, is built on the max-plus step ``relax``.
+``thermo`` and ``wordsets``, is built on the max-plus step ``relax``, and
+every cycle read off a map u -> nxt[u] (parents, successors) on ``orbit_cycle``.
 """
 
 from __future__ import annotations
@@ -83,15 +84,18 @@ def find_positive_cycle(adj: np.ndarray, w: np.ndarray, tol: float):
             return None
         dist = np.where(better, g, dist)
         parent = np.where(better, par, parent)
-    v = int(np.argmax(better))
-    for _ in range(n):
-        v = int(parent[v])
-    cycle = [v]
-    u = int(parent[v])
+    return orbit_cycle(parent, int(np.argmax(better)))[::-1]
+
+
+def orbit_cycle(nxt, v) -> list:
+    """The cycle that the orbit of v under u -> nxt[u] enters, read forward
+    from the vertex that len(nxt) steps reach, which lies on it."""
+    for _ in range(len(nxt)):
+        v = int(nxt[v])
+    cycle, u = [v], int(nxt[v])
     while u != v:
         cycle.append(u)
-        u = int(parent[u])
-    cycle.reverse()
+        u = int(nxt[u])
     return cycle
 
 

@@ -10,6 +10,7 @@ scales around a point and compare increments against a target exponent.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,15 @@ from .thermo import (GibbsChain, _beta_pair, alpha_range, full_dim_alpha, gibbs_
 
 _GEOM_TOL = 1e-12
 PROBE_EPS = 1e-15   # cdf tolerance of the Holder probes
+
+
+def _check_scale_powers(alpha: float, lo: int, hi: int):
+    """ValidationError unless every (2^-j)^alpha, j = lo .. hi, is a normal float,
+    so that a ratio against it neither divides by zero nor overflows."""
+    with suppress(OverflowError):   # the powers are monotone in j: test the ends
+        if all(np.finfo(float).tiny <= (2.0 ** -j) ** alpha < math.inf for j in (lo, hi)):
+            return
+    raise ValidationError(f"(2^-j)^{alpha:g} leaves the normal floats at some j in {lo} .. {hi}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +237,7 @@ class CdfModel:
         (fewer than two, for the fit) is that large."""
         if depth < 1 or depth > 60:
             raise ValidationError("probe depth must be between 1 and 60")
+        _check_scale_powers(alpha, 1, depth)
         floor = 2.0 * PROBE_EPS
         records = []
         resolved = []
@@ -258,6 +269,7 @@ class CdfModel:
         lo, hi = depth_range
         if not 1 <= lo <= hi <= 60:
             raise ValidationError("probe depths must form a non-empty range within 1 .. 60")
+        _check_scale_powers(alpha, lo, hi)
         resolved = [(scale ** alpha, dc) for scale, _, dc in self._increments(x, lo, hi)
                     if dc > 2.0 * PROBE_EPS]
         if not resolved:

@@ -204,7 +204,6 @@ class GibbsChain:
     """
 
     spec: SftSpec
-    potential: LocallyConstantPotential
     coder: BlockCoder
     lam: float
     pressure: float
@@ -250,35 +249,6 @@ class GibbsChain:
             mass *= float(self.Q[a, b])
         return mass
 
-    def integrate(self, g: LocallyConstantPotential) -> float:
-        """Expectation of g under the stationary chain."""
-        if g.spec != self.spec:
-            raise ValidationError("potential lives on a different spec")
-        depth = self.coder.width + 1
-        if g.depth > depth:
-            raise ValidationError(
-                f"chain resolves depth {depth}; integrand has depth {g.depth}"
-            )
-        return _chain_mean(self.pi, self.Q, g.edges(depth)[1])
-
-    def gibbs_constant_bound(self, max_len: int) -> float:
-        """Empirical two-sided Gibbs constant over cylinders up to max_len.
-
-        Requires the potential normalized to zero pressure; the value is
-        monotone non-decreasing in max_len.
-        """
-        if abs(self.pressure) > 1e-9:
-            raise ValidationError(
-                f"potential must be normalized to zero pressure (got {self.pressure:g})"
-            )
-        best = 1.0
-        for n in range(1, max_len + 1):
-            for w in self.spec.words(n):
-                mu = self.cylinder_measure(w)
-                ratio = mu / math.exp(self.potential.word_sum_bounds(w).sup)
-                best = max(best, ratio, 1.0 / ratio)
-        return best
-
     # --- sampling -----------------------------------------------------------
 
     def sample_orbit(self, n: int, seed: int) -> Word:
@@ -305,8 +275,8 @@ def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:
     M = _transfer(coder, weights, (1.0,))
     lam, h, bracket = _perron(M)
     nu, Q, pi = _stochasticize(M, bracket, h)
-    chain = GibbsChain(spec=f.spec, potential=f, coder=coder,
-                       lam=lam, pressure=math.log(lam), h=h, nu=nu, Q=Q, pi=pi)
+    chain = GibbsChain(spec=f.spec, coder=coder, lam=lam, pressure=math.log(lam),
+                       h=h, nu=nu, Q=Q, pi=pi)
     chain._validate(M)
     return chain
 

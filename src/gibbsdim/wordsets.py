@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import sft
-from .cycles import relax
+from .cycles import orbit_cycle, relax
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
 from .potentials import LocallyConstantPotential, add_terms, combine
@@ -207,8 +207,8 @@ def build_postfix_set(phi: LocallyConstantPotential, source_band: float,
             f"band {band:g} must exceed max(2*distortion + |connectors|*norm, "
             f"norm/2 + distortion) = {need:g}"
         )
-    if not source_band > 0:   # the source family's window bound
-        raise ValidationError(f"source band must be positive, got {source_band:g}")
+    if not 0 < source_band < math.inf:   # the source family's window bound
+        raise ValidationError(f"source band must be positive and finite, got {source_band:g}")
     one = LocallyConstantPotential.constant(spec, 1.0)
     a_lo, a_hi = alpha_range(phi, one)
     if not (a_lo < -ALPHA_SIGN_TOL and a_hi > ALPHA_SIGN_TOL):
@@ -321,11 +321,9 @@ def in_repetition_free_set(spec: SftSpec, prefix: Word, words, l: int) -> bool:
     for w in fam:
         if len(w) == 0 or not spec.is_cyclically_admissible(w):
             raise ValidationError("family words must be non-empty and cyclically admissible")
-    text = bytes(prefix)
-    for w in fam:
-        if text.find(bytes(word_power(spec, w, l))) >= 0:
-            return False
-    return True
+    text = bytes(prefix)   # a power longer than the prefix cannot occur in it
+    return not any(len(w) * l <= len(text) and bytes(word_power(spec, w, l)) in text
+                   for w in fam)
 
 
 # --------------------------------------------------------------------------
@@ -346,26 +344,6 @@ class BoundaryWords:
         return tuple(sorted(set(self.y_minus) | set(self.y_plus), key=lambda w: (len(w), w)))
 
 
-def _functional_cycles(nxt) -> list:
-    n = len(nxt)
-    color = [0] * n
-    cycles = []
-    for start in range(n):
-        if color[start]:
-            continue
-        path, pos = [], {}
-        cur = start
-        while color[cur] == 0 and cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = nxt[cur]
-        if cur in pos:
-            cycles.append(tuple(path[pos[cur]:]))
-        for v in path:
-            color[v] = 1
-    return cycles
-
-
 def boundary_words(order, spec: SftSpec) -> BoundaryWords:
     """For each symbol the leftmost/rightmost admissible successor under ``order``,
     and all rotations of the cycles of those two successor maps."""
@@ -375,13 +353,9 @@ def boundary_words(order, spec: SftSpec) -> BoundaryWords:
     rank = {s: i for i, s in enumerate(order)}
     left = {a: min(spec.successors(a), key=lambda b: rank[b]) for a in range(spec.n)}
     right = {a: max(spec.successors(a), key=lambda b: rank[b]) for a in range(spec.n)}
-    sets = []
-    for nxt in (left, right):
-        rotations = set()
-        for cyc in _functional_cycles([nxt[a] for a in range(spec.n)]):
-            for i in range(len(cyc)):
-                rotations.add(cyc[i:] + cyc[:i])
-        sets.append(tuple(sorted(rotations, key=lambda w: (len(w), w))))
+    # a -> nxt^n(a) permutes each cycle's vertices, so every rotation occurs
+    sets = [tuple(sorted({tuple(orbit_cycle(nxt, a)) for a in range(spec.n)},
+                         key=lambda w: (len(w), w))) for nxt in (left, right)]
     return BoundaryWords(left_successor=left, right_successor=right,
                          y_minus=sets[0], y_plus=sets[1])
 

@@ -130,6 +130,18 @@ def brute_sum_range(phi, word):
     return max(values), min(values)
 
 
+def brute_gibbs_constant(chain, phi, max_len):
+    """The two-sided Gibbs constant of the chain against phi, normalized to
+    zero pressure: the largest of 1, mu[w] / exp(sup S phi) and its inverse
+    over the admissible words w up to max_len."""
+    best = 1.0
+    for n in range(1, max_len + 1):
+        for w in brute_words(chain.spec, n):
+            ratio = chain.cylinder_measure(w) / math.exp(brute_sum_range(phi, w)[0])
+            best = max(best, ratio, 1.0 / ratio)
+    return best
+
+
 def brute_overhang(phi, word):
     """(max, min) over every continuation of the windows sliding off
     ``tail(word)``, each summed by a left fold started at 0.0."""

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import gibbsdim
+import helpers
 from gibbsdim.cli import _number, _parse_grid, build_parser, main
 from gibbsdim.errors import ValidationError
 
@@ -201,45 +202,86 @@ def test_grid_rejects_bounds_that_are_not_finite():
             _parse_grid(text)
 
 
+def test_grid_rejects_a_step_that_does_not_advance_the_point():
+    # 1e20 + 1 == 1e20: the grid would grow until memory runs out, so the
+    # check runs in a child under an address-space limit
+    out, _ = helpers.run_limited(
+        "from gibbsdim.cli import _parse_grid\n"
+        "from gibbsdim.errors import ValidationError\n"
+        "try:\n"
+        "    _parse_grid('1e20:2e20:1')\n"
+        "except ValidationError as exc:\n"
+        "    print(exc)\n")
+    assert out.strip() == "grid step 1 does not advance the point 1e+20"
+
+
+def test_an_allocation_that_fails_exits_4_with_one_error_line(models_dir):
+    argv = ["cdf", "curve", "--resolution", "100000000000",
+            "--model", model(models_dir, "bin14.json")]
+    out, _ = helpers.run_limited(
+        "import contextlib, io\n"
+        "from gibbsdim.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = main({argv!r})\n"
+        "print(code)\n"
+        "print(err.getvalue(), end='')\n")
+    code, *lines = out.splitlines()
+    assert code == "4"
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), lines
+
+
 def _subparsers(parser):
     return next((a.choices for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)), None)
 
 
-def _invalid_option_cases():
-    """Each README command with one of its int options set to -1, or one of
-    its float options to NaN: the README value replaced, or the option appended."""
+def _option_cases(values):
+    """Each README command with one of its options set as ``--opt=value``, for
+    each value in ``values[type]`` of an option whose type is a key: the README
+    value replaced, or the option appended."""
     commands = _subparsers(build_parser())
-    bad = {int: "-1", float: "nan", _number: "nan"}
     for line in README_COMMANDS:
         argv = shlex.split(line)[1:]
         parser = commands[argv[0]]
         parser = (_subparsers(parser) or {}).get(argv[1], parser)
+        name = "-".join(a for a in argv[:2] if not a.startswith("-"))
         for action in parser._actions:
-            if action.type not in bad:
-                continue
-            option, value = action.option_strings[0], bad[action.type]
-            case = list(argv)
-            if option in case:
-                case[case.index(option) + 1] = value
-            else:
-                case += [option, value]
-            name = "-".join(a for a in argv[:2] if not a.startswith("-"))
-            yield pytest.param(case, id=f"{name}{option}={value}")
+            for value in values.get(action.type, ()):
+                option, case = action.option_strings[0], list(argv)
+                if option in case:
+                    del case[case.index(option):case.index(option) + 2]
+                yield pytest.param(case + [f"{option}={value}"], id=f"{name}{option}={value}")
 
 
-@pytest.mark.parametrize("argv", list(_invalid_option_cases()))
+def _exit_code(argv):
+    """main's exit code, argparse's, or the repr of a raw exception."""
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        return exc.code
+    except Exception as exc:  # a raw error the CLI did not map to an exit code
+        return repr(exc)
+
+
+@pytest.mark.parametrize("argv", list(_option_cases({int: ["-1"], float: ["nan"],
+                                                      _number: ["nan"]})))
 def test_readme_command_rejects_an_invalid_option_value(capsys, monkeypatch, argv):
     # every int option is invalid at -1 and every float option at NaN
     monkeypatch.chdir(ROOT)  # the commands name models/ relative to the repository
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the value
-        code = exc.code
-    except Exception as exc:  # a raw error the CLI did not map to an exit code
-        code = repr(exc)
-    assert code == 2
+    assert _exit_code(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", list(_option_cases({float: ["inf", "-1e308"],
+                                                      _number: ["inf", "-1e308"]})))
+def test_readme_command_maps_an_extreme_float_option_to_an_exit_code(capsys, monkeypatch, argv):
+    # an infinite or huge float runs, or fails at once with one error line
+    monkeypatch.chdir(ROOT)
+    code = _exit_code(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_holder_and_alpha0(capsys, models_dir):
@@ -363,12 +405,7 @@ def test_readme_commands_run_as_written(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)  # the commands name models/ relative to the repository
     failed, moved = [], []
     for line in README_COMMANDS:
-        try:
-            code = main(shlex.split(line)[1:])
-        except SystemExit as exc:  # argparse rejects the arguments
-            code = exc.code
-        except Exception as exc:  # a raw error the CLI did not map to an exit code
-            code = repr(exc)
+        code = _exit_code(shlex.split(line)[1:])
         out = capsys.readouterr().out
         if code != 0:
             failed.append((line, code))

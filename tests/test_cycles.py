@@ -92,3 +92,20 @@ def test_find_positive_cycle_matches_brute(seed):
         if cyc is not None:
             assert_is_cycle(adj, cyc)
             assert cycles.cycle_sum(ws, cyc) > tol
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_orbit_cycle_is_the_cycle_the_orbit_enters(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    nxt = rng.integers(0, n, size=n)
+    for v in range(n):
+        orbit = [v]
+        while nxt[orbit[-1]] not in orbit:
+            orbit.append(int(nxt[orbit[-1]]))
+        cyc = orbit[orbit.index(nxt[orbit[-1]]):]   # the first repeat closes the cycle
+        start = v
+        for _ in range(n):
+            start = int(nxt[start])
+        k = cyc.index(start)   # n steps reach the cycle; it is read from there
+        assert cycles.orbit_cycle(nxt, v) == cyc[k:] + cyc[:k]

@@ -141,7 +141,7 @@ def test_cdf_increment_equals_cylinder_mass(bin_model, full2):
 
 
 def test_gibbs_sandwich(bin_model, full2):
-    c = bin_model.chain.gibbs_constant_bound(8)
+    c = helpers.brute_gibbs_constant(bin_model.chain, bin_model.potential, 8)
     for n in range(1, 13):
         for w in full2.words(n):
             lo, hi = bin_model.ifs.cylinder_interval(w)
@@ -225,6 +225,23 @@ def test_moderate_check_skips_increments_within_the_evaluation_error(bin_model):
     assert bin_model.moderate_check(1 / 3, 1.2075, 50.0, (5, 60))
     with pytest.raises(ValidationError, match="evaluation error"):
         bin_model.moderate_check(1 / 3, 1.2075, 50.0, (50, 60))
+
+
+@pytest.mark.parametrize("alpha", [1100.0, 1000.0, 34.1, math.inf, -2000.0, -math.inf])
+def test_probes_reject_an_alpha_whose_scale_powers_leave_the_normal_floats(bin_model, alpha):
+    # (2^-j)^alpha underflows or overflows at some probed j: a ratio against it
+    # would divide by zero, overflow, or compare against a rounded-off bound
+    with pytest.raises(ValidationError, match="leaves the normal floats"):
+        bin_model.holder_probe(1 / 3, alpha, 30)
+    with pytest.raises(ValidationError, match="leaves the normal floats"):
+        bin_model.moderate_check(1 / 3, alpha, 50.0, (5, 30))
+
+
+def test_probes_take_an_alpha_whose_scale_powers_stay_normal(bin_model):
+    # (2^-30)^34 = 2^-1020 is normal; the ratios are finite
+    probe = bin_model.holder_probe(1 / 3, 34.0, 30)
+    assert all(math.isfinite(r[3]) for r in probe.records)
+    assert not bin_model.moderate_check(1 / 3, -34.0, 50.0, (5, 30))
 
 
 @pytest.mark.parametrize("x,depths", [

@@ -9,6 +9,7 @@ from gibbsdim import (EmptyLevelSetError, LocallyConstantPotential, ValidationEr
                       add_constant, alpha_range, beta, beta_prime, birkhoff_sup,
                       combine, full_dim_alpha, gibbs_chain, pressure, spectrum_at,
                       subaction)
+from gibbsdim.thermo import _chain_mean
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -113,12 +114,13 @@ def test_cylinder_measure_deep_potential(gold):
 
 
 def test_gibbs_constant_bound(bin14, gold):
+    # a Bernoulli measure's cylinder masses are exactly exp(S_n phi)
     _, phi, _ = bin14
-    chain = gibbs_chain(phi)
-    assert chain.gibbs_constant_bound(6) == pytest.approx(1.0, abs=1e-12)
-    gchain = gibbs_chain(add_constant(_zero(gold), -math.log(GOLDEN)))
-    b1 = gchain.gibbs_constant_bound(1)
-    b6 = gchain.gibbs_constant_bound(6)
+    assert helpers.brute_gibbs_constant(gibbs_chain(phi), phi, 6) == pytest.approx(1.0, abs=1e-12)
+    flat = add_constant(_zero(gold), -math.log(GOLDEN))
+    gchain = gibbs_chain(flat)
+    b1 = helpers.brute_gibbs_constant(gchain, flat, 1)
+    b6 = helpers.brute_gibbs_constant(gchain, flat, 6)
     assert b1 <= b6
     # closed-form oracle: ratio nu(w1) h(wn) exp(-max continuation edge value)
     w_edge = {(a, b): -math.log(GOLDEN) for a in range(2) for b in range(2)}
@@ -132,18 +134,18 @@ def test_gibbs_constant_bound(bin14, gold):
     assert b6 == pytest.approx(best, rel=1e-9)
 
 
-def test_gibbs_constant_requires_normalization(gold):
-    with pytest.raises(ValidationError):
-        gibbs_chain(_zero(gold)).gibbs_constant_bound(3)
+def _mean(chain, g):
+    """The mean of g under the chain, read on the edges of the depth it resolves."""
+    return _chain_mean(chain.pi, chain.Q, g.edges(chain.coder.width + 1)[1])
 
 
 def test_integrate(bin14, full2):
     spec, phi, psi = bin14
     chain = gibbs_chain(phi)
-    assert chain.integrate(phi) == pytest.approx(0.25 * math.log(0.25) + 0.75 * math.log(0.75), abs=1e-12)
-    assert chain.integrate(LocallyConstantPotential.constant(spec, 3.5)) == pytest.approx(3.5, abs=1e-12)
+    assert _mean(chain, phi) == pytest.approx(0.25 * math.log(0.25) + 0.75 * math.log(0.75), abs=1e-12)
+    assert _mean(chain, LocallyConstantPotential.constant(spec, 3.5)) == pytest.approx(3.5, abs=1e-12)
     uniform = gibbs_chain(_zero(full2))
-    assert uniform.integrate(phi) == pytest.approx(0.5 * (math.log(0.25) + math.log(0.75)), abs=1e-12)
+    assert _mean(uniform, phi) == pytest.approx(0.5 * (math.log(0.25) + math.log(0.75)), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -159,7 +161,7 @@ def test_integrate_matches_brute_cylinder_sum(seed):
             g = helpers.random_potential(rng, spec, depth)
             brute = sum(chain.cylinder_measure(w) * g.value(w)
                         for w in helpers.brute_words(spec, length))
-            assert chain.integrate(g) == pytest.approx(brute, rel=1e-12)
+            assert _mean(chain, g) == pytest.approx(brute, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -317,7 +319,7 @@ def test_full_dim_alpha_degenerate(full2):
         psi = LocallyConstantPotential.from_table(
             spec, depth, [(w, float(rng.uniform(0.2, 2.0))) for w in spec.words(depth)])
         chain = gibbs_chain(combine(0.0, phi, -beta(0.0, phi, psi), psi))
-        expect = -chain.integrate(phi) / chain.integrate(psi)
+        expect = -_mean(chain, phi) / _mean(chain, psi)
         assert full_dim_alpha(phi, psi) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 

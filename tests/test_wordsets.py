@@ -71,7 +71,8 @@ def test_window_bound_must_be_a_positive_number(phi_pm):
     for bound in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match="window bound must be positive"):
             window_family(pm, bound, 16)
-    for source_band in (0.0, math.nan):
+    # an infinite source band would run the drift search to DRIFT_STEP_CAP
+    for source_band in (0.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="source band must be positive"):
             build_postfix_set(pm, source_band, 0.6)
 
@@ -289,8 +290,22 @@ def test_repetition_free_set(full2):
     assert in_repetition_free_set(full2, seq, [full2.word("0")], 2)
     assert not in_repetition_free_set(full2, full2.word("0110011"), [full2.word("1")], 2)
     assert not in_repetition_free_set(full2, seq, [full2.word("01")], 7)
+    assert not in_repetition_free_set(full2, full2.word("0101"), [full2.word("01")], 2)
+    assert in_repetition_free_set(full2, full2.word("0101"), [full2.word("01")], 3)
     with pytest.raises(ValidationError):
         in_repetition_free_set(helpers.gold(), seq, [full2.word("1")], 2)
+
+
+def test_a_power_longer_than_the_prefix_is_not_built():
+    """A power longer than the prefix cannot occur in it, so the check skips
+    it: at l = 10^9 building it would take gigabytes.  Run in a child under an
+    address-space limit, so that a regression fails here."""
+    out, _ = helpers.run_limited(
+        "import helpers\n"
+        "from gibbsdim import in_repetition_free_set\n"
+        "spec = helpers.full2()\n"
+        "print(in_repetition_free_set(spec, spec.word('0110'), [spec.word('01')], 10**9))\n")
+    assert out.split() == ["True"]
 
 
 # --------------------------------------------------------------------------
@@ -310,6 +325,25 @@ def test_boundary_words_gold():
     assert set(bw.y_plus) == {gspec.word("01"), gspec.word("10")}
     for w in bw.all_words:
         assert gspec.is_cyclically_admissible(w)
+
+
+def test_boundary_words_are_every_rotation_of_every_successor_cycle():
+    # brute: a symbol on a cycle of nxt returns to itself within n steps, and
+    # its walk until then is the rotation of that cycle that starts at it
+    rng = np.random.default_rng(37)
+    for _ in range(24):
+        spec = helpers.random_mixing_spec(rng)
+        bw = boundary_words(tuple(rng.permutation(spec.n)), spec)
+        for nxt, fam in ((bw.left_successor, bw.y_minus), (bw.right_successor, bw.y_plus)):
+            brute = set()
+            for a in range(spec.n):
+                walk = [a]
+                while len(walk) <= spec.n and nxt[walk[-1]] != a:
+                    walk.append(nxt[walk[-1]])
+                if len(walk) <= spec.n:
+                    brute.add(tuple(walk))
+            assert set(fam) == brute
+            assert list(fam) == sorted(brute, key=lambda w: (len(w), w))
 
 
 def test_boundary_words_cover_cycles():
