@@ -15,10 +15,9 @@ import math
 import sys
 from contextlib import suppress
 
-from . import __version__
+from . import __version__, sft
 from .errors import CapacityError, ToolkitError, ValidationError
 from .model import ModelBundle, load_model
-from .sft import WORD_CAP
 from .thermo import (ALPHA_RANGE_TOL, BETA_PRESSURE_TOL, LEGENDRE_CONVENTION,
                      PRESSURE_RTOL, QALPHA_TOL, alpha_range, beta, beta_prime,
                      full_dim_alpha, pressure, spectrum_at, subaction)
@@ -89,6 +88,8 @@ def _parse_grid(text: str):
         raise ValidationError("grid start, stop and step must be finite")
     if step <= 0:
         raise ValidationError("grid step must be positive")
+    if (b - a) / step > sft.WORD_CAP and a + step != a:   # a stalled step fails below
+        raise CapacityError(f"grid of {(b - a) / step:.3g} points exceeds the cap {sft.WORD_CAP}")
     out = []
     x = a
     while x <= b + 1e-12:
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("words", parents=[common, single])
     w.add_argument("--K", type=_number, required=True)
     w.add_argument("--m", type=int, required=True)
-    w.add_argument("--cap", type=int, default=WORD_CAP)
+    w.add_argument("--cap", type=int, default=sft.WORD_CAP)
 
     pf = sub.add_parser("postfix", parents=[common, single])
     pf.add_argument("--Kp", type=_number, required=True)

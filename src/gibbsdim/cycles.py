@@ -3,7 +3,7 @@
 Graphs arrive as a boolean adjacency matrix plus one or two weight matrices;
 in the package they are the block graphs of ``LocallyConstantPotential.edges``.
 All routines assume every vertex has an outgoing edge; the cycle searches are
-fed mixing specs only, which are strongly connected, as Karp's formula needs.
+fed mixing specs only, which are strongly connected.
 Every walk search here, and the ones in ``potentials`` (overhang bounds),
 ``thermo`` and ``wordsets``, is built on the max-plus step ``relax``, and
 every cycle read off a map u -> nxt[u] (parents, successors) on ``orbit_cycle``.
@@ -35,34 +35,9 @@ def relax(adj: np.ndarray, w: np.ndarray, f: np.ndarray):
 
 
 def karp_max_cycle_mean(adj: np.ndarray, w: np.ndarray):
-    """Maximum cycle mean and one attaining cycle (list of vertices)."""
-    n = adj.shape[0]
-    d = np.empty((n + 1, n))
-    parent = np.full((n + 1, n), -1, dtype=np.int64)
-    d[0] = 0.0
-    for k in range(1, n + 1):
-        d[k], parent[k] = relax(adj, w, d[k - 1])
-    reach = np.flatnonzero(d[n] > -np.inf)
-    if reach.size == 0:
-        raise NumericalError("graph has no cycle reachable by length-n walks")
-    # Karp: max over v of min over k of (d_n(v) - d_k(v)) / (n - k); an
-    # unreachable d_k(v) gives +inf, which the min ignores
-    means = np.min((d[n, reach] - d[:n, reach]) / (n - np.arange(n))[:, None], axis=0)
-    best = int(np.argmax(means))
-    best_v = int(reach[best])
-    # walk parents from (n, best_v); a repeated vertex closes a max-mean cycle
-    path = [best_v]
-    for k in range(n, 0, -1):
-        path.append(int(parent[k, path[-1]]))
-    path.reverse()  # forward edge order
-    seen = {}
-    cycle = [best_v]
-    for i, u in enumerate(path):
-        if u in seen:
-            cycle = path[seen[u]:i]
-            break
-        seen[u] = i
-    return float(means[best]), cycle
+    """Maximum cycle mean and a cycle that attains it exactly, as the cycle ratio
+    over unit weights; named for the benchmark's span (later ``max_cycle_mean``)."""
+    return max_cycle_ratio(adj, w, adj.astype(float))
 
 
 def find_positive_cycle(adj: np.ndarray, w: np.ndarray, tol: float):

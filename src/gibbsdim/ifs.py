@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sft
 from ._kernels import cdf_descend
-from .errors import InfeasibleError, ValidationError
+from .errors import CapacityError, InfeasibleError, ValidationError
 from .potentials import (LocallyConstantPotential, add_constant, combine)
 from .sft import EMPTY_WORD, SftSpec, Word
 from .thermo import (GibbsChain, _beta_pair, alpha_range, full_dim_alpha, gibbs_chain,
@@ -220,6 +221,8 @@ class CdfModel:
         """Sampled (x, cdf) table on a uniform grid over the base interval."""
         if resolution < 2:
             raise ValidationError("resolution must be at least 2")
+        if resolution > sft.WORD_CAP:
+            raise CapacityError(f"resolution {resolution} exceeds the cap {sft.WORD_CAP}")
         u, v = self.ifs.interval
         xs = np.linspace(u, v, resolution)
         return [(float(x), self.cdf(float(x), eps)) for x in xs]

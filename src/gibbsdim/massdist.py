@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import sft
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
 from .potentials import LocallyConstantPotential, add_terms, cylinder_diam_psi
@@ -272,6 +273,9 @@ class MassDistribution:
         """Draw a generation-k word with probability equal to its mass."""
         if k < 1:
             raise ValidationError("generation index must be positive")
+        stem = 2 * self.infixes.norm + self.base_length + len(self.joined)
+        if self.base_length + (k - 1) * stem > sft.WORD_CAP:
+            raise CapacityError(f"a generation-{k} word is longer than the cap {sft.WORD_CAP}")
         rng = seeded_rng(seed)
         idx = int(np.searchsorted(np.cumsum(self._root_probs), rng.random(), side="left"))
         cur = self._root_words[min(idx, len(self._root_words) - 1)]

@@ -66,7 +66,8 @@ def _window_walk(phi: LocallyConstantPotential, bound: float, lo: int, hi: int,
     edge's window to its parent's run, as a left fold does, and pruning takes
     exact extremal continuation sums (max-plus steps) over the lengths still
     open.  ``cap`` bounds each length's words; more than ``sft.WORD_CAP``
-    candidates at one length raise CapacityError before their arrays exist.
+    candidates at one length, or pruning-table entries, raise CapacityError
+    before their arrays exist.
     """
     if not bound > 0:
         raise ValidationError("window bound must be positive")
@@ -75,6 +76,9 @@ def _window_walk(phi: LocallyConstantPotential, bound: float, lo: int, hi: int,
     spec, (coder, wt) = phi.spec, phi.edges()
     nb = len(coder.blocks)
     keys = coder.blocks + tuple(w for j in range(1, coder.width) for w in spec.words(j))
+    if hi * len(keys) > sft.WORD_CAP:
+        raise CapacityError(f"{hi} pruning tables of {len(keys)} states "
+                            f"exceed the cap {sft.WORD_CAP}")
     index = {k: i for i, k in enumerate(keys)}
     adj, weights = np.zeros((len(keys),) * 2, dtype=bool), np.zeros((len(keys),) * 2)
     adj[:nb, :nb] = coder.block.incidence

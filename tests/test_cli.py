@@ -14,8 +14,9 @@ import pytest
 
 import gibbsdim
 import helpers
+from gibbsdim import sft
 from gibbsdim.cli import _number, _parse_grid, build_parser, main
-from gibbsdim.errors import ValidationError
+from gibbsdim.errors import CapacityError, ValidationError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README_COMMANDS = [line for block in re.findall(r"```sh\n(.*?)```",
@@ -202,6 +203,14 @@ def test_grid_rejects_bounds_that_are_not_finite():
             _parse_grid(text)
 
 
+def test_grid_counts_its_points_before_building_them(monkeypatch):
+    # at the real cap, 0:1e12:1 grew until memory ran out
+    monkeypatch.setattr(sft, "WORD_CAP", 100)
+    assert len(_parse_grid("0:100:1")) == 101
+    with pytest.raises(CapacityError, match="grid of 1e\\+03 points exceeds the cap 100"):
+        _parse_grid("0:1000:1")
+
+
 def test_grid_rejects_a_step_that_does_not_advance_the_point():
     # 1e20 + 1 == 1e20: the grid would grow until memory runs out, so the
     # check runs in a child under an address-space limit
@@ -220,7 +229,9 @@ def test_an_allocation_that_fails_exits_4_with_one_error_line(models_dir):
             "--model", model(models_dir, "bin14.json")]
     out, _ = helpers.run_limited(
         "import contextlib, io\n"
+        "from gibbsdim import sft\n"
         "from gibbsdim.cli import main\n"
+        "sft.WORD_CAP = 10**12  # past the curve's point count, so NumPy's allocation fails\n"
         "err = io.StringIO()\n"
         "with contextlib.redirect_stderr(err):\n"
         f"    code = main({argv!r})\n"
@@ -282,6 +293,38 @@ def test_readme_command_maps_an_extreme_float_option_to_an_exit_code(capsys, mon
     assert code in (0, 2, 3, 4)
     if code:
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_readme_command_maps_a_huge_int_option_to_an_exit_code():
+    # every int option at 10^9 runs, or fails at once with one error line; a
+    # length, depth or point count that size must not be built, so the cases
+    # run in one child under an address-space limit, each stopped after 2 s
+    cases = [case.values[0] for case in _option_cases({int: ["1000000000"]})]
+    out, _ = helpers.run_limited(
+        "import contextlib, io, json, os, signal, time\n"
+        "from gibbsdim.cli import main\n"
+        f"os.chdir({str(ROOT)!r})\n"
+        "def stop(*_):\n"
+        "    raise TimeoutError('still running after 2 s')\n"
+        "signal.signal(signal.SIGALRM, stop)\n"
+        f"for argv in {cases!r}:\n"
+        "    err, start = io.StringIO(), time.perf_counter()\n"
+        "    signal.alarm(2)\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "            code = main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    except Exception as exc:\n"
+        "        code = repr(exc)\n"
+        "    signal.alarm(0)\n"
+        "    print(json.dumps([argv[-1], code, time.perf_counter() - start, err.getvalue()]))\n")
+    results = [json.loads(line) for line in out.splitlines()]
+    assert len(results) == len(cases) == 12
+    assert [(option, code, seconds) for option, code, seconds, _ in results
+            if code not in (0, 2, 3, 4) or seconds >= 1.0] == []
+    assert [(option, err) for option, code, _, err in results
+            if code and not (err.startswith("error:") and err.count("\n") == 1)] == []
 
 
 def test_holder_and_alpha0(capsys, models_dir):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import (AffineIfs, CdfModel, InfeasibleError, LocallyConstantPotential,
-                      ValidationError, beta, in_repetition_free_set, spectrum_at)
-from gibbsdim import ifs
+from gibbsdim import (AffineIfs, CapacityError, CdfModel, InfeasibleError,
+                      LocallyConstantPotential, ValidationError, beta, in_repetition_free_set,
+                      spectrum_at)
+from gibbsdim import ifs, sft
 
 ALPHA0 = 1.2075187496394422
 
@@ -95,6 +96,14 @@ def test_curve_monotone_with_unit_endpoints(bin_model):
     assert ys[0] == pytest.approx(0.0, abs=1e-9)
     assert ys[-1] == pytest.approx(1.0, abs=1e-12)
     assert all(a <= b + 1e-15 for a, b in zip(ys, ys[1:]))
+
+
+def test_curve_counts_its_points_before_building_them(bin_model, monkeypatch):
+    # at the real cap, --resolution 1000000000 asked NumPy for 7.45 GiB
+    monkeypatch.setattr(sft, "WORD_CAP", 100)
+    assert len(bin_model.curve(100)) == 100
+    with pytest.raises(CapacityError, match="resolution 101 exceeds the cap 100"):
+        bin_model.curve(101)
 
 
 def test_curve_refinement_consistent(bin_model):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import (InfeasibleError, LocallyConstantPotential, NumericalError,
+from gibbsdim import (CapacityError, InfeasibleError, LocallyConstantPotential, NumericalError,
                       ValidationError, add_constant, alpha_range, build_mass_distribution,
                       choose_base_length, combine, full_dim_alpha, in_frequent_set,
                       spectrum_at, window_family)
-from gibbsdim import massdist
+from gibbsdim import massdist, sft
 
 
 def small_dist(phi_pm, s=0.1):
@@ -329,6 +329,18 @@ def test_sample_frequencies(phi_pm):
         p = dist.mass(w)
         sigma = math.sqrt(p * (1 - p) * n)
         assert abs(c - p * n) <= 3 * sigma
+
+
+def test_sample_fails_at_once_where_its_word_would_exceed_the_cap(phi_pm, monkeypatch):
+    # a generation-k word holds at least base_length + (k - 1) stems, each a
+    # connector, a base word, a connector and the joined word
+    dist = small_dist(phi_pm)
+    stem = 2 * dist.infixes.norm + dist.base_length + len(dist.joined)
+    assert min(len(dist.sample(3, seed)) for seed in range(20)) >= dist.base_length + 2 * stem
+    monkeypatch.setattr(sft, "WORD_CAP", dist.base_length + 2 * stem - 1)
+    assert len(dist.sample(2, 0)) >= dist.base_length + stem
+    with pytest.raises(CapacityError, match="generation-3 word is longer than the cap"):
+        dist.sample(3, 0)
 
 
 def test_sample_deterministic_and_progressive(phi_pm):

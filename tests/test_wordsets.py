@@ -77,6 +77,19 @@ def test_window_bound_must_be_a_positive_number(phi_pm):
             build_postfix_set(pm, source_band, 0.6)
 
 
+def test_a_walk_fails_at_once_where_its_pruning_tables_exceed_the_cap(phi_pm, monkeypatch):
+    # one table of 2 floats per length on phipm: m = 10^9 built tables for
+    # more than 8 s before its first level
+    _, pm, _ = phi_pm
+    pset = build_postfix_set(pm, 2.0, 0.6)
+    monkeypatch.setattr(sft, "WORD_CAP", 100)
+    with pytest.raises(CapacityError, match="candidate words of length 7"):
+        window_family(pm, 0.6, 50)   # the tables fit, so the walk starts
+    for walk in (lambda: window_family(pm, 0.6, 51), lambda: verify_postfix(pset, pm, 51)):
+        with pytest.raises(CapacityError, match="51 pruning tables of 2 states exceed the cap 100"):
+            walk()
+
+
 def test_a_loose_family_fails_its_level_cap_in_bounded_memory():
     """Each length of the walk holds at most sft.WORD_CAP candidate words, so
     a loose family raises CapacityError before it grows: on phipm at K = 2 the
