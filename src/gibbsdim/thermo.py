@@ -41,6 +41,9 @@ Q_CAP = 40.0
 
 LEGENDRE_CONVENTION = "b(alpha) = min_q beta(q) - q*alpha"
 
+# the reductions behind ndarray.min/max/sum, without their Python wrappers
+_fmin, _fmax, _fsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
 
 # --------------------------------------------------------------------------
 # (coder, weights): several potentials on their one higher-block graph
@@ -62,16 +65,19 @@ def _edge_space(*potentials: LocallyConstantPotential):
 def _transfer(coder: BlockCoder, weights, coeffs) -> np.ndarray:
     """The transfer matrix exp(sum_k coeffs[k] * weights[k]) on the edges of
     ``coder.block``, 0 off them."""
-    w = np.zeros_like(weights[0])
-    for c, mat in zip(coeffs, weights):
-        w = w + c * mat
+    w = coeffs[0] * weights[0]
+    for c, mat in zip(coeffs[1:], weights[1:]):
+        w += c * mat
     with np.errstate(over="ignore"):  # an overflow fails the Perron solve
-        return np.where(coder.block.incidence, np.exp(w), 0.0)
+        np.exp(w, out=w)
+    return np.where(coder.block.incidence, w, 0.0)
 
 
 def _chain_mean(pi: np.ndarray, Q: np.ndarray, w: np.ndarray) -> float:
     """The mean sum_ij pi_i Q_ij w_ij of the edge weight w under the chain (pi, Q)."""
-    return float(np.sum(pi[:, None] * Q * w))
+    terms = pi[:, None] * Q
+    terms *= w
+    return float(_fsum(terms, axis=None))
 
 
 # --------------------------------------------------------------------------
@@ -103,7 +109,7 @@ def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
     that is not finite, or no certificate by iterate ``PRESSURE_MAX_ITER`` - 1
     raises NumericalError with the bracket, and no NumPy warning.
     """
-    x = x0 if x0 is not None and np.all(x0 > 0.0) else np.ones(M.shape[0])
+    x = x0 if x0 is not None and _fmin(x0) > 0.0 else np.ones(M.shape[0])
     # from all-ones, each shifted step gains ~16 orders of relative accuracy
     # in the smallest entries: a vector spanning 36 orders needs three
     shifted = 3 if top < math.inf else 0
@@ -115,21 +121,25 @@ def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
         for k in range(PRESSURE_MAX_ITER):
             y = M @ x
             ratios = y / x
-            lo_best = max(lo_best, float(ratios.min()))
-            hi_best = min(hi_best, float(ratios.max()))
+            lo_best = max(lo_best, float(_fmin(ratios)))
+            hi_best = min(hi_best, float(_fmax(ratios)))
             if not 0.0 < hi_best < math.inf:
                 break
             if hi_best - lo_best <= PRESSURE_RTOL * hi_best:
-                return 0.5 * (lo_best + hi_best), y / y.max(), (lo_best, hi_best)
+                y /= _fmax(y)
+                return 0.5 * (lo_best + hi_best), y, (lo_best, hi_best)
             if k == PRESSURE_MAX_ITER - 1:
                 break
             j = k - shifted
             x = (None if j == 0 else _eig_vector(M) if j == 1
                  else _inverse_step(M, x, min(hi_best, top) * margin))
             if x is None:
-                x = y / y.max()
-                if not np.all(np.isfinite(x)):
+                # M >= 0, so y / max(y) is finite iff 0 < max(y) < inf
+                top_y = _fmax(y)
+                if not 0.0 < top_y < math.inf:
                     break
+                y /= top_y
+                x = y
     raise NumericalError(f"Perron solve did not certify; certified eigenvalue bracket "
                          f"{lo_best, hi_best}", bracket=(lo_best, hi_best))
 
@@ -140,8 +150,11 @@ def _eig_vector(M: np.ndarray):
         vals, vecs = np.linalg.eig(M)
     except np.linalg.LinAlgError:
         return None
-    z = np.abs(vecs[:, np.argmax(vals.real)].real)
-    return z / z.max() if np.all(z > 0.0) else None
+    z = np.abs(vecs[:, vals.real.argmax()].real)
+    if not _fmin(z) > 0.0:
+        return None
+    z /= _fmax(z)
+    return z
 
 
 def _inverse_step(M: np.ndarray, x: np.ndarray, sigma: float):
@@ -156,13 +169,19 @@ def _inverse_step(M: np.ndarray, x: np.ndarray, sigma: float):
     the small ones, which the bracket needs.
     """
     n = x.shape[0]
-    scaled = M * x[None, :] / x[:, None]
+    a = M * x
+    a /= x[:, None]
+    # a <- sigma I - a, entry for entry as sigma * np.eye(n) - a
+    diagonal = sigma - a.diagonal()
+    np.subtract(0.0 * sigma, a, out=a)
+    a.flat[::n + 1] = diagonal
     try:
-        z = x * np.linalg.solve(sigma * np.eye(n) - scaled, np.ones(n))
+        z = np.linalg.solve(a, np.ones(n))
     except np.linalg.LinAlgError:
         return None
-    z = z / z.max()
-    return z if np.all(z > 0.0) else None
+    z *= x
+    z /= _fmax(z)
+    return z if _fmin(z) > 0.0 else None
 
 
 def _stochasticize(M: np.ndarray, bracket, h: np.ndarray, nu0: np.ndarray | None = None):
@@ -173,15 +192,16 @@ def _stochasticize(M: np.ndarray, bracket, h: np.ndarray, nu0: np.ndarray | None
     the bracket's top as its ``top``.  An h with an entry that is not
     positive (one that underflowed to 0) raises NumericalError with the bracket.
     """
-    if not h.min() > 0.0:
+    if not _fmin(h) > 0.0:
         raise NumericalError("right Perron vector is not positive", bracket=bracket)
     lam = 0.5 * (bracket[0] + bracket[1])
     _, nu, _ = _perron(M.T, x0=nu0, top=bracket[1])
-    Q = M * h[None, :] / (lam * h[:, None])
-    Q = Q / Q.sum(axis=1, keepdims=True)
-    nu = nu / float(nu @ h)
+    Q = M * h
+    Q /= lam * h[:, None]
+    Q /= _fsum(Q, axis=1, keepdims=True)
+    nu /= float(nu @ h)
     pi = nu * h
-    pi = pi / pi.sum()
+    pi /= _fsum(pi)
     return nu, Q, pi
 
 
@@ -348,7 +368,7 @@ def _beta_pair(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPote
     """(beta(q), beta'(q)) from one root solve and one left Perron solve."""
     b, (w_phi, w_psi), M, bracket, h, nu = _beta(q, phi, psi)
     _, Q, pi = _stochasticize(M, bracket, h, nu)
-    return b, -_chain_mean(pi, Q, w_phi) / _chain_mean(pi, Q, w_psi)
+    return b, 0.0 - _chain_mean(pi, Q, w_phi) / _chain_mean(pi, Q, w_psi)  # not -x: no -0.0
 
 
 def beta_prime(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:
@@ -363,7 +383,7 @@ def alpha_range(phi: LocallyConstantPotential, psi: LocallyConstantPotential):
     adj, num = coder.block.incidence, -w_phi
     hi, _ = cycles.max_cycle_ratio(adj, num, den, tol=ALPHA_RANGE_TOL)
     lo_neg, _ = cycles.max_cycle_ratio(adj, -num, den, tol=ALPHA_RANGE_TOL)
-    return (-lo_neg, hi)
+    return (0.0 - lo_neg, hi)  # not -lo_neg: no -0.0
 
 
 @lru_cache(maxsize=128)

@@ -458,8 +458,62 @@ def test_readme_commands_run_as_written(capsys, monkeypatch):
     assert moved == []
 
 
+def test_readme_outputs_rest_on_one_eigensolve_and_no_inverse_step(capsys, monkeypatch):
+    from gibbsdim import thermo
+    monkeypatch.chdir(ROOT)
+    for cache in (thermo._edge_space, thermo.alpha_range, thermo._cap_probe):
+        cache.cache_clear()  # every README solve runs, whatever ran before
+    eigs, steps, current = [], [], [None]
+    eig_vector, inverse_step = thermo._eig_vector, thermo._inverse_step
+    monkeypatch.setattr(thermo, "_eig_vector",
+                        lambda *a: eigs.append(current[0]) or eig_vector(*a))
+    monkeypatch.setattr(thermo, "_inverse_step",
+                        lambda *a: steps.append(current[0]) or inverse_step(*a))
+    for line in README_COMMANDS:
+        current[0] = line
+        assert _exit_code(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
+    assert (eigs, steps) == (["gibbsdim pressure        --model models/gold.json"], []), (
+        "a README solve now reaches a dense eigensolve or a shifted inverse step; "
+        "until now every README output came from the power step, but for gold's "
+        "one eigensolve, so the README sha256 pins and perfbench's cli-readme "
+        "reference held under any change to the Perron schedule past the power "
+        "step; a change that moves this must check those pins again",
+        eigs, steps)
+
+
 FULL2 = {"alphabet": ["a", "b"], "incidence": [[1, 1], [1, 1]]}
 MAPS = {"a": {"rate": 0.5, "offset": 0.0}, "b": {"rate": 0.5, "offset": 0.5}}
+
+
+def test_a_zero_ratio_range_end_prints_without_a_sign(capsys, tmp_path):
+    # with phi = [0, -1] and psi = 1 the least Birkhoff ratio is -0/1 = -0.0,
+    # which alpha-range printed as "-0" (CSV) and "-0.0" (JSON)
+    path = tmp_path / "shift2.json"
+    path.write_text(json.dumps(dict(FULL2, potentials={
+        "phi": {"depth": 1, "values": [0.0, -1.0]}, "psi": {"depth": 1, "values": [1.0, 1.0]}})))
+    code, out, _ = run(capsys, "alpha-range", "--model", str(path))
+    assert code == 0
+    assert out.splitlines()[-2:] == ["alpha_minus,0", "alpha_plus,1"]
+    code, out, _ = run(capsys, "alpha-range", "--format", "json", "--model", str(path))
+    assert code == 0
+    assert '"alpha_minus": 0.0,' in out
+
+
+def test_a_one_map_ifs_prints_an_unsigned_zero_alpha0(capsys, tmp_path):
+    # one map: phi = 0 and alpha0 = beta'(0) = -0/psi, which printed as "-0",
+    # and certified-point named the range "(-0, 0)"
+    path = tmp_path / "onemap.json"
+    path.write_text(json.dumps({
+        "alphabet": ["a"], "incidence": [[1]], "gibbs": "phi",
+        "ifs": {"interval": [0.0, 1.0], "maps": {"a": {"rate": 0.5, "offset": 0.0}}},
+        "potentials": {"phi": {"depth": 1, "values": [0.0]}}}))
+    code, out, _ = run(capsys, "alpha0", "--model", str(path))
+    assert code == 0
+    assert "alpha0,0" in out.splitlines()
+    code, _, err = run(capsys, "certified-point", "--alpha", "0.5", "--model", str(path))
+    assert code == 2
+    assert "strictly inside (0, 0)" in err
 
 
 BAD_MODELS = [  # (model file, what the error names)

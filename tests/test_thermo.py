@@ -526,6 +526,104 @@ def test_perron_brackets_overlap_power_iteration(seed, monkeypatch):
                 assert np.array_equal(vec, y / y.max())
 
 
+# --------------------------------------------------------------------------
+# bit-identity guards: the in-place arithmetic of the Perron solves is the
+# textbook formula, float for float
+# --------------------------------------------------------------------------
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+def _guard_model(seed):
+    """A seeded phi and its edge space with a random psi: (coder, (phi
+    weights, psi weights))."""
+    from gibbsdim.thermo import _edge_space
+    rng = np.random.default_rng(200 + seed)
+    spec = helpers.random_mixing_spec(rng)
+    phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)), scale=3.0)
+    psi = LocallyConstantPotential.from_table(
+        spec, 2, [(w, float(rng.uniform(0.2, 2.0))) for w in spec.words(2)])
+    return phi, _edge_space(phi, psi)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transfer_is_the_textbook_formula_bit_for_bit(seed):
+    from gibbsdim.thermo import _transfer
+    _, (coder, (w_phi, w_psi)) = _guard_model(seed)
+
+    def textbook(weights, coeffs):
+        w = 0.0
+        for c, mat in zip(coeffs, weights):
+            w = w + c * mat
+        with np.errstate(over="ignore"):
+            return np.where(coder.block.incidence, np.exp(w), 0.0)
+
+    values = (0.0, -0.0, 1.0, -1.0, 40.0, -40.0)
+    cases = [((w_phi,), (c,)) for c in values]
+    cases += [((w_phi, w_psi), cs) for cs in itertools.product(values, repeat=2)]
+    # one edge weight whose exponential overflows to inf
+    steep = w_phi.copy()
+    steep[np.unravel_index(np.argmax(coder.block.incidence), steep.shape)] = 800.0
+    cases.append(((steep, w_psi), (1.0, -1.0)))
+    for weights, coeffs in cases:
+        got = _transfer(coder, weights, coeffs)
+        assert _hex(got) == _hex(textbook(weights, coeffs)), coeffs
+    assert np.isinf(got).sum() == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_mean_is_the_textbook_sum_bit_for_bit(seed):
+    phi, (_, weights) = _guard_model(seed)
+    chain = gibbs_chain(phi)
+    for w in weights:
+        want = float(np.sum(chain.pi[:, None] * chain.Q * w))
+        assert _chain_mean(chain.pi, chain.Q, w).hex() == want.hex()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_inverse_step_and_stochasticize_are_the_textbook_formulas_bit_for_bit(seed):
+    from gibbsdim import thermo
+    _, (coder, weights) = _guard_model(seed)
+    for q in (-10.0, 1.0, 10.0):
+        M = thermo._transfer(coder, weights, (-q, -1.0))
+        _, h, bracket = thermo._perron(M)
+        n = h.shape[0]
+        for m, x in ((M, h), (M.T, np.linspace(1.0, 0.5, n))):
+            sigma = 1.5 * bracket[1]
+            z = x * np.linalg.solve(sigma * np.eye(n) - m * x[None, :] / x[:, None], np.ones(n))
+            assert _hex(thermo._inverse_step(m, x, sigma)) == _hex(z / z.max())
+        nu, Q, pi = thermo._stochasticize(M, bracket, h)
+        _, nu_want, _ = thermo._perron(M.T, top=bracket[1])
+        Q_want = M * h[None, :] / (0.5 * (bracket[0] + bracket[1]) * h[:, None])
+        Q_want = Q_want / Q_want.sum(axis=1, keepdims=True)
+        nu_want = nu_want / float(nu_want @ h)
+        pi_want = nu_want * h
+        assert (_hex(nu), _hex(Q), _hex(pi)) == (
+            _hex(nu_want), _hex(Q_want), _hex(pi_want / pi_want.sum()))
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0])
+def test_nan_or_zero_fails_every_positivity_check(bad, monkeypatch):
+    from gibbsdim import thermo
+    from gibbsdim.errors import NumericalError
+    m = np.array([[1.0, 2.0, 0.5], [1.0, 0.0, 1.0], [3.0, 1.0, 1.0]])
+    # a seed with a NaN or zero entry falls back to all-ones
+    lam, vec, bracket = thermo._perron(m)
+    again, vec2, bracket2 = thermo._perron(m, x0=np.array([1.0, bad, 0.5]))
+    assert (_hex(again), _hex(vec2), _hex(bracket2)) == (_hex(lam), _hex(vec), _hex(bracket))
+    # an eigensolve or an inverse step whose vector has such an entry gives none
+    vals = np.array([0.5, 4.0, 1.0])
+    vecs = np.array([[0.1, 0.6, 0.3], [0.2, bad, 0.3], [0.3, 0.8, 0.3]])
+    monkeypatch.setattr(np.linalg, "eig", lambda a: (vals, vecs))
+    assert thermo._eig_vector(m) is None
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([0.4, bad, 0.2]))
+    assert thermo._inverse_step(m, np.ones(3), 10.0) is None
+    # so does the right vector that _stochasticize is handed
+    with pytest.raises(NumericalError, match="right Perron vector"):
+        thermo._stochasticize(m, bracket, np.array([1.0, bad, 0.5]))
+
+
 def _sweep_model(seed):
     """The seeded random model of ``seed``: phi, and psi = 1 ("one") and a
     random psi > 0 ("table")."""
