@@ -69,6 +69,9 @@ class LocallyConstantPotential:
             raise ValidationError("potential values must be finite")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_table", dict(entries))
+        # immutable, so hashed and minimised once: every beta root reads both
+        object.__setattr__(self, "_hash", hash((self.spec, self.depth, entries)))
+        object.__setattr__(self, "_min", min(v for _, v in entries))
         object.__setattr__(self, "_distortion", None)
         object.__setattr__(self, "_overhang", {})
         object.__setattr__(self, "_edges", {})
@@ -100,7 +103,7 @@ class LocallyConstantPotential:
         return (self.spec, self.depth, self.entries) == (other.spec, other.depth, other.entries)
 
     def __hash__(self):
-        return hash((self.spec, self.depth, self.entries))
+        return self._hash
 
     def __repr__(self):
         return f"LocallyConstantPotential(depth={self.depth}, |table|={len(self.entries)})"
@@ -123,7 +126,7 @@ class LocallyConstantPotential:
         return max(abs(v) for _, v in self.entries)
 
     def min_value(self) -> float:
-        return min(v for _, v in self.entries)
+        return self._min
 
     def max_value(self) -> float:
         return max(v for _, v in self.entries)

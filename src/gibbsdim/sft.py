@@ -66,6 +66,8 @@ class SftSpec:
         object.__setattr__(self, "_forbidden", frozenset(
             (int(a), int(b)) for a, b in zip(*np.nonzero(~inc))))
         object.__setattr__(self, "_powers", [inc])  # reach(k) for k = 1, 2, ...
+        # immutable (read-only table), so hashed once: every cached solve keys on it
+        object.__setattr__(self, "_hash", hash((alphabet, inc.tobytes())))
 
     # --- identity -------------------------------------------------------
 
@@ -75,7 +77,7 @@ class SftSpec:
         return self.alphabet == other.alphabet and np.array_equal(self.incidence, other.incidence)
 
     def __hash__(self):
-        return hash((self.alphabet, self.incidence.tobytes()))
+        return self._hash
 
     def __repr__(self):
         return f"SftSpec(|alphabet|={self.n}, alphabet={self.alphabet})"

@@ -4,9 +4,12 @@ Every potential is read on its higher-block graph as the pair ``(coder,
 weights)`` that ``edges`` returns, an edge table, before spectral work, so one
 dense-matrix code path serves all depths.  Its Perron data carry certified
 Collatz-Wielandt brackets (``_perron``).  A right solve whose seed does not
-certify runs a dense eigensolve; the left solve of the same matrix first
-tries three inverse steps shifted from the top of the right solve's bracket,
-so a beta(q) root usually makes one eigensolve, its bracket solve at b = 0.
+certify runs a squaring phase, which gives the right and left Perron vectors
+of M from its powers M^(2^k), with a dense eigensolve where that phase gives
+up; the left solve of the same matrix starts from that left vector, or
+first tries three inverse steps shifted from the top of the right solve's
+bracket.  So a beta(q) root seeds its first left solve with the left vector
+of its bracket solve at b = 0, and usually makes no eigensolve.
 
 The Legendre convention used throughout: with beta(q) the zero-pressure root
 and q_alpha the solution of beta'(q) = alpha, the spectrum value is
@@ -34,6 +37,7 @@ from .sft import BlockCoder, SftSpec, Word
 
 PRESSURE_RTOL = 1e-13
 PRESSURE_MAX_ITER = 10_000
+PERRON_MAX_SQUARINGS = 16
 BETA_PRESSURE_TOL = 1e-11
 QALPHA_TOL = 1e-9
 ALPHA_RANGE_TOL = 1e-10
@@ -43,6 +47,7 @@ LEGENDRE_CONVENTION = "b(alpha) = min_q beta(q) - q*alpha"
 
 # the reductions behind ndarray.min/max/sum, without their Python wrappers
 _fmin, _fmax, _fsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 # --------------------------------------------------------------------------
@@ -86,24 +91,27 @@ def _chain_mean(pi: np.ndarray, Q: np.ndarray, w: np.ndarray) -> float:
 
 def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
     """Leading eigenvalue, positive eigenvector and certified eigenvalue
-    bracket of a primitive matrix.
+    bracket of a primitive matrix, and a left Perron vector when one came free.
 
     Every iterate x yields a Collatz-Wielandt bracket [min_a (Mx)_a/x_a,
     max_a (Mx)_a/x_a], whose infinite or NaN ratios (from entries of x that
     underflowed to 0) are ignored.  The brackets are intersected until
     narrower than ``PRESSURE_RTOL`` times their top; the solve returns the
-    midpoint, M @ x scaled to max 1, and the bracket.
+    midpoint, M @ x scaled to max 1, the bracket, and the left vector of its
+    squaring phase, whose own bracket of M^T is as narrow (None when no phase
+    returned one).
 
     Iterate 0 is the seed x0, or all-ones when there is none or it is not
     positive.  ``top`` is an upper bound on the eigenvalue: the top of the
     right solve's bracket, when this is the left solve of the same matrix.
     Iterate k + 1 follows iterate k by one schedule, with j = k - 3 if
     ``top`` is finite and j = k if not: j = 0 takes a power step, j = 1 the
-    Perron vector of a dense eigensolve (``_eig_vector``), and any other j a
+    squaring phase (``_squaring``), or the Perron vector of a dense
+    eigensolve (``_eig_vector``) where that phase gives up, and any other j a
     shifted inverse step (``_inverse_step``) from a rounding margin above
     min(top, the bracket's top).  Where a step gives no positive vector, the
     power step stands in.  A seed that is already the Perron vector
-    certifies at iterate 0 with no eigensolve.  A seed or a ``top`` changes
+    certifies at iterate 0 with no squaring.  A seed or a ``top`` changes
     only the iterates, never a bracket, so a wrong one costs steps, not the
     certificate.  A bracket that is not finite and positive, a power step
     that is not finite, or no certificate by iterate ``PRESSURE_MAX_ITER`` - 1
@@ -117,22 +125,24 @@ def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
     # roundings of the exact one; twice that keeps the shift above lambda_1
     margin = 1.0 + 2 * (M.shape[0] + 1) * math.ulp(1.0)
     lo_best, hi_best = 0.0, math.inf
+    left = None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in range(PRESSURE_MAX_ITER):
             y = M @ x
-            ratios = y / x
-            lo_best = max(lo_best, float(_fmin(ratios)))
-            hi_best = min(hi_best, float(_fmax(ratios)))
+            lo, hi = _cw_bracket(y, x)
+            lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
             if not 0.0 < hi_best < math.inf:
                 break
             if hi_best - lo_best <= PRESSURE_RTOL * hi_best:
                 y /= _fmax(y)
-                return 0.5 * (lo_best + hi_best), y, (lo_best, hi_best)
+                return 0.5 * (lo_best + hi_best), y, (lo_best, hi_best), left
             if k == PRESSURE_MAX_ITER - 1:
                 break
             j = k - shifted
-            x = (None if j == 0 else _eig_vector(M) if j == 1
-                 else _inverse_step(M, x, min(hi_best, top) * margin))
+            if j == 1:
+                x, left = _squaring(M, x) or (_eig_vector(M), None)
+            else:
+                x = None if j == 0 else _inverse_step(M, x, min(hi_best, top) * margin)
             if x is None:
                 # M >= 0, so y / max(y) is finite iff 0 < max(y) < inf
                 top_y = _fmax(y)
@@ -142,6 +152,67 @@ def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
                 x = y
     raise NumericalError(f"Perron solve did not certify; certified eigenvalue bracket "
                          f"{lo_best, hi_best}", bracket=(lo_best, hi_best))
+
+
+def _squaring(M: np.ndarray, x: np.ndarray):
+    """Right and left Perron vectors of M by repeated squaring, as (x, v)
+    scaled to max 1, or None when the phase gives up.
+
+    From P = M and v = all-ones, each round sets P <- P @ P, v <- v @ P and
+    x <- P @ x, each scaled to max 1.  For primitive M, P tends to h nu^T
+    scaled (Seneta, *Non-negative Matrices and Markov Chains*, 1981, ch. 1),
+    and a product of nonnegative matrices is accurate entry by entry
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 3.5),
+    so a few rounds give both vectors down to their smallest entries, which
+    an eigensolve gives only in norm.
+
+    The phase gives up when the max of P or of x leaves (0, inf), an entry
+    of x falls below the smallest normal float, a round does not narrow x's
+    own Collatz-Wielandt bracket, or ``PERRON_MAX_SQUARINGS`` rounds have
+    run, all before that bracket is narrower than ``PRESSURE_RTOL`` times its
+    top.  Once it is, x is kept and the rounds go on for v alone, within the
+    same limits, until v's own bracket of M^T is as narrow; v is None where
+    it is not, or where an entry of v falls below the smallest normal float.
+    The phase suppresses no NumPy warning: ``_perron`` runs it inside its
+    own ``np.errstate``.
+    """
+    P, v = M, np.ones(M.shape[0])
+    width, found = math.inf, None
+    for _ in range(PERRON_MAX_SQUARINGS):
+        P = P @ P
+        top_p = _fmax(P, axis=None)
+        if not 0.0 < top_p < math.inf:
+            break
+        P /= top_p
+        v = v @ P
+        v /= _fmax(v)
+        if found is None:
+            x = P @ x
+            top_x = _fmax(x)
+            if not 0.0 < top_x < math.inf:
+                return None
+            x /= top_x
+            if not _fmin(x) >= _TINY:
+                return None
+            lo, hi = _cw_bracket(M @ x, x)
+            if not hi - lo <= PRESSURE_RTOL * hi < math.inf:
+                if not hi - lo < width:
+                    return None
+                width = hi - lo
+                continue
+            found = x
+        if not _fmin(v) >= _TINY:
+            break
+        lo, hi = _cw_bracket(v @ M, v)
+        if hi - lo <= PRESSURE_RTOL * hi < math.inf:
+            return found, v
+    return None if found is None else (found, None)
+
+
+def _cw_bracket(y: np.ndarray, x: np.ndarray):
+    """The Collatz-Wielandt bracket (min, max) of the ratios y / x."""
+    ratios = y / x
+    return float(_fmin(ratios)), float(_fmax(ratios))
 
 
 def _eig_vector(M: np.ndarray):
@@ -195,7 +266,7 @@ def _stochasticize(M: np.ndarray, bracket, h: np.ndarray, nu0: np.ndarray | None
     if not _fmin(h) > 0.0:
         raise NumericalError("right Perron vector is not positive", bracket=bracket)
     lam = 0.5 * (bracket[0] + bracket[1])
-    _, nu, _ = _perron(M.T, x0=nu0, top=bracket[1])
+    _, nu, _, _ = _perron(M.T, x0=nu0, top=bracket[1])
     Q = M * h
     Q /= lam * h[:, None]
     Q /= _fsum(Q, axis=1, keepdims=True)
@@ -211,7 +282,7 @@ def _stochasticize(M: np.ndarray, bracket, h: np.ndarray, nu0: np.ndarray | None
 
 def pressure(f: LocallyConstantPotential) -> float:
     """Topological pressure: log of the spectral radius of the weighted edge matrix."""
-    lam, _, _ = _perron(_transfer(*_edge_space(f), (1.0,)))
+    lam, _, _, _ = _perron(_transfer(*_edge_space(f), (1.0,)))
     return math.log(lam)
 
 
@@ -293,8 +364,8 @@ def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:
     """Eigendata of the weighted transfer matrix; the equilibrium state of f."""
     coder, weights = _edge_space(f)
     M = _transfer(coder, weights, (1.0,))
-    lam, h, bracket = _perron(M)
-    nu, Q, pi = _stochasticize(M, bracket, h)
+    lam, h, bracket, nu0 = _perron(M)
+    nu, Q, pi = _stochasticize(M, bracket, h, nu0)
     chain = GibbsChain(spec=f.spec, coder=coder, lam=lam, pressure=math.log(lam),
                        h=h, nu=nu, Q=Q, pi=pi)
     chain._validate(M)
@@ -317,29 +388,30 @@ def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential
 
     Every step solves exp(-q*phi - b*psi) at a new b, and each of its Perron
     solves starts from the vectors of the step before it: the right solve
-    from the last h (at the first step, from the bracket solve at b = 0) and
-    the left solve from the last nu.  For a constant psi = c the matrix is
-    e^(-b*c) times the one at b = 0, so the seeds are its Perron vectors and
-    each solve certifies at iterate 0; for any other psi they are close ones.
-    The first left solve has no seed, but it shifts from the top of the right
-    solve's bracket, so a root's one eigensolve is usually the bracket solve.
-    The seeds live within one call, so beta(q) depends on (q, phi, psi) alone.
-    The last left vector is returned too (None if no step needed one), to
-    seed the left solve of ``_beta_pair``.
+    from the last h and the left solve from the last nu; at the first step,
+    both come from the bracket solve at b = 0, whose squaring phase gives nu
+    too (None where it gave up or did not run).  For a constant psi = c the
+    matrix is e^(-b*c) times the one at b = 0, so the seeds are its Perron
+    vectors and each solve certifies at iterate 0; for any other psi they are
+    close ones.  A left solve also shifts from the top of the right solve's
+    bracket, so a seed that does not certify costs inverse steps, not an
+    eigensolve.  The seeds live within one call, so beta(q) depends on
+    (q, phi, psi) alone.
+    The last left vector is returned too (the bracket solve's if no step
+    needed one), to seed the left solve of ``_beta_pair``.
     """
     coder, weights = _pair_space(phi, psi)
     psi_min = psi.min_value()
-    lam0, h, _ = _perron(_transfer(coder, weights, (-q, 0.0)))
+    lam0, h, _, nu = _perron(_transfer(coder, weights, (-q, 0.0)))
     p0 = math.log(lam0)
     if p0 >= 0.0:
         lo, hi = 0.0, p0 / psi_min + 1e-12
     else:
         lo, hi = p0 / psi_min - 1e-12, 0.0
     b = 0.5 * (lo + hi)
-    nu = None
     for _ in range(200):
         M = _transfer(coder, weights, (-q, -b))
-        lam, h, bracket = _perron(M, x0=h)
+        lam, h, bracket, _ = _perron(M, x0=h)
         p = math.log(lam)
         if abs(p) <= BETA_PRESSURE_TOL:
             return b, weights, M, bracket, h, nu

@@ -458,28 +458,29 @@ def test_readme_commands_run_as_written(capsys, monkeypatch):
     assert moved == []
 
 
-def test_readme_outputs_rest_on_one_eigensolve_and_no_inverse_step(capsys, monkeypatch):
+def test_readme_outputs_rest_on_one_squaring_phase_and_no_eigensolve(capsys, monkeypatch):
     from gibbsdim import thermo
     monkeypatch.chdir(ROOT)
     for cache in (thermo._edge_space, thermo.alpha_range, thermo._cap_probe):
         cache.cache_clear()  # every README solve runs, whatever ran before
-    eigs, steps, current = [], [], [None]
-    eig_vector, inverse_step = thermo._eig_vector, thermo._inverse_step
-    monkeypatch.setattr(thermo, "_eig_vector",
-                        lambda *a: eigs.append(current[0]) or eig_vector(*a))
-    monkeypatch.setattr(thermo, "_inverse_step",
-                        lambda *a: steps.append(current[0]) or inverse_step(*a))
+    steps = {"_squaring": [], "_eig_vector": [], "_inverse_step": []}
+    current = [None]
+    for name, log in steps.items():
+        step = getattr(thermo, name)
+        monkeypatch.setattr(thermo, name,
+                            lambda *a, step=step, log=log: log.append(current[0]) or step(*a))
     for line in README_COMMANDS:
         current[0] = line
         assert _exit_code(shlex.split(line)[1:]) == 0, line
     capsys.readouterr()
-    assert (eigs, steps) == (["gibbsdim pressure        --model models/gold.json"], []), (
-        "a README solve now reaches a dense eigensolve or a shifted inverse step; "
-        "until now every README output came from the power step, but for gold's "
-        "one eigensolve, so the README sha256 pins and perfbench's cli-readme "
+    assert steps == {"_squaring": ["gibbsdim pressure        --model models/gold.json"],
+                     "_eig_vector": [], "_inverse_step": []}, (
+        "a README solve now reaches a step past the power step; until now every "
+        "README output came from iterate 0 or the power step, but for gold's one "
+        "squaring phase, so the README sha256 pins and perfbench's cli-readme "
         "reference held under any change to the Perron schedule past the power "
         "step; a change that moves this must check those pins again",
-        eigs, steps)
+        steps)
 
 
 FULL2 = {"alphabet": ["a", "b"], "incidence": [[1, 1], [1, 1]]}

@@ -19,6 +19,21 @@ def test_table_must_cover_admissible_words(gold):
              (1, 1): 1.0})
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_hash_and_minimum_are_the_textbook_formulas(seed):
+    # both are kept from construction; the objects are immutable
+    rng = np.random.default_rng(seed)
+    spec = helpers.random_mixing_spec(rng)
+    phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)))
+    assert hash(spec) == hash((spec.alphabet, spec.incidence.tobytes()))
+    assert hash(phi) == hash((spec, phi.depth, phi.entries))
+    assert phi.min_value() == min(v for _, v in phi.entries)
+    assert not spec.incidence.flags.writeable
+    twin = LocallyConstantPotential.from_table(type(spec)(spec.alphabet, spec.incidence),
+                                               phi.depth, dict(phi.entries))
+    assert twin == phi and hash(twin) == hash(phi) and twin is not phi
+
+
 def test_birkhoff_sum(bin14):
     spec, phi, _ = bin14
     assert phi.birkhoff_sum(spec.word("011"), 2) == pytest.approx(math.log(3 / 16), abs=1e-12)

@@ -452,7 +452,7 @@ def test_perron_nonconvergence_carries_bracket(monkeypatch):
     m = np.array([[1e-12, 2.0], [1.0, 1e-12]])
     true_lam = math.sqrt(2.0) + 1e-12
     # the budget bounds the shifted steps of a finite top too
-    _, _, (_, cold_top) = thermo._perron(m)
+    _, _, (_, cold_top), _ = thermo._perron(m)
     for max_iter, top in ((1, math.inf), (2, math.inf), (1, cold_top)):
         monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", max_iter)
         with pytest.raises(NumericalError) as info:
@@ -466,7 +466,7 @@ def test_perron_certifies_near_periodic_matrix():
     # power iteration stalls here (lambda_2/lambda_1 = -1 + 1e-12); the shifted
     # inverse step is not slowed by a negative lambda_2
     m = np.array([[1e-12, 2.0], [1.0, 1e-12]])
-    lam, vec, (lo, hi) = _perron(m)
+    lam, vec, (lo, hi), _ = _perron(m)
     assert lo <= math.sqrt(2.0) + 1e-12 <= hi
     assert hi - lo <= PRESSURE_RTOL * hi
     assert lam == 0.5 * (lo + hi)
@@ -483,14 +483,14 @@ def test_perron_certifies_past_an_underflowed_iterate():
     phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)),
                                    scale=float(rng.choice([1, 3, 10])))
     m = _transfer(*_edge_space(phi), (-40.0,))
-    lam, vec, (lo, hi) = _perron(m)
+    lam, vec, (lo, hi), _ = _perron(m)
     o_lo, o_hi, certified = helpers.power_perron(m, max_iter=100)
     assert certified
     assert max(lo, o_lo) <= min(hi, o_hi)
     # the vector returned has an entry that underflowed to 0; as a seed it
     # would give an infinite bracket, so the solve starts from all-ones
     assert vec.min() == 0.0
-    again, _, bracket = _perron(m, x0=vec)
+    again, _, bracket, _ = _perron(m, x0=vec)
     assert (again, bracket) == (lam, (lo, hi))
 
 
@@ -503,20 +503,20 @@ def test_perron_brackets_overlap_power_iteration(seed, monkeypatch):
     psi = LocallyConstantPotential.constant(spec, 1.0)
     pair = thermo._edge_space(phi, psi)
     steps = []
-    inverse_step, eig = thermo._inverse_step, np.linalg.eig
-    monkeypatch.setattr(thermo, "_inverse_step", lambda *a: steps.append(a) or inverse_step(*a))
-    monkeypatch.setattr(np.linalg, "eig", lambda *a: steps.append(a) or eig(*a))
+    for name in ("_inverse_step", "_squaring", "_eig_vector"):
+        step = getattr(thermo, name)
+        monkeypatch.setattr(thermo, name, lambda *a, step=step: steps.append(a) or step(*a))
     for q in (0.0, 1.0, -1.0, 40.0, -40.0):
         m = thermo._transfer(*pair, (-q, 0.0))
         o_lo, o_hi, _ = helpers.power_perron(m, max_iter=20_000)
         # seeds: the Perron vector of a multiple of m, and a positive vector far from it
-        _, exact, _ = thermo._perron(0.5 * m)
+        _, exact, _, _ = thermo._perron(0.5 * m)
         far = rng.uniform(0.1, 10.0, m.shape[0])
         # tops: none, and two wrong ones that must cost steps, not the certificate
-        cold, _, _ = thermo._perron(m)
+        cold, _, _, _ = thermo._perron(m)
         for x0, top in itertools.product((None, exact, far), (math.inf, 0.5 * cold, 2.0 * cold)):
             steps.clear()
-            lam, vec, (lo, hi) = thermo._perron(m, x0=x0, top=top)
+            lam, vec, (lo, hi), _ = thermo._perron(m, x0=x0, top=top)
             assert lo <= lam <= hi
             assert hi - lo <= thermo.PRESSURE_RTOL * hi
             assert max(lo, o_lo) <= min(hi, o_hi), (q, top, (lo, hi), (o_lo, o_hi))
@@ -587,14 +587,14 @@ def test_inverse_step_and_stochasticize_are_the_textbook_formulas_bit_for_bit(se
     _, (coder, weights) = _guard_model(seed)
     for q in (-10.0, 1.0, 10.0):
         M = thermo._transfer(coder, weights, (-q, -1.0))
-        _, h, bracket = thermo._perron(M)
+        _, h, bracket, _ = thermo._perron(M)
         n = h.shape[0]
         for m, x in ((M, h), (M.T, np.linspace(1.0, 0.5, n))):
             sigma = 1.5 * bracket[1]
             z = x * np.linalg.solve(sigma * np.eye(n) - m * x[None, :] / x[:, None], np.ones(n))
             assert _hex(thermo._inverse_step(m, x, sigma)) == _hex(z / z.max())
         nu, Q, pi = thermo._stochasticize(M, bracket, h)
-        _, nu_want, _ = thermo._perron(M.T, top=bracket[1])
+        _, nu_want, _, _ = thermo._perron(M.T, top=bracket[1])
         Q_want = M * h[None, :] / (0.5 * (bracket[0] + bracket[1]) * h[:, None])
         Q_want = Q_want / Q_want.sum(axis=1, keepdims=True)
         nu_want = nu_want / float(nu_want @ h)
@@ -609,8 +609,8 @@ def test_nan_or_zero_fails_every_positivity_check(bad, monkeypatch):
     from gibbsdim.errors import NumericalError
     m = np.array([[1.0, 2.0, 0.5], [1.0, 0.0, 1.0], [3.0, 1.0, 1.0]])
     # a seed with a NaN or zero entry falls back to all-ones
-    lam, vec, bracket = thermo._perron(m)
-    again, vec2, bracket2 = thermo._perron(m, x0=np.array([1.0, bad, 0.5]))
+    lam, vec, bracket, _ = thermo._perron(m)
+    again, vec2, bracket2, _ = thermo._perron(m, x0=np.array([1.0, bad, 0.5]))
     assert (_hex(again), _hex(vec2), _hex(bracket2)) == (_hex(lam), _hex(vec), _hex(bracket))
     # an eigensolve or an inverse step whose vector has such an entry gives none
     vals = np.array([0.5, 4.0, 1.0])
@@ -671,8 +671,8 @@ def test_left_solve_from_the_right_bracket_matches_a_cold_solve(monkeypatch):
     # No solve here that certifies takes 130 iterates, so 500 only makes the
     # ones that fail (out of the float range) fail sooner.
     monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", 500)
-    eigs = []
-    eig = np.linalg.eig
+    phases = []
+    squaring = thermo._squaring
     went_on, model48 = [], []
     for seed in range(40, 52):
         for case, m, (_, top), nu0 in _left_solves(seed, monkeypatch):
@@ -680,9 +680,9 @@ def test_left_solve_from_the_right_bracket_matches_a_cold_solve(monkeypatch):
                 cold = thermo._perron(m.T, x0=nu0)
             except NumericalError:
                 cold = None
-            eigs.clear()
+            phases.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "eig", lambda *a: eigs.append(1) or eig(*a))
+                patch.setattr(thermo, "_squaring", lambda *a: phases.append(1) or squaring(*a))
                 try:
                     fast = thermo._perron(m.T, x0=nu0, top=top)
                 except NumericalError:
@@ -693,9 +693,9 @@ def test_left_solve_from_the_right_bracket_matches_a_cold_solve(monkeypatch):
             assert fast is not None or cold is None, (seed, case)
             if fast is None:
                 continue
-            if eigs:
+            if phases:
                 went_on.append((seed, *case))
-            _, nu, (lo, hi) = fast
+            _, nu, (lo, hi), _ = fast
             assert hi - lo <= thermo.PRESSURE_RTOL * hi
             if cold is not None:
                 # both vectors have max 1; entry by entry they can differ far
@@ -707,7 +707,7 @@ def test_left_solve_from_the_right_bracket_matches_a_cold_solve(monkeypatch):
             o_lo, o_hi, _ = helpers.power_perron(m.T, max_iter=100)
             assert max(lo, o_lo) <= min(hi, o_hi) * slack, (seed, case, (lo, hi), (o_lo, o_hi))
     assert model48 and all(fast is not None for fast in model48)
-    # within |q| <= 1 no left solve needs the eigensolve
+    # within |q| <= 1 no left solve goes on to the squaring phase
     assert went_on and all(abs(q) >= 10.0 for _, _, q in went_on)
 
 
@@ -721,6 +721,123 @@ def test_underflowed_right_vector_raises_numerical_error(seed, kind, q):
         beta_prime(q, phi, psis[kind])
     lo, hi = info.value.bracket
     assert 0.0 < lo <= hi
+
+
+# the (seed, psi kind, q) of _sweep_model whose _beta_pair root fails, as
+# recorded before the squaring phase replaced the eigensolve of step j = 1
+SWEEP_FAILURES = {
+    (40, "one", -40.0), (40, "one", 40.0), (40, "table", -40.0), (40, "table", 10.0),
+    (40, "table", 40.0), (42, "table", -40.0), (43, "one", -40.0), (43, "table", -40.0),
+    (45, "table", 40.0), (50, "table", -40.0), (53, "one", -40.0), (53, "one", 40.0),
+    (53, "table", -40.0), (53, "table", -10.0), (53, "table", 10.0), (53, "table", 40.0),
+    (58, "one", -40.0), (58, "one", 40.0), (58, "table", -40.0), (58, "table", 40.0),
+    (59, "table", -40.0), (66, "one", -40.0), (66, "table", -40.0), (66, "table", 40.0),
+}
+
+
+def test_sweep_fails_on_the_recorded_roots(monkeypatch):
+    from gibbsdim import thermo
+    from gibbsdim.errors import NumericalError
+    # 500 iterates give the same failures as 10,000: no solve that certifies
+    # here needs more than ~130, so the failing ones only fail sooner
+    monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", 500)
+    failed = set()
+    for seed in range(40, 70):
+        phi, psis = _sweep_model(seed)
+        for kind, q in itertools.product(psis, (0.0, 1.0, -1.0, 10.0, -10.0, 40.0, -40.0)):
+            try:
+                thermo._beta_pair(q, phi, psis[kind])
+            except NumericalError:
+                failed.add((seed, kind, q))
+    assert failed == SWEEP_FAILURES
+
+
+def _phases(monkeypatch):
+    """Record each squaring phase of ``thermo``: (M, its result) per call."""
+    from gibbsdim import thermo
+    phases = []
+    squaring = thermo._squaring
+
+    def recorded(M, x):
+        out = squaring(M, x)
+        phases.append((M, out))
+        return out
+
+    monkeypatch.setattr(thermo, "_squaring", recorded)
+    return phases
+
+
+def _cw(y, x):
+    """The Collatz-Wielandt bracket of y / x, warnings off (x may underflow)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = y / x
+    return float(ratios.min()), float(ratios.max())
+
+
+def test_squaring_phase_certifies_both_vectors(monkeypatch):
+    from gibbsdim import thermo
+    from gibbsdim.errors import NumericalError
+    monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", 500)  # the failing solves fail sooner
+    phases = _phases(monkeypatch)
+    for seed in range(30):
+        rng = np.random.default_rng(300 + seed)
+        spec = helpers.random_mixing_spec(rng)
+        phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)),
+                                       scale=float(rng.choice([1, 3, 10])))
+        pair = thermo._edge_space(phi)
+        for q in (0.0, 1.0, -1.0, 10.0, -10.0, 40.0, -40.0):
+            try:
+                thermo._perron(thermo._transfer(*pair, (-q,)))
+            except NumericalError:  # a matrix out of the float range
+                pass
+    returned = [(M, out) for M, out in phases if out is not None]
+    with_left = [(M, out) for M, out in returned if out[1] is not None]
+    assert len(returned) >= 100 and len(with_left) >= 0.9 * len(returned)
+    for M, (x, v) in returned:
+        # a computed ratio is within n + 1 roundings of the exact one
+        slack = 1.0 + 2 * (M.shape[0] + 1) * np.finfo(float).eps
+        for mat, vec in ((M, x), (M.T, v)):
+            if vec is None:
+                continue
+            lo, hi = _cw(mat @ vec, vec)
+            assert vec.max() == 1.0 and vec.min() > 0.0
+            assert hi - lo <= thermo.PRESSURE_RTOL * hi
+            # certified or not, a power-iteration bracket holds the eigenvalue
+            o_lo, o_hi, _ = helpers.power_perron(mat, max_iter=1_000)
+            assert max(lo, o_lo) <= min(hi, o_hi) * slack, ((lo, hi), (o_lo, o_hi))
+
+
+def test_eigensolve_stands_in_where_the_squaring_phase_gives_up(monkeypatch):
+    from gibbsdim import thermo
+    phases = _phases(monkeypatch)
+    eigs = []
+    eig_vector = thermo._eig_vector
+    monkeypatch.setattr(thermo, "_eig_vector", lambda M: eigs.append(M) or eig_vector(M))
+    # sweep model 68 at q = 40: at the root the entries span ~200 orders of
+    # magnitude, squaring gives up, and the eigensolve (or, where its vector
+    # is not positive, the power step) goes on from the iterate reached
+    phi, psis = _sweep_model(68)
+    for psi in psis.values():
+        phases.clear()
+        eigs.clear()
+        b, slope = thermo._beta_pair(40.0, phi, psi)
+        assert math.isfinite(b) and math.isfinite(slope)
+        assert phases and all(out is None for _, out in phases)
+        assert len(eigs) == len(phases)
+    # the first model of the overlap test, at q = -40, with a top below the
+    # eigenvalue: the shifted steps stall, squaring gives up, and only the
+    # eigensolve's vector certifies; inverse steps in its place never do
+    rng = np.random.default_rng(7)
+    spec = helpers.random_mixing_spec(rng)
+    pair = thermo._edge_space(helpers.random_potential(rng, spec, 2))
+    m = thermo._transfer(*pair, (40.0,))
+    cold = thermo._perron(m)[0]
+    phases.clear()
+    eigs.clear()
+    lam, _, (lo, hi), _ = thermo._perron(m, top=0.5 * cold)
+    assert [out for _, out in phases] == [None] and len(eigs) == 1
+    o_lo, o_hi, _ = helpers.power_perron(m, max_iter=20_000)
+    assert hi - lo <= thermo.PRESSURE_RTOL * hi and max(lo, o_lo) <= min(hi, o_hi)
 
 
 def _stress_model(seed):
@@ -758,28 +875,33 @@ def test_stress_model_spectrum_row():
 def test_beta_root_reuses_its_perron_vectors(monkeypatch):
     from gibbsdim import thermo
     # psi = 1, so each step's matrix is a multiple of the last one and every
-    # seeded solve certifies at its seed; the first left solve shifts from the
-    # right solve's bracket, so the bracket solve at b = 0 is the one eigensolve
+    # seeded solve certifies at its seed; the bracket solve at b = 0 runs the
+    # one squaring phase, and its left vector seeds the first left solve
     phi, psi = _stress_model(1)
     qs = (-40.0, -3.0, -0.5, 0.0, 0.7, 5.0, 40.0)
     fresh = [(beta(q, phi, psi), beta_prime(q, phi, psi)) for q in qs]
-    calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda m: calls.append(1) or eig(m))
+    calls = {"_squaring": [], "_eig_vector": [], "_inverse_step": []}
+    for name, log in calls.items():
+        step = getattr(thermo, name)
+        monkeypatch.setattr(thermo, name, lambda *a, step=step, log=log: log.append(1) or step(*a))
     stochasticize = thermo._stochasticize
 
-    def no_eig_stochasticize(*args):
-        before = len(calls)
+    def seeded_stochasticize(*args):
+        before = {name: len(log) for name, log in calls.items()}
         out = stochasticize(*args)
-        assert len(calls) == before, "a left solve ran an eigensolve"
+        assert args[3] is not None, "a left solve had no seed"
+        assert {name: len(log) for name, log in calls.items()} == before, (
+            "a left solve took a step past its seed")
         return out
 
-    monkeypatch.setattr(thermo, "_stochasticize", no_eig_stochasticize)
+    monkeypatch.setattr(thermo, "_stochasticize", seeded_stochasticize)
     for q, want in zip(reversed(qs), reversed(fresh)):
         for solve in (beta, beta_prime):
-            calls.clear()
+            for log in calls.values():
+                log.clear()
             solve(q, phi, psi)
-            assert len(calls) == 1, (q, solve.__name__, len(calls))
+            assert {name: len(log) for name, log in calls.items()} == {
+                "_squaring": 1, "_eig_vector": 0, "_inverse_step": 0}, (q, solve.__name__, calls)
         # the same bits after other roots: no seed outlives its call
         assert (beta(q, phi, psi), beta_prime(q, phi, psi)) == want
 
