@@ -66,6 +66,7 @@ class SftSpec:
         object.__setattr__(self, "_forbidden", frozenset(
             (int(a), int(b)) for a, b in zip(*np.nonzero(~inc))))
         object.__setattr__(self, "_powers", [inc])  # reach(k) for k = 1, 2, ...
+        object.__setattr__(self, "_sep", "," if any(len(a) > 1 for a in alphabet) else "")
         # immutable (read-only table), so hashed once: every cached solve keys on it
         object.__setattr__(self, "_hash", hash((alphabet, inc.tobytes())))
 
@@ -107,7 +108,7 @@ class SftSpec:
         """Parse a word from symbol names; comma-separated unless all names are single characters."""
         if text == "":
             return EMPTY_WORD
-        parts = text.split(",") if "," in text else list(text)
+        parts = text.split(",") if "," in text or self._sep else list(text)
         index = {name: i for i, name in enumerate(self.alphabet)}
         try:
             return tuple(index[p] for p in parts)
@@ -115,10 +116,9 @@ class SftSpec:
             raise ValidationError(f"unknown symbol name {exc.args[0]!r}") from None
 
     def word_str(self, word: Word) -> str:
+        """A word's symbol names, comma-separated unless all names are single characters."""
         self.check_symbols(word)
-        names = [self.alphabet[s] for s in word]
-        sep = "," if any(len(n) > 1 for n in names) else ""
-        return sep.join(names)
+        return self._sep.join([self.alphabet[s] for s in word])
 
     # --- admissibility ----------------------------------------------------
 

@@ -404,34 +404,29 @@ def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential
     psi_min = psi.min_value()
     lam0, h, _, nu = _perron(_transfer(coder, weights, (-q, 0.0)))
     p0 = math.log(lam0)
-    if p0 >= 0.0:
-        lo, hi = 0.0, p0 / psi_min + 1e-12
-    else:
-        lo, hi = p0 / psi_min - 1e-12, 0.0
-    b = 0.5 * (lo + hi)
+    # the root lies between 0 and p0/psi_min (the sign bracket, widened by 1e-12)
+    edge = p0 / psi_min + (1e-12 if p0 >= 0.0 else -1e-12)
+    lo, b = min(edge, 0.0), 0.5 * edge
     for _ in range(200):
         M = _transfer(coder, weights, (-q, -b))
         lam, h, bracket, _ = _perron(M, x0=h)
         p = math.log(lam)
         if abs(p) <= BETA_PRESSURE_TOL:
             return b, weights, M, bracket, h, nu
-        if p > 0:
-            lo = b
-        else:
-            hi = b
         nu, Q, pi = _stochasticize(M, bracket, h, nu)
-        nb = b + p / _chain_mean(pi, Q, weights[1])
-        if not (lo < nb < hi):
-            nb = 0.5 * (lo + hi)
-        b = nb
-    raise NumericalError("pressure root iteration stalled", bracket=(lo, hi))
+        b, last = max(b + p / _chain_mean(pi, Q, weights[1]), lo), b
+    raise NumericalError(f"pressure root iteration stalled at b = {last!r}, P(b) = {p!r}")
 
 
 def beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:
     """The unique root b of P(-q*phi - b*psi) = 0.
 
-    Pressure is strictly decreasing in b because psi is positive; monotone
-    bisection brackets the root and Newton steps polish it to |P| <= 1e-11.
+    Newton steps b <- b + P(b) / int(psi) d(mu_b) from the midpoint of the
+    bracket that the sign of P(-q*phi) gives, to |P| <= 1e-11.  Pressure is
+    convex and strictly decreasing in b, with slope -int(psi) <= -min(psi) < 0
+    (Ruelle, *Thermodynamic Formalism*, 1978), so the first step lands at or
+    left of the root and every later one climbs to it without passing it.
+    A step below the bracket's lower end (where weights can overflow) stops there.
     """
     return _beta(q, phi, psi)[0]
 

@@ -21,7 +21,7 @@ from .cycles import orbit_cycle, relax
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
 from .potentials import LocallyConstantPotential, add_terms, combine
-from .sft import SftSpec, Word, word_power
+from .sft import SftSpec, Word
 from .thermo import alpha_range, birkhoff_sup
 
 ALPHA_SIGN_TOL = 1e-9
@@ -290,6 +290,11 @@ def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential,
 # membership in the frequent-appearance and repetition-free sets
 # --------------------------------------------------------------------------
 
+def _text(word: Word) -> str:
+    """A word as one code point per symbol, for substring search on any alphabet."""
+    return "".join(map(chr, word))
+
+
 def in_frequent_set(prefix: Word, words, k: int) -> bool:
     """True iff every length-k window inside the prefix contains every listed word."""
     fam = [tuple(w) for w in words]
@@ -300,9 +305,9 @@ def in_frequent_set(prefix: Word, words, k: int) -> bool:
     n = len(prefix)
     if n < k or not fam:
         return True
-    text = bytes(prefix)
+    text = _text(prefix)
     for w in fam:
-        pat = bytes(w)
+        pat = _text(w)
         occ = []
         i = text.find(pat)
         while i >= 0:
@@ -325,9 +330,8 @@ def in_repetition_free_set(spec: SftSpec, prefix: Word, words, l: int) -> bool:
     for w in fam:
         if len(w) == 0 or not spec.is_cyclically_admissible(w):
             raise ValidationError("family words must be non-empty and cyclically admissible")
-    text = bytes(prefix)   # a power longer than the prefix cannot occur in it
-    return not any(len(w) * l <= len(text) and bytes(word_power(spec, w, l)) in text
-                   for w in fam)
+    text = _text(prefix)   # a power longer than the prefix cannot occur in it
+    return not any(len(w) * l <= len(text) and _text(w) * l in text for w in fam)
 
 
 # --------------------------------------------------------------------------

@@ -134,6 +134,25 @@ def test_separating_word(capsys, models_dir):
     assert "word,00" in out
 
 
+def test_one_symbol_words_over_multi_character_names(capsys, tmp_path):
+    # a depth-1 table keyed by the one-symbol word "bc", and "bc" as --F
+    doc = {
+        "alphabet": ["a", "bc"],
+        "incidence": [[1, 1], [1, 1]],
+        "potentials": {"phi": {"depth": 1, "table": {"a": 0.5, "bc": -0.5}},
+                       "psi": {"depth": 2, "table": {"a,a": 1.0, "a,bc": 2.0,
+                                                     "bc,a": 1.0, "bc,bc": 2.0}}},
+    }
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", "--model", str(path))
+    assert code == 0
+    assert "mixing,True" in out
+    code, out, _ = run(capsys, "separating-word", "--F", "bc", "--model", str(path))
+    assert code == 0
+    assert "word,a" in out.splitlines()
+
+
 def test_cdf_commands(capsys, models_dir):
     code, out, _ = run(capsys, "cdf", "eval", "--x", "0.5", "--eps", "1e-9",
                        "--model", model(models_dir, "bin14.json"))
@@ -481,6 +500,27 @@ def test_readme_outputs_rest_on_one_squaring_phase_and_no_eigensolve(capsys, mon
         "reference held under any change to the Perron schedule past the power "
         "step; a change that moves this must check those pins again",
         steps)
+
+
+def test_readme_names_every_limit_constant():
+    # a cap, a round count or a MAX_ limit, at module or class level, is one
+    # of the limits README's "module constants" bullet lists
+    text = (ROOT / "README.md").read_text()
+    start = text.index("- Solver and enumeration limits are module constants")
+    bullet = text[start:text.index("\n- ", start)]
+    named = set(re.findall(r"`(?:\w+\.)*(\w+)`", bullet))
+    limits = set()
+    for path in (pathlib.Path(gibbsdim.__file__).parent).glob("*.py"):
+        tree = ast.parse(path.read_text())
+        bodies = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        for stmt in (s for body in bodies for s in body):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            limits |= {t.id for t in targets if isinstance(t, ast.Name)
+                       and re.fullmatch(r"[A-Z0-9_]+", t.id)
+                       and (t.id.endswith(("_CAP", "_ROUNDS", "_MAX_LEN")) or "MAX_" in t.id)}
+    assert {"WORD_CAP", "MAX_DEPTH", "PERRON_MAX_SQUARINGS"} <= limits
+    assert limits - named == set()
 
 
 FULL2 = {"alphabet": ["a", "b"], "incidence": [[1, 1], [1, 1]]}

@@ -176,6 +176,19 @@ def test_mixing_window(full2, gold):
         assert ok is expect
 
 
+def test_word_round_trips_over_multi_character_names():
+    # one multi-character name puts commas into every word, one-symbol words
+    # included, so "bc" is one symbol and "a,a" two
+    spec = SftSpec(alphabet=("a", "bc"), incidence=[[1, 1], [1, 1]])
+    words = [w for m in (1, 2, 3) for w in spec.words(m)]
+    assert len(words) == 14
+    assert all(spec.word(spec.word_str(w)) == w for w in words)
+    assert [spec.word_str(w) for w in spec.words(2)] == ["a,a", "a,bc", "bc,a", "bc,bc"]
+    assert spec.word("bc") == (1,)
+    with pytest.raises(ValidationError, match="unknown symbol name 'aa'"):
+        spec.word("aa")
+
+
 def test_enumerate_words(full2, gold):
     assert [gold.word_str(w) for w in gold.words(2)] == ["00", "01", "10"]
     assert len(full2.words(3)) == 8

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,45 @@ def test_beta_convexity(bin14):
     vals = [beta(float(q), phi, psi) for q in qs]
     for i in range(1, len(qs) - 1):
         assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-10
+
+
+def test_a_stalled_beta_root_names_its_last_iterate(bin14, monkeypatch):
+    from gibbsdim import thermo
+    from gibbsdim.errors import NumericalError
+    _, phi, psi = bin14
+    # a slope 10^6 times too steep makes every Newton step too short to
+    # reach the root in the 200 steps allowed
+    chain_mean = thermo._chain_mean
+    monkeypatch.setattr(thermo, "_chain_mean", lambda *a: 1e6 * chain_mean(*a))
+    bs = []
+    transfer = thermo._transfer
+    monkeypatch.setattr(thermo, "_transfer", lambda coder, weights, coeffs: bs.append(-coeffs[1])
+                        or transfer(coder, weights, coeffs))
+    with pytest.raises(NumericalError, match="pressure root iteration stalled") as info:
+        beta(2.0, phi, psi)
+    assert len(bs) == 201 and bs[1:] == sorted(bs[1:])
+    b, p = re.fullmatch(r".* at b = (\S+), P\(b\) = (\S+)", str(info.value)).groups()
+    assert float(b) == bs[-1] and float(p) > 0.0
+    assert info.value.bracket is None
+
+
+def test_a_first_newton_step_far_left_is_held_at_the_bracket(monkeypatch):
+    from gibbsdim import thermo
+    spec = helpers.full2()
+    phi = LocallyConstantPotential.from_values(spec, [5.0, -1.0])
+    psi = LocallyConstantPotential.from_values(spec, [0.005, 1.0])
+    bs = []
+    transfer = thermo._transfer
+    monkeypatch.setattr(thermo, "_transfer", lambda coder, weights, coeffs: bs.append(-coeffs[1])
+                        or transfer(coder, weights, coeffs))
+    # P(-phi) > 0, so the root is in [0, ~200]; at the midpoint P is about
+    # -5.5 and its slope about -0.005, so the first Newton step lands near
+    # b = -1000, where exp(1 + 1000) overflows; it is held at 0 instead
+    b = beta(1.0, phi, psi)
+    assert b == pytest.approx(1.0067266893936, abs=1e-10)
+    # on a full shift with depth-1 potentials the pressure is a log-sum-exp
+    assert abs(math.log(math.exp(-5.0 - 0.005 * b) + math.exp(1.0 - b))) <= 1e-10
+    assert bs[2] == 0.0 and bs[2:] == sorted(bs[2:]) and len(bs) <= 10
 
 
 def test_beta_prime(bin14):
@@ -741,15 +781,33 @@ def test_sweep_fails_on_the_recorded_roots(monkeypatch):
     # 500 iterates give the same failures as 10,000: no solve that certifies
     # here needs more than ~130, so the failing ones only fail sooner
     monkeypatch.setattr(thermo, "PRESSURE_MAX_ITER", 500)
-    failed = set()
+    # the b of each transfer matrix of a root: the bracket solve's 0, then
+    # one per Newton iterate
+    bs = []
+    transfer = thermo._transfer
+    monkeypatch.setattr(thermo, "_transfer",
+                        lambda coder, weights, coeffs: bs.append(-coeffs[1])
+                        or transfer(coder, weights, coeffs))
+    failed, climbs = set(), []
     for seed in range(40, 70):
         phi, psis = _sweep_model(seed)
         for kind, q in itertools.product(psis, (0.0, 1.0, -1.0, 10.0, -10.0, 40.0, -40.0)):
+            bs.clear()
             try:
-                thermo._beta_pair(q, phi, psis[kind])
+                root, _ = thermo._beta_pair(q, phi, psis[kind])
             except NumericalError:
                 failed.add((seed, kind, q))
+                continue
+            climbs.append(((seed, kind, q), root, bs[1], bs[2:]))
     assert failed == SWEEP_FAILURES
+    # pressure is convex and decreasing in b, so from the second iterate on
+    # Newton climbs to the root without passing it, and it starts no lower
+    # than the sign bracket's lower end (bs[1] is the bracket's midpoint, and
+    # one of its ends is 0): only that end is needed, not a bisection bracket
+    for case, root, mid, later in climbs:
+        assert later[0] >= min(2.0 * mid, 0.0), case
+        assert all(a <= b for a, b in zip(later, later[1:])), case
+        assert all(b <= root for b in later), case
 
 
 def _phases(monkeypatch):

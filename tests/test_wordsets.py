@@ -309,6 +309,33 @@ def test_repetition_free_set(full2):
         in_repetition_free_set(helpers.gold(), seq, [full2.word("1")], 2)
 
 
+def test_membership_checkers_take_symbols_past_255():
+    # symbols 0 and 256 share their low byte, so a byte encoding either
+    # raises or confuses them
+    spec = sft.SftSpec(alphabet=tuple(range(257)), incidence=np.ones((257, 257), dtype=bool))
+    rng = np.random.default_rng(5)
+    symbols = (0, 1, 255, 256)
+
+    def draw(n):
+        return tuple(int(s) for s in rng.choice(symbols, n))
+
+    def occurs(w, text):
+        return any(text[i:i + len(w)] == w for i in range(len(text) - len(w) + 1))
+
+    seen = set()
+    for _ in range(300):
+        prefix = draw(rng.integers(0, 16))
+        fam = [draw(rng.integers(1, 3)) for _ in range(rng.integers(1, 3))]
+        k, l = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        frequent = all(occurs(w, prefix[i:i + k])
+                       for i in range(len(prefix) - k + 1) for w in fam)
+        free = not any(occurs(w * l, prefix) for w in fam)
+        assert in_frequent_set(prefix, fam, k) is frequent, (prefix, fam, k)
+        assert in_repetition_free_set(spec, prefix, fam, l) is free, (prefix, fam, l)
+        seen.add((frequent, free))
+    assert seen == {(a, b) for a in (False, True) for b in (False, True)}
+
+
 def test_a_power_longer_than_the_prefix_is_not_built():
     """A power longer than the prefix cannot occur in it, so the check skips
     it: at l = 10^9 building it would take gigabytes.  Run in a child under an
