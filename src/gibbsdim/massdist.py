@@ -11,10 +11,12 @@ potential and are normalized within each sibling set, so they are consistent
 along the tree.
 
 A node's postfixes are picked from arrays: the stems' window terms and the
-postfixes' term table (``term_table``) are taken once per parent tail, added
-onto the parent's running sum column by column (``first_landing``), so every
-sum equals a full re-sum bit for bit.  A node is cached as its picks and
-masses; child words are built only when asked for.
+postfixes' term table (``term_table``) are taken once per parent tail and
+added onto the parent's running sum column by column (``first_landing``):
+the empty postfix on every child first, which lands most of them, then the
+other postfixes together on the children still open.  Every sum equals a
+full re-sum bit for bit.  A node is cached as its picks and masses; child
+words are built only when asked for.
 
 All choices (connectors, member order, postfix selection) are deterministic,
 which makes masses reproducible bit for bit.

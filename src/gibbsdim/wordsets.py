@@ -28,6 +28,7 @@ ALPHA_SIGN_TOL = 1e-9
 WITNESS_CAP = 32          # most failing source words a postfix check reports
 DRIFT_STEP_CAP = 100_000  # longest walk ``_extremal_word`` tries
 SEPARATING_MAX_LEN = 64   # longest word ``separating_word`` tries
+LANDING_CELL_CAP = 4096   # most row x postfix cells one ``first_landing`` pass adds
 
 
 # --------------------------------------------------------------------------
@@ -244,17 +245,36 @@ def first_landing(run, ends, terms, band: float):
     """Per row, the index of the first word of the ``term_table`` ``terms``
     whose columns, added after end ``ends[row]`` to ``run[row]`` in the order
     a full re-sum adds them, land it in the band (sup at most band, inf at
-    least -band), or -1.  The words are tried in turn on the rows still open."""
+    least -band), or -1.
+
+    Word 0 (the empty postfix, which lands most of a mass-tree node's rows)
+    is tried alone first.  Each later pass tries the next words on every row
+    still open, as many words as ``LANDING_CELL_CAP`` row x word cells hold,
+    with one take of their columns; where more than half the cap's rows are
+    open, a pass tries one word on a block of ``LANDING_CELL_CAP`` rows, so a
+    large check adds no more cells than word by word.  Every cell adds its
+    row's columns left to right, so a pick does not depend on the passes."""
     values, bounds = terms
     pick = np.full(len(run), -1)
-    for t in range(values.shape[2]):
-        todo = np.flatnonzero(pick < 0)
-        if not todo.size:
-            break
-        e = ends[todo]
-        acc = add_terms(run[todo], values[:, :, t].take(e, axis=1))
-        sup, inf = bounds[:, :, t].take(e, axis=1)
-        pick[todo[(acc + sup <= band) & (acc + inf >= -band)]] = t
+    todo, t = np.arange(len(run)), 0
+    while todo.size and t < values.shape[2]:
+        width = max(min(LANDING_CELL_CAP // todo.size, values.shape[2] - t), 1) if t else 1
+        if width > 1:
+            cells = np.concatenate((values[:, :, t:t + width], bounds[:, :, t:t + width])
+                                   ).take(ends[todo], axis=1)
+            acc = add_terms(run[todo, None], cells[:-2])
+            ok = (acc + cells[-2] <= band) & (acc + cells[-1] >= -band)
+            first = ok.argmax(axis=1)
+            land = ok[:, 0] | (first > 0)
+            pick[todo[land]] = t + first[land]
+        else:
+            for k in range(0, todo.size, LANDING_CELL_CAP):
+                rows = todo[k:k + LANDING_CELL_CAP]
+                e = ends[rows]
+                acc = add_terms(run[rows], values[:, :, t].take(e, axis=1))
+                sup, inf = bounds[:, :, t].take(e, axis=1)
+                pick[rows[(acc + sup <= band) & (acc + inf >= -band)]] = t
+        todo, t = todo[pick[todo] < 0], t + width
     return pick
 
 

@@ -6,10 +6,11 @@ import pytest
 
 import helpers
 from gibbsdim import (CapacityError, InfeasibleError, LocallyConstantPotential,
-                      ValidationError, boundary_words, build_postfix_set,
-                      counterexample_word, in_frequent_set, in_repetition_free_set,
-                      separating_word, verify_postfix, window_family, word_power)
-from gibbsdim import sft, wordsets
+                      ValidationError, boundary_words, build_mass_distribution,
+                      build_postfix_set, counterexample_word, in_frequent_set,
+                      in_repetition_free_set, separating_word, spectrum_at,
+                      verify_postfix, window_family, word_power)
+from gibbsdim import massdist, sft, wordsets
 
 
 # --------------------------------------------------------------------------
@@ -243,6 +244,88 @@ def test_verify_postfix_matches_reference_on_random_models(depth):
             assert_matches_brute_verify(report, cut, phi, max_len)
             failing += not report.passed
     assert failing >= 5
+
+
+def folded_first_landing(run, ends, terms, band):
+    """Oracle: per row, each postfix in turn, its run plus the end's columns
+    one float at a time; the first that lands, or -1."""
+    values, bounds = terms
+    picks = []
+    for r, e in zip(run.tolist(), ends.tolist()):
+        pick = -1
+        for t in range(values.shape[2]):
+            acc = r
+            for col in values[:, e, t].tolist():
+                acc += col
+            if acc + bounds[0, e, t] <= band and acc + bounds[1, e, t] >= -band:
+                pick = t
+                break
+        picks.append(pick)
+    return np.array(picks, dtype=int)
+
+
+@pytest.mark.parametrize("cap", [8, wordsets.LANDING_CELL_CAP])
+def test_first_landing_matches_a_row_by_row_fold(cap, monkeypatch):
+    """Seeded term tables through passes of every width the cap allows,
+    against the oracle; some rows land on no postfix."""
+    monkeypatch.setattr(wordsets, "LANDING_CELL_CAP", cap)
+    rng = np.random.default_rng(29)
+    unlanded = late = 0
+    for _ in range(300):
+        n_cols, n_ends, n_taus = (int(rng.integers(0, 7)), int(rng.integers(1, 5)),
+                                  int(rng.integers(1, 13)))
+        values = rng.uniform(-1.0, 1.0, (n_cols, n_ends, n_taus))
+        sup = rng.uniform(0.0, 0.5, (n_ends, n_taus))
+        terms = (values, np.stack([sup, sup - rng.uniform(0.0, 0.5, (n_ends, n_taus))]))
+        rows = int(rng.integers(0, min(3 * cap + 2, 600)))
+        run, ends = rng.uniform(-3.0, 3.0, rows), rng.integers(0, n_ends, rows)
+        band = float(rng.uniform(0.3, 1.5))
+        picks = wordsets.first_landing(run, ends, terms, band)
+        assert np.array_equal(picks, folded_first_landing(run, ends, terms, band))
+        unlanded += int((picks < 0).sum())
+        late += int((picks > 1).sum())
+    assert unlanded and late
+
+
+def first_landing_passes(monkeypatch, work):
+    """Per ``first_landing`` call during ``work()``: (rows, per pass the
+    postfix columns and the row x postfix cells it added)."""
+    calls, add_terms, first_landing = [], wordsets.add_terms, wordsets.first_landing
+
+    def recorded_add(acc, values):
+        columns = 1 if np.ndim(values) == 2 else np.shape(values)[2]
+        calls[-1][1].append((columns, np.shape(values)[1] * columns))
+        return add_terms(acc, values)
+
+    def recorded_landing(run, *args):
+        calls.append((len(run), []))
+        return first_landing(run, *args)
+
+    monkeypatch.setattr(wordsets, "add_terms", recorded_add)
+    monkeypatch.setattr(wordsets, "first_landing", recorded_landing)
+    monkeypatch.setattr(massdist, "first_landing", recorded_landing)
+    work()
+    monkeypatch.undo()
+    return calls
+
+
+def test_first_landing_passes_stay_under_the_cell_cap(monkeypatch, phi_pm):
+    """The first pass of a call tests the empty postfix alone, one column per
+    row; no pass adds more than ``LANDING_CELL_CAP`` cells, and some pass adds
+    several postfixes at once."""
+    spec, pm, psi = phi_pm
+    pset = build_postfix_set(pm, 2.0, 0.6)
+    dist = build_mass_distribution(pm, psi, 0.5 * spectrum_at(0.0, pm, psi).value,
+                                   [spec.word("01")])
+    cap = wordsets.LANDING_CELL_CAP
+    checks = first_landing_passes(monkeypatch, lambda: verify_postfix(pset, pm, 16))
+    node = first_landing_passes(monkeypatch, lambda: dist.children(dist.family.words[0]))
+    assert max(rows for rows, _ in checks) > cap and len(node) == 1
+    for calls in (checks, node):
+        for rows, passes in calls:
+            assert passes[0] == (1, min(rows, cap))
+            assert all(cells <= cap for _, cells in passes)
+        assert any(columns > 1 for _, passes in calls for columns, _ in passes)
 
 
 def test_verify_postfix_rejects_nonpositive_max_len(phi_pm):
