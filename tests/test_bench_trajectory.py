@@ -7,7 +7,8 @@ names the workload and end-to-end metric the change improves, measured over
 at least ``CLAIM_PAIRS`` pairs on that workload.  The claim holds when the
 change is better in at least ``CLAIM_WINS`` of every ``CLAIM_PAIRS`` pairs and
 its median beats the parent's by more than the parent's quartile spread;
-every other end-to-end median stays within its ``BENCHMARK.json`` bound.
+every other end-to-end median stays within its ``BENCHMARK.json`` bound,
+and no workload fails more operations than at the parent.
 """
 
 import json
@@ -57,6 +58,7 @@ def test_bench_record_claim_holds_and_no_other_metric_passes_its_bound(path):
     claim = record["claim"]
     for workload in bench["workloads"]:
         entry = record["workloads"][workload["name"]]
+        assert entry["failed"]["change"] <= entry["failed"]["parent"]
         for metric in bench["end_to_end"]:
             stats = entry["metrics"][metric["name"]]
             # sign * (parent - change) is the gain, whichever direction is better
