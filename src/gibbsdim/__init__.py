@@ -21,7 +21,7 @@ _EXPORTS = {
     "sft": ("EMPTY_WORD", "BlockCoder", "InfixSet", "SftSpec", "Word",
             "higher_block_recode", "word_power"),
     "potentials": ("LocallyConstantPotential", "WordSumBounds", "add_constant",
-                   "combine", "cylinder_diam_psi", "d_psi"),
+                   "combine", "cylinder_diam_psi", "cylinder_log_diam_psi", "d_psi"),
     "thermo": ("GibbsChain", "SpectrumPoint", "alpha_range", "beta", "beta_prime",
                "full_dim_alpha", "gibbs_chain", "pressure", "spectrum_at",
                "subaction", "birkhoff_sup", "LEGENDRE_CONVENTION"),

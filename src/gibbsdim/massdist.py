@@ -15,8 +15,13 @@ postfixes' term table (``term_table``) are taken once per parent tail and
 added onto the parent's running sum column by column (``first_landing``):
 the empty postfix on every child first, which lands most of them, then the
 other postfixes together on the children still open.  Every sum equals a
-full re-sum bit for bit.  A node is cached as its picks and masses; child
-words are built only when asked for.
+full re-sum bit for bit.  A child that the tree makes itself, as ``sample``
+descends, starts from the running sums carried over from its parent's node
+build (the stem's and its postfix's columns added to the parent's), so it is
+neither re-summed nor re-validated; a word a caller passes in is.  A node is
+cached as its picks, in the narrowest integer type, and its log masses, with
+probabilities taken as their ``np.exp`` where a node is sampled or listed;
+child words are built only when asked for.
 
 All choices (connectors, member order, postfix selection) are deterministic,
 which makes masses reproducible bit for bit.
@@ -32,7 +37,7 @@ import numpy as np
 from . import sft
 from .errors import (CapacityError, InfeasibleError, NumericalError,
                      ValidationError)
-from .potentials import LocallyConstantPotential, add_terms, cylinder_diam_psi
+from .potentials import LocallyConstantPotential, add_terms, cylinder_log_diam_psi
 from .sft import InfixSet, SftSpec, Word
 from .thermo import alpha_range, seeded_rng, spectrum_at
 from .wordsets import (ALPHA_SIGN_TOL, PostfixSet, build_postfix_set, first_landing,
@@ -118,7 +123,7 @@ class MassDistribution:
         self.band = float(band)               # K
         self.source_band = float(source_band)  # K'
         self.spectrum_value = float(spectrum_value)
-        self._nodes = {}          # parent -> (picks, probs, logs, z)
+        self._nodes = {}          # parent -> (picks, logs, z)
         self._stem_cache = {}
         self._term_cache = {}
         self._taus = postfix.followers(self.spec)[joined[-1]]   # every stem ends in joined
@@ -160,11 +165,13 @@ class MassDistribution:
             stems = self._stem_cache[last] = (words, {w: i for i, w in enumerate(words)})
         return stems
 
-    def _terms(self, key):
-        """Per potential f of (phi, psi), for a parent with tails and last
-        symbol ``key``: f's window columns on the stems after the tail, each
-        stem's row in the taus' ``term_table``, and that table over the stems'
-        distinct tails, as tau terms depend on a stem only by its tail; memoised."""
+    def _terms(self, parent: Word):
+        """Per potential f of (phi, psi), for ``parent``: f's window columns on
+        the stems after the parent's tail, each stem's row in the taus'
+        ``term_table``, and that table over the stems' distinct tails, as tau
+        terms depend on a stem only by its tail; memoised by the parent's tails
+        and last symbol."""
+        key = (self.phi.tail(parent), self.psi.tail(parent), parent[-1])
         terms = self._term_cache.get(key)
         if terms is None:
             stems, terms = self._stems(key[2])[0], []
@@ -176,42 +183,53 @@ class MassDistribution:
             self._term_cache[key] = terms
         return terms
 
-    def _make_children(self, parent: Word):
-        """The node of ``parent``: ``(picks, probs, logs, z)``.
+    def _make_children(self, parent: Word, runs=None):
+        """The node of ``parent``: ``(picks, logs, z)``.
 
         Child i is parent + stem i + ``taus[picks[i]]``, with the first tau in
         order that lands it in the band.  The stems share one length and differ,
         so the children form a prefix code.  Each candidate's sums extend the
-        parent's running sum column by column, in the order a full re-sum adds
-        the same terms, so every sum equals ``window_sums`` of the whole word
-        bit for bit (never ``np.sum``, which adds pairwise).  The parent is
-        validated here, the stems with their junction to it in ``_stems``,
-        and the taus with their junction to a stem by ``PostfixSet.followers``.
+        parent's running sums ``runs`` (phi's, psi's) column by column, in the
+        order a full re-sum adds the same terms, so every sum equals
+        ``window_sums`` of the whole word bit for bit (never ``np.sum``, which
+        adds pairwise).  A parent given without its runs is validated and
+        re-summed here; the stems are validated with their junction to it in
+        ``_stems``, and the taus with their junction to a stem by
+        ``PostfixSet.followers``.
         """
-        if not parent or not self.spec.is_admissible(parent):
-            raise ValidationError("parent word is not admissible")
-        phi, psi = self.phi, self.psi
-        (p_stem, p_ends, p_terms), (q_stem, q_ends, (values, bounds)) = \
-            self._terms((phi.tail(parent), psi.tail(parent), parent[-1]))
-        run = np.full(len(p_ends), phi.window_sums(parent)[0])
+        if runs is None:
+            if not parent or not self.spec.is_admissible(parent):
+                raise ValidationError("parent word is not admissible")
+            runs = (self.phi.window_sums(parent)[0], self.psi.window_sums(parent)[0])
+        (p_stem, p_ends, p_terms), (q_stem, q_ends, (values, bounds)) = self._terms(parent)
+        run = np.full(len(p_ends), runs[0])
         picks = first_landing(add_terms(run, p_stem), p_ends, p_terms, self.band)
-        missing = np.flatnonzero(picks < 0)
-        if missing.size:
+        if picks.min() < 0:
             raise NumericalError(
-                "no postfix returns a child into the band; "
-                f"parent length {len(parent)}, member {self._root_words[missing[0]]}"
+                "no postfix returns a child into the band; parent length "
+                f"{len(parent)}, member {self._root_words[np.flatnonzero(picks < 0)[0]]}"
             )
-        acc = add_terms(np.full(len(picks), psi.window_sums(parent)[0]), q_stem)
-        acc = add_terms(acc, values[:, q_ends, picks])
-        logs = -self.s * (acc + bounds[0, q_ends, picks])
+        # one take of the picked taus' columns and sup bounds from the flat table
+        table = np.concatenate((values, bounds[:1])).reshape(len(values) + 1, -1)
+        cells = table.take(q_ends * values.shape[2] + picks, axis=1)
+        acc = add_terms(np.full(len(picks), runs[1]), q_stem)
+        logs = -self.s * (add_terms(acc, cells[:-1]) + cells[-1])
         z = _logsumexp(logs)
-        return picks, np.exp(logs - z), logs - z, float(z)
+        return picks.astype(np.min_scalar_type(len(self._taus) - 1)), logs - z, float(z)
 
-    def _node(self, parent: Word):
+    def _node(self, parent: Word, runs=None):
         node = self._nodes.get(parent)
         if node is None:
-            node = self._nodes[parent] = self._make_children(parent)
+            node = self._nodes[parent] = self._make_children(parent, runs)
         return node
+
+    def _child_runs(self, parent: Word, runs, picks, i: int):
+        """The phi and psi running sums of child i of ``parent`` from the
+        parent's ``runs``: stem i's columns, then its tau's, added left to
+        right as ``_make_children`` adds them, so each equals
+        ``window_sums(child)[0]`` bit for bit."""
+        return tuple(add_terms(run, stem[:, i].tolist() + values[:, ends[i], picks[i]].tolist())
+                     for run, (stem, ends, (values, _)) in zip(runs, self._terms(parent)))
 
     def _child(self, parent: Word, picks, i: int) -> Word:
         return parent + self._stems(parent[-1])[0][i] + self._taus[picks[i]]
@@ -220,10 +238,10 @@ class MassDistribution:
         """``(words, probs, logs, z)``: the children of ``parent``, their
         conditional masses and log masses, and the log normaliser."""
         parent = tuple(parent)
-        picks, probs, logs, z = self._node(parent)
+        picks, logs, z = self._node(parent)
         stems = self._stems(parent[-1])[0]
         words = tuple(parent + stem + self._taus[j] for stem, j in zip(stems, picks.tolist()))
-        return words, probs, logs, z
+        return words, np.exp(logs), logs, z
 
     def _walk_to(self, word: Word):
         """Generation path from the root to ``word``; errors if it is not a node."""
@@ -235,7 +253,7 @@ class MassDistribution:
         log_mass = self._root_logmass[cur]
         path = [cur]
         while cur != word:
-            picks, _, logcond, _ = self._node(cur)
+            picks, logcond, _ = self._node(cur)
             stems, member = self._stems(cur[-1])
             i = member.get(word[len(cur):len(cur) + len(stems[0])])
             nxt = None if i is None else self._child(cur, picks, i)
@@ -281,20 +299,27 @@ class MassDistribution:
         rng = seeded_rng(seed)
         idx = int(np.searchsorted(np.cumsum(self._root_probs), rng.random(), side="left"))
         cur = self._root_words[min(idx, len(self._root_words) - 1)]
+        runs = (self.phi.window_sums(cur)[0], self.psi.window_sums(cur)[0])
         for _ in range(k - 1):
-            picks, probs, _, _ = self._node(cur)
-            j = int(np.searchsorted(np.cumsum(probs), rng.random(), side="left"))
-            cur = self._child(cur, picks, min(j, len(picks) - 1))
+            picks, logs, _ = self._node(cur, runs)
+            j = int(np.searchsorted(np.cumsum(np.exp(logs)), rng.random(), side="left"))
+            j = min(j, len(picks) - 1)
+            cur, runs = self._child(cur, picks, j), self._child_runs(cur, runs, picks, j)
         return cur
 
     # --- certificates ---------------------------------------------------------
 
     def certify(self, word: Word) -> MassCertificate:
         """Check the prefix-sum bound, the marker-window property and the band,
-        and report the local dimension estimate of the word's cylinder."""
+        and report the local dimension estimate of the word's cylinder.
+
+        The band check adds the tail's overhang bounds to the prefix-sum fold,
+        which is ``phi.window_sums(word)[0]``, so it reads the cylinder bounds
+        of ``word_sum_bounds``.  A cylinder that is a single point has no
+        local dimension and raises InfeasibleError."""
         path, log_mass = self._walk_to(word)
-        d = self.phi.depth
-        table = self.phi.table
+        phi = self.phi
+        d, table = phi.depth, phi.table
         run, worst = 0.0, 0.0
         for k in range(len(word) - d + 1):
             run += table[word[k:k + d]]
@@ -302,8 +327,11 @@ class MassDistribution:
         bound = self.prefix_sum_bound
         wlen = self.window_length
         window_ok = in_frequent_set(word, [self.joined], wlen) if len(word) >= wlen else True
-        band_ok = self.phi.word_sum_bounds(word).within(self.band)
-        log_diam = math.log(cylinder_diam_psi(self.psi, word))
+        _, sup, inf = phi.window_sums(phi.tail(word))
+        band_ok = run + sup <= self.band and run + inf >= -self.band
+        log_diam = cylinder_log_diam_psi(self.psi, word)
+        if log_diam == -math.inf:
+            raise InfeasibleError("the word's cylinder is a single point; it has no local dimension")
         local = log_mass / log_diam if log_diam < 0 else math.nan
         return MassCertificate(
             word=tuple(word), length=len(word), sum_bound=bound,

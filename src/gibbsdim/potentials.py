@@ -294,16 +294,24 @@ def d_psi(psi: LocallyConstantPotential, prefix1: Word, prefix2: Word) -> float:
 
 
 def cylinder_diam_psi(psi: LocallyConstantPotential, word: Word) -> float:
-    """Diameter of the cylinder [word] in the metric of ``psi``.
+    """Diameter of the cylinder [word] in the metric of ``psi``: the exp of
+    ``cylinder_log_diam_psi``, 0 for a single point."""
+    return math.exp(cylinder_log_diam_psi(psi, word))
+
+
+def cylinder_log_diam_psi(psi: LocallyConstantPotential, word: Word) -> float:
+    """Log diameter of the cylinder [word] in the metric of ``psi``: -sup S_psi
+    over the cylinder of the word's branching extension, with no exp/log round
+    trip, so it stays finite where the diameter underflows.
 
     Non-branching tails are resolved by extending the word to the first symbol
     with at least two admissible successors; a cylinder that never branches is
-    a single point and has diameter 0.
+    a single point and has log diameter -inf.
     """
     if not psi.is_strictly_positive():
         raise ValidationError("the metric potential must be strictly positive")
     if len(word) == 0:
-        return 1.0
+        return 0.0
     if not psi.spec.is_admissible(word):
         raise ValidationError("word is not admissible")
     spec = psi.spec
@@ -311,6 +319,6 @@ def cylinder_diam_psi(psi: LocallyConstantPotential, word: Word) -> float:
     limit = len(word) + 2 * spec.n + psi.depth + 2
     while len(spec.successors(w[-1])) < 2:
         if len(w) > limit:
-            return 0.0  # deterministic tail: the cylinder is a singleton
+            return -math.inf  # deterministic tail: the cylinder is a singleton
         w = w + (spec.successors(w[-1])[0],)
-    return math.exp(-psi.word_sum_bounds(w).sup)
+    return -psi.word_sum_bounds(w).sup

@@ -305,6 +305,21 @@ def higher_block_recode(spec: SftSpec, d: int):
     blocks = spec.words(width)
     inc = np.array([[u[1:] == v[:-1] and spec.incidence[u[-1], v[-1]] for v in blocks]
                     for u in blocks], dtype=bool)
-    names = tuple(spec.word_str(w) for w in blocks)
-    block_spec = SftSpec(alphabet=names, incidence=inc)
+    block_spec = SftSpec(alphabet=_block_names(spec, blocks), incidence=inc)
     return block_spec, BlockCoder(base=spec, block=block_spec, width=width, blocks=tuple(blocks))
+
+
+def _block_names(spec: SftSpec, blocks) -> tuple:
+    """Block names that the block spec parses back, no two equal.
+
+    Over one-character symbol names a block is named as ``word_str`` writes
+    it, the names run together.  Otherwise its names are joined by the first
+    of ``.|/:;+`` that no symbol name holds.  A spec with a name longer than
+    one character splits words at commas, so where a symbol name holds a
+    comma, or every joiner, the blocks are named by their index.
+    """
+    names = spec.alphabet
+    joiners = [c for c in ".|/:;+" if not any(c in a for a in names)] if spec._sep else [""]
+    if not joiners or any("," in a for a in names):
+        return tuple(str(i) for i in range(len(blocks)))
+    return tuple(joiners[0].join(names[s] for s in w) for w in blocks)

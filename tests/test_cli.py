@@ -127,6 +127,22 @@ def test_massdist_modes(capsys, models_dir):
     assert payload["data"]["passed"] is True
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("massdist", "certify", "--s", "0.5", "--F", "01", "--depth", "160", "--seed", "7"),
+     "phipm.json"),
+    (("certified-point", "--alpha", "1.2075187", "--l", "12", "--depth", "200"), "bin14.json"),
+], ids=["massdist-certify-depth-160", "certified-point-depth-200"])
+def test_deep_words_certify_with_a_finite_log_diameter(capsys, models_dir, argv, name):
+    """With psi = log 2 the cylinder diameter underflows to 0 past 1,074
+    symbols; its log, -sup S_psi, stays finite."""
+    code, out, err = run(capsys, *argv, "--format", "json", "--model", model(models_dir, name))
+    assert code == 0, err
+    data = json.loads(out)["data"]
+    cert = data.get("certificate", data)
+    assert cert["length"] > 1100 and cert["passed"] is True
+    assert math.isfinite(cert["log_diam"]) and cert["log_diam"] < -700
+
+
 def test_separating_word(capsys, models_dir):
     code, out, _ = run(capsys, "separating-word", "--F", "01",
                        "--model", model(models_dir, "phipm.json"))

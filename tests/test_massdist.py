@@ -275,6 +275,38 @@ def test_sample_and_masses_follow_public_children(depth, seed, phi_pm):
         assert cert.passed
 
 
+# (depth, seed): phi and psi of depth 2 and 3 on mixing shifts that are not
+# full, with connectors of length 2, 1, 2 and 1
+CARRIED_MODELS = [(2, 0), (2, 4), (3, 0), (3, 12)]
+
+
+@pytest.mark.parametrize("depth,seed", [(1, None)] + CARRIED_MODELS)
+def test_sampled_nodes_from_carried_sums_match_children(depth, seed, phi_pm):
+    """Nodes that sample builds from the sums carried down from their parents'
+    builds equal the nodes that children() re-sums from the whole parent word,
+    bit for bit, and so do the certificates of the sampled words."""
+    def tree():
+        if seed is None:
+            _, pm, psi = phi_pm
+            return build_mass_distribution(pm, psi, 0.5, [pm.spec.word("01")])
+        return centred_dist(depth, seed)
+
+    carried, summed = tree(), tree()
+    words = [carried.sample(8, word_seed) for word_seed in range(4)]
+    parents = list(carried._nodes)
+    assert len(parents) >= 7 and max(map(len, parents)) > len(words[0]) // 2
+    for parent in parents:
+        got, want = carried.children(parent), summed.children(parent)
+        assert got[0] == want[0]
+        assert [x.hex() for x in got[2].tolist()] == [x.hex() for x in want[2].tolist()]
+        assert got[3].hex() == want[3].hex()
+    for word in words:
+        cert = carried.certify(word)
+        assert cert.to_dict() == summed.certify(word).to_dict()
+        assert cert.band_ok == carried.phi.word_sum_bounds(word).within(carried.band)
+        assert cert.passed
+
+
 @pytest.mark.parametrize("s", [0.1, 0.5])
 def test_log_mass_rejects_words_off_the_tree(s, phi_pm):
     """A word that ends inside a child's stem, or follows the stem with another
@@ -381,3 +413,11 @@ def test_certificate_local_dimension(phi_pm):
     for seed in range(10):
         cert = dist.certify(dist.sample(8, seed))
         assert cert.local_dim >= dist.s - 0.05
+
+
+def test_certify_a_single_point_cylinder_raises(phi_pm, monkeypatch):
+    dist = small_dist(phi_pm)
+    word = dist.sample(3, 0)
+    monkeypatch.setattr(massdist, "cylinder_log_diam_psi", lambda psi, w: -math.inf)
+    with pytest.raises(InfeasibleError, match="single point"):
+        dist.certify(word)

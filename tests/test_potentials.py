@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import helpers
-from gibbsdim import (InsufficientContextError, LocallyConstantPotential,
-                      ValidationError, combine, cylinder_diam_psi, d_psi)
+from gibbsdim import (InsufficientContextError, LocallyConstantPotential, SftSpec,
+                      ValidationError, combine, cylinder_diam_psi, cylinder_log_diam_psi,
+                      d_psi)
 from gibbsdim.potentials import add_terms
 
 
@@ -236,3 +237,21 @@ def test_cylinder_diam(full2, gold, bin14):
     assert cylinder_diam_psi(psi, ()) == 1.0
     one_g = LocallyConstantPotential.constant(gold, 1.0)
     assert cylinder_diam_psi(one_g, gold.word("1")) == pytest.approx(math.exp(-2.0), abs=1e-12)
+
+
+def test_cylinder_log_diam_stays_finite_where_the_diameter_underflows(bin14):
+    spec, _, psi = bin14
+    word = (0, 1) * 1000
+    assert cylinder_diam_psi(psi, word) == 0.0
+    assert cylinder_log_diam_psi(psi, word) == -psi.word_sum_bounds(word).sup
+    assert cylinder_log_diam_psi(psi, ()) == 0.0
+    for n in range(1, 8):
+        for w in spec.words(n):
+            assert cylinder_diam_psi(psi, w) == math.exp(cylinder_log_diam_psi(psi, w))
+
+
+def test_cylinder_log_diam_of_a_single_point():
+    cycle = SftSpec(alphabet=("0", "1"), incidence=[[0, 1], [1, 0]])
+    one = LocallyConstantPotential.constant(cycle, 1.0)
+    assert cylinder_log_diam_psi(one, (0, 1)) == -math.inf
+    assert cylinder_diam_psi(one, (0, 1)) == 0.0

@@ -253,6 +253,27 @@ def test_higher_block_gold(gold):
         assert len(gold.words(n)) == len(blocked.words(n - 1))
 
 
+@pytest.mark.parametrize("alphabet,names", [
+    (("a", "bc"), ("a.a", "a.bc", "bc.a", "bc.bc")),
+    (("x.1", "y"), ("x.1|x.1", "x.1|y", "y|x.1", "y|y")),
+    (("a,b", "c"), ("0", "1", "2", "3")),
+    (("0", "1"), ("00", "01", "10", "11")),
+])
+def test_higher_block_names_parse_back(alphabet, names):
+    """Every block word round-trips through the block spec's word/word_str,
+    with distinct names, at widths 2 and 3; one-character alphabets keep the
+    names that word_str writes."""
+    spec = SftSpec(alphabet=alphabet, incidence=np.ones((2, 2), dtype=bool))
+    assert higher_block_recode(spec, 3)[0].alphabet == names
+    for d in (3, 4):
+        block, coder = higher_block_recode(spec, d)
+        assert len(set(block.alphabet)) == block.n
+        for n in range(1, 4):
+            for w in block.words(n):
+                assert block.word(block.word_str(w)) == w
+                assert coder.encode(coder.decode(w)) == w
+
+
 def test_higher_block_requires_depth(gold):
     with pytest.raises(ValidationError):
         higher_block_recode(gold, 1)
