@@ -4,9 +4,10 @@ Graphs arrive as a boolean adjacency matrix plus one or two weight matrices;
 in the package they are the block graphs of ``LocallyConstantPotential.edges``.
 All routines assume every vertex has an outgoing edge; the cycle searches are
 fed mixing specs only, which are strongly connected.
-Every walk search here, and the ones in ``potentials`` (overhang bounds),
-``thermo`` and ``wordsets``, is built on the max-plus step ``relax``, and
-every cycle read off a map u -> nxt[u] (parents, successors) on ``orbit_cycle``.
+Every walk search here, and the ones in ``thermo`` and ``wordsets``' drift
+words, is built on the max-plus step ``relax``, and every cycle read off a map
+u -> nxt[u] (parents, successors) on ``orbit_cycle``.  Word sums, overhang
+bounds and window families walk the prefix automaton of ``potentials``.
 """
 
 from __future__ import annotations

@@ -323,6 +323,10 @@ class CdfModel:
         from l-fold boundary-word repetitions."""
         from .massdist import build_mass_distribution
         from .wordsets import boundary_words, in_repetition_free_set
+        if l < 1:   # the cheap arguments first: a tree can take minutes to build
+            raise ValidationError("repetition count must be positive")
+        if depth < 1:
+            raise ValidationError("generation index must be positive")
         a_lo, a_hi = alpha_range(self.potential, self.psi)
         if not (a_lo + 1e-9 < alpha < a_hi - 1e-9):
             raise InfeasibleError(

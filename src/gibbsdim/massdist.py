@@ -10,18 +10,15 @@ construction.  Masses follow the recursive exponential weighting in the metric
 potential and are normalized within each sibling set, so they are consistent
 along the tree.
 
-A node's postfixes are picked from arrays: the stems' window terms and the
-postfixes' term table (``term_table``) are taken once per parent tail and
-added onto the parent's running sum column by column (``first_landing``):
-the empty postfix on every child first, which lands most of them, then the
-other postfixes together on the children still open.  Every sum equals a
-full re-sum bit for bit.  A child that the tree makes itself, as ``sample``
-descends, starts from the running sums carried over from its parent's node
-build (the stem's and its postfix's columns added to the parent's), so it is
-neither re-summed nor re-validated; a word a caller passes in is.  A node is
-cached as its picks, in the narrowest integer type, and its log masses, with
-probabilities taken as their ``np.exp`` where a node is sampled or listed;
-child words are built only when asked for.
+A node's postfixes are picked from arrays: the stems' window columns, from
+``fold`` over the prefix automaton, and the postfixes' ``term_table`` from the
+states the stems end in are taken once per parent state, and added onto the
+parent's running sum column by column (``first_landing``), the empty postfix
+first.  Every sum equals a full re-sum bit for bit.  A child that ``sample``
+makes starts from the running sums carried over from its parent's node build,
+so it is neither re-summed nor re-validated; a word a caller passes in is.  A
+node is cached as its picks, in the narrowest integer type, and its log
+masses; child words are built only when asked for.
 
 All choices (connectors, member order, postfix selection) are deterministic,
 which makes masses reproducible bit for bit.
@@ -70,7 +67,8 @@ def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotent
         fam = window_family(phi, bound, m)
         if not fam.words:
             continue
-        logs = np.array([-s * psi.word_sum_bounds(w).sup for w in fam.words])
+        run, state = psi.fold(np.array(fam.words, dtype=np.min_scalar_type(psi.spec.n)))
+        logs = -s * (run + psi.automaton.over[0, state])
         if _logsumexp(logs) / s > c0:
             return fam, logs
     raise InfeasibleError(
@@ -151,35 +149,31 @@ class MassDistribution:
     def _stems(self, last: int):
         """Per root word, the stem rho + member + rho' + joined of a child whose
         parent ends in symbol ``last``, and the map from stem to member index;
-        validated with that junction, memoised.  The connectors share one
-        length, so all stems do, and distinct members give distinct stems."""
+        memoised and checked with that junction by ``_terms``.  The connectors
+        share one length, so all stems do, and distinct members differ."""
         stems = self._stem_cache.get(last)
         if stems is None:
             infixes, joined = self.infixes, self.joined
             words = tuple(
                 infixes.get(last, m[0]) + m + infixes.get(m[-1], joined[0]) + joined
                 for m in self._root_words)
-            for stem in words:
-                if not self.spec.is_admissible((last,) + stem):
-                    raise ValidationError(f"child stem {stem} is not admissible")
             stems = self._stem_cache[last] = (words, {w: i for i, w in enumerate(words)})
         return stems
 
     def _terms(self, parent: Word):
         """Per potential f of (phi, psi), for ``parent``: f's window columns on
-        the stems after the parent's tail, each stem's row in the taus'
-        ``term_table``, and that table over the stems' distinct tails, as tau
-        terms depend on a stem only by its tail; memoised by the parent's tails
-        and last symbol."""
-        key = (self.phi.tail(parent), self.psi.tail(parent), parent[-1])
+        the stems from the parent's state, each stem's row in the taus'
+        ``term_table`` from the stems' distinct final states (tau terms depend
+        on a stem only by that), and the table; memoised by parent state."""
+        key = (self.phi.automaton.state(parent), self.psi.automaton.state(parent))
         terms = self._term_cache.get(key)
         if terms is None:
-            stems, terms = self._stems(key[2])[0], []
-            for f, tail in zip((self.phi, self.psi), key):
-                rows = {}
-                ends = np.array([rows.setdefault(f.tail(tail + stem), len(rows)) for stem in stems])
-                terms.append((f.term_table((tail,), stems)[0][:, 0], ends,
-                              f.term_table(tuple(rows), self._taus)))
+            stems = np.array(self._stems(parent[-1])[0], dtype=np.min_scalar_type(self.spec.n))
+            terms = []
+            for f, start in zip((self.phi, self.psi), key):
+                cols = np.empty(stems.shape[::-1])
+                ends, rows = np.unique(f.fold(stems, start, columns=cols)[1], return_inverse=True)
+                terms.append((cols, rows, f.term_table(ends, self._taus)))
             self._term_cache[key] = terms
         return terms
 
@@ -187,15 +181,12 @@ class MassDistribution:
         """The node of ``parent``: ``(picks, logs, z)``.
 
         Child i is parent + stem i + ``taus[picks[i]]``, with the first tau in
-        order that lands it in the band.  The stems share one length and differ,
-        so the children form a prefix code.  Each candidate's sums extend the
-        parent's running sums ``runs`` (phi's, psi's) column by column, in the
-        order a full re-sum adds the same terms, so every sum equals
-        ``window_sums`` of the whole word bit for bit (never ``np.sum``, which
-        adds pairwise).  A parent given without its runs is validated and
-        re-summed here; the stems are validated with their junction to it in
-        ``_stems``, and the taus with their junction to a stem by
-        ``PostfixSet.followers``.
+        order that lands it in the band.  Each candidate's sums extend the
+        parent's running sums ``runs`` (phi's, psi's) column by column, as a
+        full re-sum adds them (never ``np.sum``, which adds pairwise).  A parent
+        given without its runs is validated and re-summed here; the stems are
+        walked from it in ``_terms``, and the taus are validated with their
+        junction by ``PostfixSet.followers``.
         """
         if runs is None:
             if not parent or not self.spec.is_admissible(parent):
@@ -209,11 +200,12 @@ class MassDistribution:
                 "no postfix returns a child into the band; parent length "
                 f"{len(parent)}, member {self._root_words[np.flatnonzero(picks < 0)[0]]}"
             )
-        # one take of the picked taus' columns and sup bounds from the flat table
+        # the picked taus' columns, then their sup bounds, from the flat table, a
+        # column at a time as they are added: no (columns x children) array
         table = np.concatenate((values, bounds[:1])).reshape(len(values) + 1, -1)
-        cells = table.take(q_ends * values.shape[2] + picks, axis=1)
+        cells = q_ends * values.shape[2] + picks
         acc = add_terms(np.full(len(picks), runs[1]), q_stem)
-        logs = -self.s * (add_terms(acc, cells[:-1]) + cells[-1])
+        logs = -self.s * add_terms(acc, (col.take(cells) for col in table))
         z = _logsumexp(logs)
         return picks.astype(np.min_scalar_type(len(self._taus) - 1)), logs - z, float(z)
 
@@ -243,15 +235,17 @@ class MassDistribution:
         words = tuple(parent + stem + self._taus[j] for stem, j in zip(stems, picks.tolist()))
         return words, np.exp(logs), logs, z
 
-    def _walk_to(self, word: Word):
-        """Generation path from the root to ``word``; errors if it is not a node."""
+    # --- masses ------------------------------------------------------------
+
+    def log_mass(self, word: Word) -> float:
+        """The log mass of ``word``, summed along its generation path from the
+        root; errors if it is not a node."""
         word = tuple(word)
         m = self.base_length
         if len(word) < m or word[:m] not in self._root_logmass:
             raise ValidationError("word is not a member of the tree")
         cur = word[:m]
         log_mass = self._root_logmass[cur]
-        path = [cur]
         while cur != word:
             picks, logcond, _ = self._node(cur)
             stems, member = self._stems(cur[-1])
@@ -261,14 +255,7 @@ class MassDistribution:
                 raise ValidationError("word is not a member of the tree")
             cur = nxt
             log_mass += float(logcond[i])
-            path.append(cur)
-        return path, log_mass
-
-    # --- masses ------------------------------------------------------------
-
-    def log_mass(self, word: Word) -> float:
-        _, lm = self._walk_to(word)
-        return lm
+        return log_mass
 
     def mass(self, word: Word) -> float:
         return math.exp(self.log_mass(word))
@@ -313,21 +300,22 @@ class MassDistribution:
         """Check the prefix-sum bound, the marker-window property and the band,
         and report the local dimension estimate of the word's cylinder.
 
-        The band check adds the tail's overhang bounds to the prefix-sum fold,
+        The band check adds the word's overhang bounds to the prefix-sum fold,
         which is ``phi.window_sums(word)[0]``, so it reads the cylinder bounds
         of ``word_sum_bounds``.  A cylinder that is a single point has no
         local dimension and raises InfeasibleError."""
-        path, log_mass = self._walk_to(word)
+        log_mass = self.log_mass(word)
         phi = self.phi
-        d, table = phi.depth, phi.table
-        run, worst = 0.0, 0.0
-        for k in range(len(word) - d + 1):
-            run += table[word[k:k + d]]
-            worst = max(worst, abs(run))
+        # row i is the i-th window: from the empty word, only its last step adds
+        # a value, so the rows' sums are the window values, accumulated in order
+        w, width = np.array(word), min(phi.depth, len(word))
+        values, state = phi.fold(w[np.arange(len(w) - width + 1)[:, None] + np.arange(width)])
+        runs = np.add.accumulate(values)
+        run, worst = float(runs[-1]), float(np.abs(runs).max(initial=0.0))
+        sup, inf = phi.automaton.over[:, state[-1]].tolist()
         bound = self.prefix_sum_bound
         wlen = self.window_length
         window_ok = in_frequent_set(word, [self.joined], wlen) if len(word) >= wlen else True
-        _, sup, inf = phi.window_sums(phi.tail(word))
         band_ok = run + sup <= self.band and run + inf >= -self.band
         log_diam = cylinder_log_diam_psi(self.psi, word)
         if log_diam == -math.inf:

@@ -4,25 +4,25 @@ A depth-d potential assigns a real value to every admissible d-word; as a
 function on the shift space it reads the first d symbols.  It lives on one
 graph, the higher-block presentation (``edges``): its states are the
 admissible (d-1)-words, its edges their overlaps, and each edge carries one
-window value.  Pressure, Gibbs chains, cycle ratios and window-family bounds
-all read that graph.  All word sums, suprema over cylinders and distortion
-constants below are exact; the windows sliding off a word's end are bounded
-by max-plus steps over the graph.  ``term_table`` lists the terms that words
-add to a word's running sum, as arrays, so a sum extended column by column
-equals a full re-sum bit for bit.
+window value.  Pressure, Gibbs chains and cycle ratios read that graph.
+
+Every word sum walks the prefix automaton (``automaton``), where a step
+adds the window it completes: ``window_sums`` one word, ``fold`` many rows
+in lockstep, ``wordsets._window_walk`` a family.  Each adds a word's windows
+left to right from 0.0, so every sum equals a full re-sum bit for bit, and
+only ``value``, ``edges`` and the automaton read the table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cycles import relax
 from .errors import InsufficientContextError, ValidationError
-from .sft import SftSpec, Word, higher_block_recode
+from .sft import EMPTY_WORD, SftSpec, Word, higher_block_recode
 
 _recode = lru_cache(maxsize=128)(higher_block_recode)  # one recode per (spec, depth)
 
@@ -35,13 +35,52 @@ class WordSumBounds:
     inf: float
     word: Word
 
-    @property
-    def width(self) -> float:
-        return self.sup - self.inf
-
     def within(self, bound: float) -> bool:
         """sup of the absolute sum over the cylinder is at most ``bound``."""
         return self.sup <= bound and self.inf >= -bound
+
+
+class PrefixAutomaton:
+    """A word's state is its last ``width`` = max(1, d-1) symbols, or all of
+    it: state 0 is the empty word, then come the admissible words shorter
+    than a block, then the blocks of ``edges()``.  ``succ[u, b]`` is the state
+    of word u + b (-1 off the graph), ``step[u, b]`` the window value that
+    step adds (0.0 before a full window), ``over[:, u]`` the sup and inf
+    overhang of a word in state u."""
+
+    def __init__(self, phi: LocallyConstantPotential):
+        spec, d, coder = phi.spec, phi.depth, phi.edges()[0]
+        self.width = coder.width
+        self.words = ((EMPTY_WORD,) + tuple(w for j in range(1, coder.width)
+                                            for w in spec.words(j)) + coder.blocks)
+        self.index = {w: u for u, w in enumerate(self.words)}
+        shape = (len(self.words), spec.n)
+        self.succ, self.step = np.full(shape, -1), np.zeros(shape)
+        for u, w in enumerate(self.words):
+            for b in spec.successors(w[-1]) if w else range(spec.n):
+                self.succ[u, b] = self.index[(w + (b,))[-coder.width:]]
+                self.step[u, b] = phi.value((w + (b,))[-d:]) if len(w) >= d - 1 else 0.0
+        # the windows sliding off a word are those its next d-1 steps complete; rounding
+        # is monotone, so the max- and min-plus bounds are left folds from 0.0 bit for bit
+        hi = lo = np.where(np.eye(len(self.words), dtype=bool), 0.0, np.nan)
+        for _ in range(d - 1):
+            hi, lo = self._walk_all(hi, np.fmax), self._walk_all(lo, np.fmin)
+        self.over = np.array([np.fmax.reduce(hi, axis=1), np.fmin.reduce(lo, axis=1)])
+        # as Python lists, which one word's walk reads fastest
+        self.rows = (self.succ.tolist(), self.step.tolist(), self.over.tolist())
+
+    def _walk_all(self, top, best):
+        """``top[s, v]``, the best sum of a walk from state s to v by ``best``
+        (``np.fmax`` or ``np.fmin``, which skip NaN: no walk), one step on."""
+        out = np.full_like(top, np.nan)
+        for sym in range(self.succ.shape[1]):
+            u = np.flatnonzero(self.succ[:, sym] >= 0)
+            best.at(out, (slice(None), self.succ[u, sym]), top[:, u] + self.step[u, sym])
+        return out
+
+    def state(self, word: Word) -> int:
+        """The state of the admissible ``word``: its last ``width`` symbols."""
+        return self.index[word[max(0, len(word) - self.width):]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +111,6 @@ class LocallyConstantPotential:
         # immutable, so hashed and minimised once: every beta root reads both
         object.__setattr__(self, "_hash", hash((self.spec, self.depth, entries)))
         object.__setattr__(self, "_min", min(v for _, v in entries))
-        object.__setattr__(self, "_distortion", None)
-        object.__setattr__(self, "_overhang", {})
         object.__setattr__(self, "_edges", {})
 
     # --- construction -----------------------------------------------------
@@ -120,7 +157,10 @@ class LocallyConstantPotential:
             raise InsufficientContextError(
                 f"need {self.depth} symbols to evaluate, got {len(window)}"
             )
-        return self._table[window[: self.depth]]
+        value = self._table.get(tuple(window[:self.depth]))
+        if value is None:
+            raise ValidationError(f"{window[:self.depth]} is not an admissible {self.depth}-word")
+        return value
 
     def sup_norm(self) -> float:
         return max(abs(v) for _, v in self.entries)
@@ -150,14 +190,6 @@ class LocallyConstantPotential:
             raise ValidationError("prefix is not admissible")
         return self.window_sums(prefix[:n + self.depth - 1])[0]
 
-    def tail(self, word: Word) -> Word:
-        """The last d-1 symbols of ``word`` (all of it when shorter).
-
-        The windows of ``word + suffix`` that are not windows of ``word`` are
-        exactly the windows of ``tail(word) + suffix``.
-        """
-        return word[max(0, len(word) - self.depth + 1):]
-
     def edges(self, depth: int | None = None):
         """``(coder, weights)`` on the higher-block graph ``coder.block`` of depth
         ``depth`` (default max(2, d), never less), kept per depth: ``weights[u, v]``
@@ -173,59 +205,58 @@ class LocallyConstantPotential:
             self._edges[depth] = (coder, weights)
         return self._edges[depth]
 
-    def _overhang_bounds(self, word: Word):
-        """Sup and inf over admissible continuations of the windows sliding off
-        ``word``: one forward max-plus step over ``edges()`` per symbol, from the
-        blocks extending ``word``.  Each path adds its windows left to right from
-        0.0, and rounding is monotone, so both equal left-fold sums bit for bit."""
-        if not word:
-            return 0.0, 0.0
-        coder, weights = self.edges()
-        adj = coder.block.incidence
-        top = neg = np.array([0.0 if b[:len(word)] == word else -math.inf for b in coder.blocks])
-        for _ in word:
-            top, neg = relax(adj, weights, top)[0], relax(adj, -weights, neg)[0]
-        # a fold from 0.0 never ends on -0.0; adding 0.0 drops the min-plus sign
-        return float(top.max()), -float(neg.max()) + 0.0
+    @cached_property
+    def automaton(self) -> PrefixAutomaton:
+        """The prefix automaton, built on first use."""
+        return PrefixAutomaton(self)
 
     def window_sums(self, word: Word):
-        """Add the depth-d windows of ``word`` to 0.0.
+        """``(run, sup, inf)``: ``run`` adds the depth-d windows inside ``word``
+        to 0.0 left to right, and ``sup``/``inf`` add to it the exact bounds of
+        the windows sliding off its end.  Symbols are not checked; a step off
+        the graph raises ValidationError."""
+        succ, step, (sup, inf) = self.automaton.rows
+        acc, u = 0.0, 0
+        for b in word:
+            acc += step[u][b]
+            u = succ[u][b]
+            if u < 0:
+                raise ValidationError("word is not admissible")
+        return acc, acc + sup[u], acc + inf[u]
 
-        Returns ``(run, sup, inf)``: ``run`` adds the windows inside ``word``
-        left to right, and ``sup``/``inf`` add to it the exact overhang bounds
-        of the windows sliding off its end.  ``word`` is not validated.
-        ``word_sum_bounds`` and ``birkhoff_sum`` sum through here too.
-        """
-        d = self.depth
-        table = self._table
-        acc = 0.0
-        n = len(word) - d + 1   # windows inside ``word``
-        for k in range(n):
-            acc += table[word[k:k + d]]
-        tail = word[n:] if n > 0 else word
-        bounds = self._overhang.get(tail)
-        if bounds is None:
-            bounds = self._overhang[tail] = self._overhang_bounds(tail)
-        return acc, acc + bounds[0], acc + bounds[1]
+    def fold(self, words, starts=0, lengths=None, columns=None):
+        """``(sums, states)``: walk the rows of the integer array ``words`` in
+        lockstep from the states ``starts`` (broadcast against them), adding
+        each column's window values to the sums from 0.0 as ``window_sums``
+        does, 0.0 past a row's ``lengths``; ``columns[k]``, if given, receives
+        column k's values.  A step off the graph raises ValidationError."""
+        a, state = self.automaton, np.asarray(starts)
+        acc = np.zeros(state.shape[:-1] + (len(words),))   # as starts broadcast against rows
+        for k, col in enumerate(np.asarray(words).T):
+            value, nxt = a.step[state, col], a.succ[state, col]
+            if lengths is not None:
+                live = k < lengths
+                value, nxt = np.where(live, value, 0.0), np.where(live, nxt, state)
+            if (nxt < 0).any():
+                raise ValidationError("a word is not admissible")
+            acc += value   # in place: no new array per column
+            state = nxt
+            if columns is not None:
+                columns[k] = value
+        return acc, state
 
-    def term_table(self, ends, words):
-        """``(values, bounds)``: ``values[c, e, i]`` is the c-th depth-d window
-        of ``ends[e] + words[i]`` (0.0 past its last), ``bounds[:, e, i]`` the
-        sup and inf overhang bounds of its end.  With ``ends[e]`` the tail of
-        w, ``add_terms`` of these values to w's run, then a bound, give
-        ``window_sums(w + words[i])`` bit for bit: a run, a fold from 0.0, is
-        never -0.0, so a padding 0.0 leaves it as it is.  Not validated."""
-        d = self.depth
-        cells = [[end + word for word in words] for end in ends]
-        values = np.zeros((max([len(h) - d + 1 for r in cells for h in r] + [0]),
-                           len(ends), len(words)))
-        bounds = np.zeros((2, len(ends), len(words)))
-        for e, row in enumerate(cells):
-            for i, h in enumerate(row):
-                n = max(len(h) - d + 1, 0)   # h[n:] holds no window, only its bounds
-                values[:n, e, i] = [self._table[h[k:k + d]] for k in range(n)]
-                bounds[:, e, i] = self.window_sums(h[n:])[1:]
-        return values, bounds
+    def term_table(self, starts, words):
+        """``(values, bounds)``: ``values[c, e, i]`` is the window value that
+        the c-th symbol of ``words[i]`` adds from state ``starts[e]`` (0.0 past
+        its end), ``bounds[:, e, i]`` the overhang of the state it ends in.
+        With ``starts[e]`` the state of w, ``add_terms`` of these values to w's
+        run, then a bound, give ``window_sums(w + words[i])`` bit for bit: a
+        run, a fold from 0.0, is never -0.0, so a 0.0 leaves it as it is."""
+        lengths = np.array([len(w) for w in words], dtype=int)
+        padded = np.array([w + (0,) * (lengths.max() - len(w)) for w in words], dtype=int)
+        values = np.empty((padded.shape[1], len(starts), len(words)))
+        _, state = self.fold(padded, np.asarray(starts)[:, None], lengths=lengths, columns=values)
+        return values, self.automaton.over[:, np.broadcast_to(state, values.shape[1:])]
 
     def word_sum_bounds(self, word: Word) -> WordSumBounds:
         """Exact sup/inf of the length-|word| Birkhoff sum over the cylinder [word]."""
@@ -235,16 +266,10 @@ class LocallyConstantPotential:
         return WordSumBounds(sup, inf, word)
 
     def distortion(self) -> float:
-        """Uniform bound on |S_n(xi) - S_n(xi')| over pairs sharing an n-prefix; exact."""
-        cached = self._distortion
-        if cached is not None:
-            return cached
-        value = 0.0
-        for length in range(1, self.depth):   # none at depth 1
-            for w in self.spec.words(length):
-                value = max(value, self.word_sum_bounds(w).width)
-        object.__setattr__(self, "_distortion", value)
-        return value
+        """Uniform bound on |S_n(xi) - S_n(xi')| over pairs sharing an n-prefix;
+        exact: the widest overhang of a nonempty word, a word in a nonempty state."""
+        sup, inf = self.automaton.over[:, 1:]
+        return float((sup - inf).max(initial=0.0))
 
 
 def add_terms(acc, values):
@@ -263,7 +288,7 @@ def combine(a: float, f: LocallyConstantPotential, b: float,
     depth = max(f.depth, g.depth)
     words = f.spec.words(depth)
     entries = tuple(
-        (w, a * f.table[w[:f.depth]] + b * g.table[w[:g.depth]]) for w in words
+        (w, a * f.value(w) + b * g.value(w)) for w in words
     )
     return LocallyConstantPotential(spec=f.spec, depth=depth, entries=entries)
 

@@ -1,11 +1,12 @@
 """Word families with bounded Birkhoff sums and the machinery built on them.
 
 Covers: the bounded-sum window families of any range of lengths, from one
-walk that holds a length at a time as arrays; the finite postfix family that
-steers any bounded-sum word back into a tighter band, checked against a table
-of its window terms; membership checkers for the frequent-appearance and
-repetition-free sequence sets; boundary words of an interval order;
-separating words; and the bounded-band counterexample word.
+branch-and-bound walk over the potential's prefix automaton that holds a
+length at a time as arrays; the finite postfix family that steers any
+bounded-sum word back into a tighter band, checked against a table of its
+window terms from each walk state; membership checkers for the
+frequent-appearance and repetition-free sequence sets; boundary words of an
+interval order; separating words; and the bounded-band counterexample word.
 """
 
 from __future__ import annotations
@@ -58,79 +59,63 @@ def window_family(phi: LocallyConstantPotential, bound: float, length: int,
 def _window_walk(phi: LocallyConstantPotential, bound: float, lo: int, hi: int,
                  cap: int):
     """Yield ``(keys, state, run, words)`` per length lo..hi, the family's words
-    in lexicographic order: ``keys[state[i]]`` ends word i (its last max(1,
-    d-1) symbols, or all of it), ``run[i]`` is its ``phi.window_sums(word)[0]``
-    bit for bit, and ``words(idx)`` spells the words at the indices idx.
+    in lexicographic order: ``keys[state[i]]`` ends word i, its state in
+    ``phi.automaton``, ``run[i]`` is its ``phi.window_sums(word)[0]`` bit for
+    bit, and ``words(idx)`` spells the words at the indices idx.
 
-    Branch and bound one length at a time over arrays, on a graph of the blocks
-    of ``phi.edges()`` and the words shorter than a block: a child adds its
-    edge's window to its parent's run, as a left fold does, and pruning takes
-    exact extremal continuation sums (max-plus steps) over the lengths still
-    open.  ``cap`` bounds each length's words; more than ``sft.WORD_CAP``
-    candidates at one length, or pruning-table entries, raise CapacityError
-    before their arrays exist.
-    """
+    Branch and bound one length at a time over arrays, on the automaton from
+    the empty word: a child adds its step's value to its parent's run, and
+    pruning takes exact extremal continuation sums (max-plus steps) over the
+    lengths still open.  ``cap`` bounds each length's words; more than
+    ``sft.WORD_CAP`` candidates at one length, or pruning-table entries, raise
+    CapacityError before their arrays exist."""
     if not bound > 0:
         raise ValidationError("window bound must be positive")
     if not 1 <= lo <= hi:
         raise ValidationError("window length must be positive")
-    spec, (coder, wt) = phi.spec, phi.edges()
-    nb = len(coder.blocks)
-    keys = coder.blocks + tuple(w for j in range(1, coder.width) for w in spec.words(j))
-    if hi * len(keys) > sft.WORD_CAP:
-        raise CapacityError(f"{hi} pruning tables of {len(keys)} states "
+    a = phi.automaton
+    if hi * (len(a.words) - 1) > sft.WORD_CAP:
+        raise CapacityError(f"{hi} pruning tables of {len(a.words) - 1} states "
                             f"exceed the cap {sft.WORD_CAP}")
-    index = {k: i for i, k in enumerate(keys)}
-    adj, weights = np.zeros((len(keys),) * 2, dtype=bool), np.zeros((len(keys),) * 2)
-    adj[:nb, :nb] = coder.block.incidence
-    for w in keys[nb:]:   # a word shorter than a block grows by a symbol and no window
-        adj[index[w], [index[w + (b,)] for b in spec.successors(w[-1])]] = True
-    # a step adds the window starting at the block it leaves, as ``edges`` weighs,
-    # except at d = 1, where it adds the symbol it enters
-    weights[:nb, :nb] = wt if phi.depth > 1 else np.where(
-        adj[:nb, :nb], [phi.table[u] for u in coder.blocks], 0.0)
-    # sup and inf overhang of the windows sliding off a word in each state
-    over_sup, over_inf = np.array([phi.window_sums(phi.tail(k))[1:] for k in keys]).T
+    over_sup, over_inf = a.over
+    edge = a.succ >= 0
     # minsup[r][u]: least achievable (continuation sum + final sup-overhang) in r steps
     minsup, maxinf = [over_sup], [over_inf]
     for _ in range(hi - 1):
-        minsup.append(-relax(adj.T, -weights.T, -minsup[-1])[0])
-        maxinf.append(relax(adj.T, weights.T, maxinf[-1])[0])
-    src, dst = np.nonzero(adj)   # edges in (u, v) order: children in symbol order
-    step, degree = weights[src, dst], np.bincount(src, minlength=len(keys))
-    first, last = np.cumsum(degree) - degree, np.array([k[-1] for k in keys])
-    chain = []   # per length: the states kept and their parents' indices
+        minsup.append(np.where(edge, a.step + minsup[-1][a.succ], math.inf).min(axis=1))
+        maxinf.append(np.where(edge, a.step + maxinf[-1][a.succ], -math.inf).max(axis=1))
+    src, sym = np.nonzero(edge)   # edges in (state, symbol) order: children in symbol order
+    dst, step, degree = a.succ[src, sym], a.step[src, sym], np.bincount(src, minlength=len(edge))
+    first = np.cumsum(degree) - degree
+    chain = []   # per length: the last symbols of the words kept and their parents' indices
 
     def words(j, found, idx):
         out, idx = np.empty((len(idx), j), dtype=int), found[idx]
         for k in range(j - 1, -1, -1):
-            out[:, k] = last[chain[k][0][idx]]
+            out[:, k] = chain[k][0][idx]
             idx = chain[k][1][idx]
         return list(map(tuple, out.tolist()))
 
-    state = np.array([index[(a,)] for a in range(spec.n)])
-    run = np.array([phi.window_sums((a,))[0] for a in range(spec.n)])
-    parent = np.zeros(spec.n, dtype=int)
+    state, run = np.zeros(1, dtype=int), np.zeros(1)   # the empty word
     for j in range(1, hi + 1):
-        if j > 1:
-            kids = degree[state]
-            if kids.sum() > sft.WORD_CAP:
-                raise CapacityError(
-                    f"{kids.sum()} candidate words of length {j} exceed the cap {sft.WORD_CAP}")
-            parent = np.repeat(np.arange(len(state)), kids)
-            edge = np.arange(len(parent)) + np.repeat(first[state] - np.cumsum(kids) + kids, kids)
-            state, run = dst[edge], run[parent] + step[edge]
+        kids = degree[state]
+        if kids.sum() > sft.WORD_CAP:
+            raise CapacityError(
+                f"{kids.sum()} candidate words of length {j} exceed the cap {sft.WORD_CAP}")
+        parent = np.repeat(np.arange(len(state)), kids)
+        edges = np.arange(len(parent)) + np.repeat(first[state] - np.cumsum(kids) + kids, kids)
+        state, run = dst[edges], run[parent] + step[edges]
         open_ = slice(max(lo - j, 0), hi - j + 1)   # lengths max(lo, j)..hi are open
         keep = ~((run + np.min(minsup[open_], axis=0)[state] > bound)
                  | (run + np.max(maxinf[open_], axis=0)[state] < -bound))
-        state, run, parent = state[keep], run[keep], parent[keep]
-        chain.append((state, parent))
+        state, run = state[keep], run[keep]
+        chain.append((sym[edges[keep]], parent[keep]))
         if j >= lo:
             found = np.flatnonzero((run + over_sup[state] <= bound)
                                    & (run + over_inf[state] >= -bound))
             if len(found) > cap:
                 raise CapacityError(f"window family exceeds cap {cap}")
-            yield keys, state[found], run[found], partial(words, j, found)
+            yield a.words, state[found], run[found], partial(words, j, found)
 
 
 # --------------------------------------------------------------------------
@@ -243,19 +228,15 @@ class VerifyReport:
 
 def first_landing(run, ends, terms, band: float):
     """Per row, the index of the first word of the ``term_table`` ``terms``
-    whose columns, added after end ``ends[row]`` to ``run[row]`` in the order
-    a full re-sum adds them, land it in the band (sup at most band, inf at
-    least -band), or -1.
+    whose columns, from table row ``ends[row]``, added to ``run[row]`` in the
+    order a full re-sum adds them land it in the band (sup at most band, inf
+    at least -band), or -1.
 
     Word 0 (the empty postfix, which lands most of a mass-tree node's rows)
-    is tried alone first.  Each later pass tries the next words on every row
-    still open, as many words as ``LANDING_CELL_CAP`` row x word cells hold,
-    with one take of their columns; where more than half the cap's rows are
-    open, a pass tries one word on a block of ``LANDING_CELL_CAP`` rows, so a
-    large check adds no more cells than word by word.  A one-word pass keeps
-    its arrays one-dimensional: run through the (row, word) body instead, the
-    same passes took 15-51 % longer.  Every cell adds its row's columns left
-    to right, so a pick does not depend on the passes."""
+    is tried alone first.  Each later pass tries the next words on the rows
+    still open, as many as ``LANDING_CELL_CAP`` row x word cells hold, or one
+    word on blocks of that many rows; a one-word pass keeps its arrays
+    one-dimensional (15-51 % faster).  A pick does not depend on the passes."""
     values, bounds = terms
     table = np.concatenate((values, bounds))
     pick = np.full(len(run), -1)
@@ -283,24 +264,24 @@ def verify_postfix(pset: PostfixSet, phi: LocallyConstantPotential,
                    max_len: int) -> VerifyReport:
     """Exhaustively check the postfix property for all source words up to max_len.
 
-    One walk gives each length's source words with their runs; those ending in
-    symbol a are checked together against the term table of a's followers.
+    One walk gives each length's source words with their runs and states;
+    those ending in symbol a are checked together against the term table of
+    a's followers from the states that end in a.
     ``failures`` holds the first ``WITNESS_CAP`` failing words by length, then
     lexicographically.  Raises ValidationError when max_len < 1.
     """
-    followers = pset.followers(phi.spec)
-    checked, failures, tables = 0, [], None
-    for keys, state, run, words in _window_walk(phi, pset.source_band, 1, max_len,
-                                                sft.WORD_CAP):
-        if tables is None:   # per last symbol: the table rows of the ends it closes
-            ends = [{} for _ in followers]
-            row = np.array([ends[k[-1]].setdefault(phi.tail(k), len(ends[k[-1]])) for k in keys])
-            last = np.array([k[-1] for k in keys])
-            tables = [phi.term_table(tuple(e), taus) for e, taus in zip(ends, followers)]
+    # per last symbol: the term table of its followers from the states ending in it
+    last = np.array([w[-1] if w else -1 for w in phi.automaton.words])
+    starts = [np.flatnonzero(last == a) for a in range(phi.spec.n)]
+    tables = [phi.term_table(u, taus) for u, taus in zip(starts, pset.followers(phi.spec))]
+    checked, failures = 0, []
+    for _, state, run, words in _window_walk(phi, pset.source_band, 1, max_len,
+                                             sft.WORD_CAP):
         failed = np.zeros(len(state), dtype=bool)
         for a, terms in enumerate(tables):
             rows = np.flatnonzero(last[state] == a)
-            failed[rows] = first_landing(run[rows], row[state[rows]], terms, pset.band) < 0
+            ends = np.searchsorted(starts[a], state[rows])
+            failed[rows] = first_landing(run[rows], ends, terms, pset.band) < 0
         checked += len(state)
         failures += words(np.flatnonzero(failed)[:WITNESS_CAP - len(failures)])
     return VerifyReport(passed=not failures, max_len=max_len, checked=checked,

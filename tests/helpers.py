@@ -143,9 +143,10 @@ def brute_gibbs_constant(chain, phi, max_len):
 
 
 def brute_overhang(phi, word):
-    """(max, min) over every continuation of the windows sliding off
-    ``tail(word)``, each summed by a left fold started at 0.0."""
-    tail, d = phi.tail(word), phi.depth
+    """(max, min) over every continuation of the windows sliding off the
+    last d-1 symbols of ``word``, each summed by a left fold started at 0.0."""
+    d = phi.depth
+    tail = word[max(0, len(word) - d + 1):]
     if not tail:
         return 0.0, 0.0
     sums = []

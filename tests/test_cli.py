@@ -384,6 +384,25 @@ def test_certified_point(capsys, models_dir):
     assert 0.0 <= payload["data"]["x"] <= 1.0
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--alpha", "1.9", "--l", "0"), "repetition count must be positive"),
+    (("--alpha", "0.6", "--depth", "0"), "generation index must be positive"),
+], ids=["l-zero", "depth-zero"])
+def test_certified_point_checks_its_cheap_arguments_first(capsys, models_dir, monkeypatch,
+                                                          argv, message):
+    # at alpha 1.9 the tree takes ~20 s to build before l was checked
+    from gibbsdim import ifs, massdist
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the cheap arguments were checked")
+
+    monkeypatch.setattr(massdist, "build_mass_distribution", unreachable)
+    monkeypatch.setattr(ifs, "alpha_range", unreachable)
+    code, _, err = run(capsys, "certified-point", *argv, "--model", model(models_dir, "bin14.json"))
+    assert code == 2
+    assert message in err
+
+
 def test_subaction_cli(capsys, tmp_path, models_dir):
     doc = {
         "alphabet": ["0", "1"],

@@ -1,6 +1,6 @@
+import hashlib
 import math
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from gibbsdim import (CapacityError, InfeasibleError, LocallyConstantPotential, 
                       choose_base_length, combine, full_dim_alpha, in_frequent_set,
                       spectrum_at, window_family)
 from gibbsdim import massdist, sft
+from gibbsdim.model import load_model
 
 
 def small_dist(phi_pm, s=0.1):
@@ -103,18 +104,24 @@ def test_build_shifted_bernoulli(bin14):
 
 
 def test_build_takes_each_base_word_psi_bounds_once(monkeypatch):
-    taken = []
-    bounds = LocallyConstantPotential.word_sum_bounds
+    """Each base length's family is walked once over psi's automaton, one row
+    per word, so each base word's psi sup enters the series once."""
+    walked = []
+    fold = LocallyConstantPotential.fold
 
-    def counted(self, word):
-        taken.append((self, word))
-        return bounds(self, word)
+    def counted(self, words, *args, **kwargs):
+        walked.append((self, tuple(map(tuple, np.asarray(words).tolist()))))
+        return fold(self, words, *args, **kwargs)
 
-    monkeypatch.setattr(LocallyConstantPotential, "word_sum_bounds", counted)
+    monkeypatch.setattr(LocallyConstantPotential, "fold", counted)
     dist = centred_dist(2, 0)
-    per_word = Counter(w for f, w in taken if f is dist.psi)
+    walks = [words for f, words in walked if f is dist.psi]
+    families = [window_family(dist.phi, dist.band, m).words
+                for m in range(1, dist.base_length + 1)]
     assert dist.base_length > 1
-    assert all(per_word[w] == 1 for w in dist.family.words)
+    assert walks == [words for words in families if words]
+    assert walks[-1] == dist.family.words and len(set(walks[-1])) == len(walks[-1])
+    assert len(dist._root_probs) == len(dist.family.words)
 
 
 def test_build_infeasible_one_sided(phi_neg):
@@ -421,3 +428,36 @@ def test_certify_a_single_point_cylinder_raises(phi_pm, monkeypatch):
     monkeypatch.setattr(massdist, "cylinder_log_diam_psi", lambda psi, w: -math.inf)
     with pytest.raises(InfeasibleError, match="single point"):
         dist.certify(word)
+
+
+# recorded before the window sums moved onto the prefix automaton
+MASSTREE_DIGEST = "b7915084afea2deed30fe005abf4e76d8aafe3e34095ec40aa2b0012305b8791"
+
+
+def masstree_digest(models_dir, seeds=(1, 2, 3), depth=8, words=40):
+    """sha256 over the ``float.hex`` of the masstree recipe (phipm, marker 01,
+    s = b(0)/2): per seed, every sampled word's certificate fields, then every
+    node the tree built, its picks, log masses and log normaliser."""
+    bundle = load_model(str(models_dir / "phipm.json"))
+    phi, psi = bundle.pair()
+    s = 0.5 * spectrum_at(0.0, phi, psi).value
+    digest = hashlib.sha256()
+
+    def put(*items):
+        for x in items:
+            digest.update((x.hex() if isinstance(x, float) else repr(x)).encode() + b"\n")
+
+    for seed in seeds:
+        dist = build_mass_distribution(phi, psi, s, [phi.spec.word("01")])
+        rng = np.random.default_rng(seed)
+        for word_seed in rng.integers(0, 2**31 - 1, words).tolist():
+            word = dist.sample(depth, word_seed)
+            put(word, *dist.certify(word).to_dict().values())
+        for parent, (picks, logs, z) in sorted(dist._nodes.items()):
+            put(parent, picks.tolist(), *logs.tolist(), z)
+    return digest.hexdigest()
+
+
+def test_masstree_bits_match_the_pinned_digest(models_dir):
+    """Every float of three masstree rounds, bit for bit, as first recorded."""
+    assert masstree_digest(models_dir) == MASSTREE_DIGEST

@@ -101,7 +101,7 @@ def test_window_sums_extend_a_prefix_bit_for_bit(depth):
             for i in range(length + 1):
                 run = phi.window_sums(word[:i])[0]
                 ext = tuple(word[i:k] for k in range(i, length + 1))
-                values, bounds = phi.term_table((phi.tail(word[:i]),), ext)
+                values, bounds = phi.term_table((phi.automaton.state(word[:i]),), ext)
                 for k, suffix in enumerate(ext):
                     acc = add_terms(run, values[:, 0, k])
                     whole = phi.word_sum_bounds(word[:i] + suffix)
@@ -119,9 +119,83 @@ def test_overhang_bounds_equal_the_left_fold_oracle_bit_for_bit(depth):
             phi = helpers.random_potential(rng, spec, depth, scale=3.0, quantize=quantize)
             for n in range(depth + 1):
                 for w in spec.words(n):
-                    got = phi._overhang_bounds(phi.tail(w))
+                    got = phi.automaton.over[:, phi.automaton.state(w)].tolist()
                     want = helpers.brute_overhang(phi, w)
                     assert [x.hex() for x in got] == [x.hex() for x in want], w
+
+
+def fold_rows(phi, starts, rows):
+    """(run, sup, inf) per row: ``phi.fold``'s columns of the ragged ``rows``
+    from the states ``starts``, added to each start word's run in order."""
+    a = phi.automaton
+    lengths = np.array([len(r) for r in rows])
+    padded = np.zeros((len(rows), lengths.max()), dtype=int)
+    for i, r in enumerate(rows):
+        padded[i, :len(r)] = r
+    values = np.empty(padded.shape[::-1])
+    state = phi.fold(padded, starts, lengths, values)[1]
+    run = add_terms(np.array([phi.window_sums(a.words[u])[0] for u in starts]), values)
+    sup, inf = a.over[:, state]
+    return run, run + sup, run + inf
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_fold_matches_window_sums_and_the_brute_sums_bit_for_bit(depth):
+    """Ragged rows, one-symbol words among them, from every state of the
+    automaton, the empty word's included: the fold gives ``window_sums`` of
+    the whole word by ``float.hex``, and so does a brute left fold of the
+    word's windows; the cylinder bounds equal ``brute_sum_range`` by
+    ``float.hex`` where the arithmetic is exact (quarter steps, or depth 1,
+    where no window slides off), to 1e-12 elsewhere."""
+    rng = np.random.default_rng(300 + depth)
+    for quantize in (None, 4, None, 4):
+        spec = helpers.random_mixing_spec(rng, n=int(rng.integers(2, 4)))
+        phi = helpers.random_potential(rng, spec, depth, scale=3.0, quantize=quantize)
+        a = phi.automaton
+        starts, rows = [], []
+        for u, start in enumerate(a.words):
+            for length in (1, 1, 2, 5, 9):
+                word = start or (int(rng.integers(spec.n)),)
+                while len(word) < len(start) + length:
+                    word += (int(rng.choice(spec.successors(word[-1]))),)
+                starts.append(u)
+                rows.append(word[len(start):])
+        got = fold_rows(phi, np.array(starts), rows)
+        d = phi.depth
+        for i, (u, row) in enumerate(zip(starts, rows)):
+            whole = a.words[u] + row
+            want = phi.window_sums(whole)
+            assert [float(x[i]).hex() for x in got] == [x.hex() for x in want], whole
+            brute = sum(phi.table[whole[k:k + d]] for k in range(len(whole) - d + 1))
+            assert float(got[0][i]).hex() == float(brute).hex()
+            hi, lo = helpers.brute_sum_range(phi, whole)
+            if quantize or d == 1:
+                assert [float(got[1][i]).hex(), float(got[2][i]).hex()] == [hi.hex(), lo.hex()]
+            else:
+                assert got[1][i] == pytest.approx(hi, abs=1e-12)
+                assert got[2][i] == pytest.approx(lo, abs=1e-12)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_step_off_the_graph_raises_in_both_walks(depth):
+    """11 is forbidden on the golden mean shift.  Unchecked, the -1 successor
+    would index the last state, silently."""
+    spec = helpers.gold()
+    phi = helpers.random_potential(np.random.default_rng(depth), spec, depth)
+    with pytest.raises(ValidationError):
+        phi.window_sums((0, 1, 1, 0))
+    with pytest.raises(ValidationError):
+        phi.fold(np.array([[0, 1, 0, 1], [0, 1, 1, 0]]))
+    # past a row's length its padding is not read
+    assert phi.fold(np.array([[0, 1, 1]]), lengths=np.array([2]))[1].tolist() == [
+        phi.automaton.state((0, 1))]
+
+
+def test_value_of_an_inadmissible_window_is_a_validation_error():
+    gspec, gphi = helpers.gold_edge_potential()
+    assert gphi.value(gspec.word("101")) == -1.0
+    with pytest.raises(ValidationError, match="not an admissible 2-word"):
+        gphi.value(gspec.word("11"))
 
 
 def test_two_sided_bound_property():
