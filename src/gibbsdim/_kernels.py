@@ -13,11 +13,11 @@ loop walks the chunk from its first unresolved step to its last.  Each chunk's
 states are decoded into one preallocated array of the narrowest integer type
 that holds the alphabet, which is converted to the word once.
 ``cdf_descend`` walks the cylinder tree
-one level at a time over a table of plain tuples, one row per state of the
-chain's short words, so each level is a loop over the siblings up to the
-first whose image holds the point.  Each sibling carries the endpoints of its
-image of the base interval, computed once per model, so a level compares the
-point against stored floats and unpacks only the child it enters.
+one level at a time over flat rows, one per state of the potential's prefix
+automaton: each level loops over the siblings up to the first whose image
+holds the point.  A sibling is one flat tuple led by the ends of its image of
+the base interval, computed once per model, so a level compares the point
+against stored floats and leaves the loop with the entered sibling's fields.
 Randomness enters only through the uniforms, so a seed fixes the output.
 """
 
@@ -150,10 +150,10 @@ def _last_positive(cum):
     return int(np.flatnonzero(np.diff(cum, prepend=0.0) > 0)[-1])
 
 
-def cdf_descend(x, eps, max_depth, children, u, v):
+def cdf_descend(x, eps, max_depth, rows, u, v):
     """Mass of (-inf, x] under the pushforward measure, by cylinder descent.
 
-    children[i] lists (hi, lo, prob, (next_state, rate, offset)) for each
+    rows[i] lists (hi, lo, prob, next_state, rate, offset) for each
     admissible one-symbol extension of state i's word, leftmost image first;
     hi = rate*v + offset and lo = rate*u + offset are the endpoints of the
     child's image of [u, v], stored once per model.  State 0 is the empty
@@ -166,24 +166,23 @@ def cdf_descend(x, eps, max_depth, children, u, v):
     every comparison is made at the scale of that cylinder; absolute
     endpoints s*u + t round onto x once the cylinder is narrower than the
     float spacing near x (about 53 halvings).  Stops once the containing mass
-    drops below eps, closing with a linear interpolation of the remainder.
+    drops below eps or after max_depth levels, closing with a linear
+    interpolation of the remainder.
     """
     acc = 0.0
     state = 0
     mass = 1.0
     y = x
     for _ in range(max_depth):
-        chosen = None
-        for hi, lo, p, child in children[state]:
+        # the entered sibling breaks out with its own p, state, r and o bound
+        for hi, lo, p, state, r, o in rows[state]:
             if hi <= y:
                 acc += mass * p
             elif lo <= y:
-                chosen, child_p = child, p
                 break
-        if chosen is None:
+        else:
             return acc  # x fell in a gap between sibling cylinders
-        state, r, o = chosen
-        mass = mass * child_p
+        mass = mass * p
         y = (y - o) / r
         if mass < eps:
             break

@@ -7,7 +7,7 @@ fed mixing specs only, which are strongly connected.
 Every walk search here, and the ones in ``thermo`` and ``wordsets``' drift
 words, is built on the max-plus step ``relax``, and every cycle read off a map
 u -> nxt[u] (parents, successors) on ``orbit_cycle``.  Word sums, overhang
-bounds and window families walk the prefix automaton of ``potentials``.
+bounds, window families and the CDF table walk ``potentials``' prefix automaton.
 """
 
 from __future__ import annotations

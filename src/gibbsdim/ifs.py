@@ -19,7 +19,7 @@ from . import sft
 from ._kernels import cdf_descend
 from .errors import CapacityError, InfeasibleError, ValidationError
 from .potentials import (LocallyConstantPotential, add_constant, combine)
-from .sft import EMPTY_WORD, SftSpec, Word
+from .sft import SftSpec, Word
 from .thermo import (GibbsChain, _beta_pair, alpha_range, full_dim_alpha, gibbs_chain,
                      pressure, spectrum_at)
 
@@ -47,12 +47,15 @@ class AffineIfs:
 
     def __post_init__(self):
         u, v = (float(self.interval[0]), float(self.interval[1]))
-        if not u < v:
-            raise ValidationError("interval must have positive length")
         rates = np.asarray(self.rates, dtype=float).copy()
         offsets = np.asarray(self.offsets, dtype=float).copy()
         if rates.shape != (self.spec.n,) or offsets.shape != (self.spec.n,):
             raise ValidationError("need one rate and offset per symbol")
+        for field, values in (("interval", [u, v]), ("rate", rates), ("offset", offsets)):
+            if not np.isfinite(values).all():   # NaN passes every comparison below
+                raise ValidationError(f"ifs '{field}' must be finite: {list(map(float, values))}")
+        if not u < v:
+            raise ValidationError("interval must have positive length")
         if np.any(rates <= 0.0) or np.any(rates >= 1.0):
             raise ValidationError("contraction rates must lie strictly in (0, 1)")
         lo = rates * u + offsets
@@ -163,46 +166,39 @@ class CdfModel:
         self.psi = ifs.geometric_potential()
         self._build_states()
 
-    # --- state machine over short words feeding the descent kernel ----------
+    # --- descent table over the potential's prefix automaton ---------------
 
     def _build_states(self):
-        """The descent table: state 0 is the empty word, the others the
-        admissible words of length 1..width.  Row i lists (hi, lo, prob,
-        (next_state, rate, offset)) for each admissible one-symbol extension
-        of state i's word, in ``ifs.symbol_order``: the descent tries them in
-        that order and enters the first that holds the point.  hi = rate*v +
-        offset and lo = rate*u + offset are the ends of the symbol's image of
-        [u, v], evaluated here once by the float expressions the descent
-        compares against.  An extension longer than width moves to its last
-        width symbols, with the chain's Q as its probability."""
-        chain = self.chain
-        width = chain.coder.width
-        spec = self.spec
-        words = [EMPTY_WORD]
-        for n in range(1, width + 1):
-            words.extend(spec.words(n))
-        sid = {w: i for i, w in enumerate(words)}
+        """The descent table: one row per state of the potential's prefix
+        automaton (state 0 the empty word, its blocks the chain's).  Row i
+        lists (hi, lo, prob, next_state, rate, offset) for each symbol that
+        can follow state i's word, in ``ifs.symbol_order``: the descent tries
+        them in that order and enters the first that holds the point.  hi =
+        rate*v + offset and lo = rate*u + offset are the ends of the symbol's
+        image of [u, v], evaluated once by the float expressions the descent
+        compares against.  prob is the cylinder-mass ratio while the extended
+        word fits in a block, else the chain's Q from block to next block."""
+        chain, auto = self.chain, self.potential.automaton
+        encode = chain.coder.encode
         u, v = self.ifs.interval
         rates = self.ifs.rates.tolist()
         offsets = self.ifs.offsets.tolist()
-        children = []
-        for w in words:
+        rows = []
+        for w, succ in zip(auto.words, auto.succ.tolist()):
             mw = chain.cylinder_measure(w) if w else 1.0
             row = []
             for b in self.ifs.symbol_order:
-                if w and not spec.incidence[w[-1], b]:
+                nxt = succ[b]
+                if nxt < 0:
                     continue
-                nw = w + (b,)
-                if len(nw) <= width:
-                    nxt, p = sid[nw], chain.cylinder_measure(nw) / mw
+                if len(w) < auto.width:
+                    p = chain.cylinder_measure(w + (b,)) / mw
                 else:
-                    nxt = sid[nw[1:]]
-                    p = float(chain.Q[chain.coder.encode(w)[0],
-                                      chain.coder.encode(nw[1:])[0]])
+                    p = float(chain.Q[encode(w)[0], encode(auto.words[nxt])[0]])
                 r, o = rates[b], offsets[b]
-                row.append((r * v + o, r * u + o, p, (nxt, r, o)))
-            children.append(tuple(row))
-        self._children = tuple(children)
+                row.append((r * v + o, r * u + o, p, nxt, r, o))
+            rows.append(tuple(row))
+        self._rows = tuple(rows)
 
     # --- evaluation ---------------------------------------------------------
 
@@ -215,7 +211,7 @@ class CdfModel:
             if math.isnan(x):
                 raise ValidationError(f"cdf point must be a number, got {x!r}")
             return 0.0 if x < u else 1.0
-        return cdf_descend(float(x), float(eps), self.MAX_DEPTH, self._children, u, v)
+        return cdf_descend(float(x), float(eps), self.MAX_DEPTH, self._rows, u, v)
 
     def curve(self, resolution: int, eps: float = 1e-12):
         """Sampled (x, cdf) table on a uniform grid over the base interval."""

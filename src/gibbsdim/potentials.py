@@ -10,7 +10,8 @@ Every word sum walks the prefix automaton (``automaton``), where a step
 adds the window it completes: ``window_sums`` one word, ``fold`` many rows
 in lockstep, ``wordsets._window_walk`` a family.  Each adds a word's windows
 left to right from 0.0, so every sum equals a full re-sum bit for bit, and
-only ``value``, ``edges`` and the automaton read the table.
+only ``value``, ``edges`` and the automaton read the table.  ``ifs.CdfModel``
+keeps one CDF descent row per automaton state.
 """
 
 from __future__ import annotations

@@ -592,6 +592,13 @@ def test_a_one_map_ifs_prints_an_unsigned_zero_alpha0(capsys, tmp_path):
     assert "strictly inside (0, 0)" in err
 
 
+def bin14_ifs_with(edit):
+    """models/bin14.json with ``edit`` applied to its 'ifs' section."""
+    doc = json.loads((ROOT / "models" / "bin14.json").read_text())
+    edit(doc["ifs"])
+    return doc
+
+
 BAD_MODELS = [  # (model file, what the error names)
     ({"alphabet": ["a", "b"], "incidence": [[1, 1], [0, 0]]}, "successor"),
     (dict(FULL2, potentials={"phi": {"table": {"a": 1.0, "b": 2.0}}}), "'potentials'"),
@@ -601,6 +608,10 @@ BAD_MODELS = [  # (model file, what the error names)
     ({"alphabet": ["a", "b"], "incidence": [[1, 1], [1]]}, "'incidence'"),
     (dict(FULL2, potentials=[{"depth": 1, "values": [1.0, 2.0]}]), "'potentials'"),
     (dict(FULL2, gibbs=["phi"]), "'gibbs'"),
+    # json reads NaN and Infinity, and NaN passes every comparison of the geometry checks
+    (bin14_ifs_with(lambda ifs: ifs["maps"]["1"].update(offset=math.nan)), "'offset'"),
+    (bin14_ifs_with(lambda ifs: ifs["maps"]["0"].update(rate=math.nan)), "'rate'"),
+    (bin14_ifs_with(lambda ifs: ifs.update(interval=[0, math.inf])), "'interval'"),
 ]
 
 

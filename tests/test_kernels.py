@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from gibbsdim import AffineIfs, CdfModel, LocallyConstantPotential, SftSpec, gibbs_chain
-from gibbsdim import _kernels
+from gibbsdim import _kernels, ifs
 
 
 def _model():
@@ -19,8 +19,39 @@ def _model():
 def test_cdf_descend_runs_on_the_model_table():
     model = _model()
     u, v = model.ifs.interval
-    val = _kernels.cdf_descend(0.5, 1e-12, 100_000, model._children, u, v)
+    auto = model.potential.automaton
+    assert len(model._rows) == len(auto.words)
+    for row, succ in zip(model._rows, auto.succ.tolist()):
+        # one flat (hi, lo, prob, next_state, rate, offset) per symbol that can follow
+        assert all(len(child) == 6 for child in row)
+        assert sorted(child[3] for child in row) == sorted(t for t in succ if t >= 0)
+    val = _kernels.cdf_descend(0.5, 1e-12, 100_000, model._rows, u, v)
     assert val == pytest.approx(0.25, abs=1e-12)
+
+
+def test_every_cdf_value_inside_the_interval_is_one_kernel_call(monkeypatch):
+    """cdf, curve and holder_probe reach the kernel through the module-level
+    name ``gibbsdim.ifs.cdf_descend``, once per point in [u, v), which is the
+    name the benchmark's tracer wraps."""
+    model = _model()
+    calls = []
+    real = ifs.cdf_descend
+
+    def counting(x, *args):
+        calls.append(x)
+        return real(x, *args)
+
+    monkeypatch.setattr(ifs, "cdf_descend", counting)
+    for x in (-0.5, 0.0, 0.3, 1.0, 2.0):
+        model.cdf(x)
+    assert calls == [0.0, 0.3]
+    calls.clear()
+    model.curve(5)
+    assert calls == [0.0, 0.25, 0.5, 0.75]
+    calls.clear()
+    # x = 0.75 and x -/+ 2^-j for j = 1 .. 3: 1.25 lies outside, 1.0 is v itself
+    model.holder_probe(0.75, 1.0, 3)
+    assert calls == [0.75, 0.25, 0.5, 0.625, 0.875]
 
 
 # --- cdf against the NumPy-table descent ------------------------------------
@@ -107,6 +138,23 @@ def test_cdf_matches_array_descent_bit_for_bit(name, eps):
             want = float(helpers.reference_cdf_descend(
                 x, eps, model.MAX_DEPTH, *tables, rates, offsets, u, v))
         assert model.cdf(x, eps) == want, x
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 5])
+@pytest.mark.parametrize("eps", [1e-12, 1e-6])
+@pytest.mark.parametrize("name", sorted(CDF_MODELS))
+def test_cdf_descend_at_the_depth_cap_matches_array_descent_bit_for_bit(name, eps, max_depth):
+    """A cap of a few levels ends every descent that no gap or eps ends first,
+    so the kernel interpolates from the level it stopped at."""
+    model = CDF_MODELS[name][0]()
+    tables = helpers.reference_cdf_tables(model)
+    u, v = model.ifs.interval
+    rates, offsets = model.ifs.rates, model.ifs.offsets
+    for x in _probe_points(model):
+        if u <= x < v:
+            want = float(helpers.reference_cdf_descend(
+                x, eps, max_depth, *tables, rates, offsets, u, v))
+            assert _kernels.cdf_descend(x, eps, max_depth, model._rows, u, v) == want, x
 
 
 def test_cdf_is_monotone_across_an_overlap():
