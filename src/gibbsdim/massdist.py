@@ -10,15 +10,17 @@ construction.  Masses follow the recursive exponential weighting in the metric
 potential and are normalized within each sibling set, so they are consistent
 along the tree.
 
-A node's postfixes are picked from arrays: the stems' window columns, from
-``fold`` over the prefix automaton, and the postfixes' ``term_table`` from the
-states the stems end in are taken once per parent state, and added onto the
-parent's running sum column by column (``first_landing``), the empty postfix
-first.  Every sum equals a full re-sum bit for bit.  A child that ``sample``
-makes starts from the running sums carried over from its parent's node build,
-so it is neither re-summed nor re-validated; a word a caller passes in is.  A
-node is cached as its picks, in the narrowest integer type, and its log
-masses; child words are built only when asked for.
+A node's postfixes are picked from arrays taken once per parent state: both
+potentials' window columns on the stems in one stacked array, from ``fold``
+over each prefix automaton; the postfixes' ``term_table`` from the states the
+stems end in; and psi's table flat, for the picked postfixes' masses.  One
+fold adds the stacked columns onto the parent's two running sums, and
+``first_landing`` adds the postfixes' columns onto phi's, the empty postfix
+first and with no column.  Every sum equals a full re-sum bit for bit.  A
+child that ``sample`` makes starts from the running sums carried over from
+its parent's node build, so it is neither re-summed nor re-validated; a word
+a caller passes in is.  A node is cached as its picks, in the narrowest
+integer type, and its log masses; child words are built only when asked for.
 
 All choices (connectors, member order, postfix selection) are deterministic,
 which makes masses reproducible bit for bit.
@@ -77,7 +79,7 @@ def choose_base_length(phi: LocallyConstantPotential, psi: LocallyConstantPotent
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MassCertificate:
     """Desk-checkable facts about one tree word."""
 
@@ -161,20 +163,26 @@ class MassDistribution:
         return stems
 
     def _terms(self, parent: Word):
-        """Per potential f of (phi, psi), for ``parent``: f's window columns on
-        the stems from the parent's state, each stem's row in the taus'
-        ``term_table`` from the stems' distinct final states (tau terms depend
-        on a stem only by that), and the table; memoised by parent state."""
+        """For ``parent``, memoised by its (phi, psi) state: ``stems[c, k, i]``,
+        the window value that column c of stem i adds for potential k of
+        (phi, psi) from the parent's state; per potential, each stem's row in
+        the taus' ``term_table`` from the stems' distinct final states (tau
+        terms depend on a stem only by that), and the table; and psi's table
+        flat, its value rows and then its sup row, one (row, tau) cell per
+        column."""
         key = (self.phi.automaton.state(parent), self.psi.automaton.state(parent))
         terms = self._term_cache.get(key)
         if terms is None:
-            stems = np.array(self._stems(parent[-1])[0], dtype=np.min_scalar_type(self.spec.n))
-            terms = []
-            for f, start in zip((self.phi, self.psi), key):
-                cols = np.empty(stems.shape[::-1])
-                ends, rows = np.unique(f.fold(stems, start, columns=cols)[1], return_inverse=True)
-                terms.append((cols, rows, f.term_table(ends, self._taus)))
-            self._term_cache[key] = terms
+            words = np.array(self._stems(parent[-1])[0], dtype=np.min_scalar_type(self.spec.n))
+            stems = np.empty((words.shape[1], 2, len(words)))
+            tables = []
+            for k, (f, start) in enumerate(zip((self.phi, self.psi), key)):
+                ends, rows = np.unique(f.fold(words, start, columns=stems[:, k])[1],
+                                       return_inverse=True)
+                tables.append((rows, f.term_table(ends, self._taus)))
+            values, bounds, _ = tables[1][1]
+            flat = np.concatenate((values, bounds[:1])).reshape(len(values) + 1, -1)
+            terms = self._term_cache[key] = (stems, tables, flat)
         return terms
 
     def _make_children(self, parent: Word, runs=None):
@@ -183,7 +191,8 @@ class MassDistribution:
         Child i is parent + stem i + ``taus[picks[i]]``, with the first tau in
         order that lands it in the band.  Each candidate's sums extend the
         parent's running sums ``runs`` (phi's, psi's) column by column, as a
-        full re-sum adds them (never ``np.sum``, which adds pairwise).  A parent
+        full re-sum adds them (never ``np.sum``, which adds pairwise); both
+        potentials' stem columns are added in one stacked fold.  A parent
         given without its runs is validated and re-summed here; the stems are
         walked from it in ``_terms``, and the taus are validated with their
         junction by ``PostfixSet.followers``.
@@ -192,20 +201,18 @@ class MassDistribution:
             if not parent or not self.spec.is_admissible(parent):
                 raise ValidationError("parent word is not admissible")
             runs = (self.phi.window_sums(parent)[0], self.psi.window_sums(parent)[0])
-        (p_stem, p_ends, p_terms), (q_stem, q_ends, (values, bounds)) = self._terms(parent)
-        run = np.full(len(p_ends), runs[0])
-        picks = first_landing(add_terms(run, p_stem), p_ends, p_terms, self.band)
+        stems, ((p_ends, p_terms), (q_ends, _)), flat = self._terms(parent)
+        acc = add_terms(np.array(runs)[:, None], stems)
+        picks = first_landing(acc[0], p_ends, p_terms, self.band)
         if picks.min() < 0:
             raise NumericalError(
                 "no postfix returns a child into the band; parent length "
                 f"{len(parent)}, member {self._root_words[np.flatnonzero(picks < 0)[0]]}"
             )
-        # the picked taus' columns, then their sup bounds, from the flat table, a
-        # column at a time as they are added: no (columns x children) array
-        table = np.concatenate((values, bounds[:1])).reshape(len(values) + 1, -1)
-        cells = q_ends * values.shape[2] + picks
-        acc = add_terms(np.full(len(picks), runs[1]), q_stem)
-        logs = -self.s * add_terms(acc, (col.take(cells) for col in table))
+        # the picked taus' psi columns, then their sup bounds, a column at a
+        # time as they are added: no (columns x children) array
+        cells = q_ends * len(self._taus) + picks
+        logs = -self.s * add_terms(acc[1], (col.take(cells) for col in flat))
         z = _logsumexp(logs)
         return picks.astype(np.min_scalar_type(len(self._taus) - 1)), logs - z, float(z)
 
@@ -220,8 +227,9 @@ class MassDistribution:
         parent's ``runs``: stem i's columns, then its tau's, added left to
         right as ``_make_children`` adds them, so each equals
         ``window_sums(child)[0]`` bit for bit."""
-        return tuple(add_terms(run, stem[:, i].tolist() + values[:, ends[i], picks[i]].tolist())
-                     for run, (stem, ends, (values, _)) in zip(runs, self._terms(parent)))
+        stems, tables, _ = self._terms(parent)
+        return tuple(add_terms(run, stems[:, k, i].tolist() + values[:, ends[i], picks[i]].tolist())
+                     for k, (run, (ends, (values, _, _))) in enumerate(zip(runs, tables)))
 
     def _child(self, parent: Word, picks, i: int) -> Word:
         return parent + self._stems(parent[-1])[0][i] + self._taus[picks[i]]

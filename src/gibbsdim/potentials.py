@@ -247,17 +247,21 @@ class LocallyConstantPotential:
         return acc, state
 
     def term_table(self, starts, words):
-        """``(values, bounds)``: ``values[c, e, i]`` is the window value that
-        the c-th symbol of ``words[i]`` adds from state ``starts[e]`` (0.0 past
-        its end), ``bounds[:, e, i]`` the overhang of the state it ends in.
-        With ``starts[e]`` the state of w, ``add_terms`` of these values to w's
-        run, then a bound, give ``window_sums(w + words[i])`` bit for bit: a
-        run, a fold from 0.0, is never -0.0, so a 0.0 leaves it as it is."""
-        lengths = np.array([len(w) for w in words], dtype=int)
-        padded = np.array([w + (0,) * (lengths.max() - len(w)) for w in words], dtype=int)
+        """``(values, bounds, lengths)``: ``values[c, e, i]`` is the window
+        value that the c-th symbol of ``words[i]`` adds from state ``starts[e]``
+        (0.0 past its end, ``lengths[i]``, a tuple of ints), ``bounds[:, e, i]``
+        the overhang of the state it ends in.  With ``starts[e]`` the state of
+        w, ``add_terms`` of these values to w's run, then a bound, give
+        ``window_sums(w + words[i])`` bit for bit, with or without the padding
+        past ``lengths[i]``: a run, a fold from 0.0, is never -0.0, so a 0.0
+        leaves it as it is."""
+        lengths = tuple(map(len, words))
+        padded = np.array([w + (0,) * (max(lengths) - len(w)) for w in words], dtype=int)
         values = np.empty((padded.shape[1], len(starts), len(words)))
-        _, state = self.fold(padded, np.asarray(starts)[:, None], lengths=lengths, columns=values)
-        return values, self.automaton.over[:, np.broadcast_to(state, values.shape[1:])]
+        _, state = self.fold(padded, np.asarray(starts)[:, None], lengths=np.array(lengths),
+                             columns=values)
+        return (values, self.automaton.over[:, np.broadcast_to(state, values.shape[1:])],
+                lengths)
 
     def word_sum_bounds(self, word: Word) -> WordSumBounds:
         """Exact sup/inf of the length-|word| Birkhoff sum over the cylinder [word]."""

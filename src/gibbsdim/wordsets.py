@@ -236,26 +236,30 @@ def first_landing(run, ends, terms, band: float):
     is tried alone first.  Each later pass tries the next words on the rows
     still open, as many as ``LANDING_CELL_CAP`` row x word cells hold, or one
     word on blocks of that many rows; a one-word pass keeps its arrays
-    one-dimensional (15-51 % faster).  A pick does not depend on the passes."""
-    values, bounds = terms
-    table = np.concatenate((values, bounds))
+    one-dimensional (15-51 % faster).  The table is stacked bounds first, and
+    a pass takes only the value rows up to its longest word, so the empty
+    postfix adds no column: the 0.0 padding it skips would leave each sum as
+    it is (see ``term_table``).  A pick does not depend on the passes."""
+    values, bounds, lengths = terms
+    table = np.concatenate((bounds, values))
     pick = np.full(len(run), -1)
     todo, t = np.arange(len(run)), 0
-    while todo.size and t < values.shape[2]:
-        width = max(min(LANDING_CELL_CAP // todo.size, values.shape[2] - t), 1) if t else 1
+    while todo.size and t < len(lengths):
+        width = max(min(LANDING_CELL_CAP // todo.size, len(lengths) - t), 1) if t else 1
+        stop = 2 + max(lengths[t:t + width])
         if width > 1:
-            cells = table[:, :, t:t + width].take(ends[todo], axis=1)
-            acc = add_terms(run[todo, None], cells[:-2])
-            ok = (acc + cells[-2] <= band) & (acc + cells[-1] >= -band)
+            cells = table[:stop, :, t:t + width].take(ends[todo], axis=1)
+            acc = add_terms(run[todo, None], cells[2:])
+            ok = (acc + cells[0] <= band) & (acc + cells[1] >= -band)
             first = ok.argmax(axis=1)
             land = ok[:, 0] | (first > 0)
             pick[todo[land]] = t + first[land]
         else:
             for k in range(0, todo.size, LANDING_CELL_CAP):
                 rows = todo[k:k + LANDING_CELL_CAP]
-                cells = table[:, :, t].take(ends[rows], axis=1)
-                acc = add_terms(run[rows], cells[:-2])
-                pick[rows[(acc + cells[-2] <= band) & (acc + cells[-1] >= -band)]] = t
+                cells = table[:stop, :, t].take(ends[rows], axis=1)
+                acc = add_terms(run[rows], cells[2:])
+                pick[rows[(acc + cells[0] <= band) & (acc + cells[1] >= -band)]] = t
         todo, t = todo[pick[todo] < 0], t + width
     return pick
 
@@ -298,7 +302,12 @@ def _text(word: Word) -> str:
 
 
 def in_frequent_set(prefix: Word, words, k: int) -> bool:
-    """True iff every length-k window inside the prefix contains every listed word."""
+    """True iff every length-k window inside the prefix contains every listed word.
+
+    A word w is in every window iff its occurrences, in order, start with
+    one at most k - |w|, are at most k - |w| + 1 apart, and end with one at
+    least n - k: each ``str.find`` looks for the next occurrence only where
+    the gap allows it, and the walk stops once it reaches n - k."""
     fam = [tuple(w) for w in words]
     if any(len(w) == 0 for w in fam):
         raise ValidationError("family words must be non-empty")
@@ -309,17 +318,10 @@ def in_frequent_set(prefix: Word, words, k: int) -> bool:
         return True
     text = _text(prefix)
     for w in fam:
-        pat = _text(w)
-        occ = []
-        i = text.find(pat)
-        while i >= 0:
-            occ.append(i)
-            i = text.find(pat, i + 1)
-        ptr = 0
-        for i in range(n - k + 1):
-            while ptr < len(occ) and occ[ptr] < i:
-                ptr += 1
-            if ptr >= len(occ) or occ[ptr] > i + k - len(w):
+        pat, at = _text(w), -1   # -1: the start just before the text
+        while at < n - k:
+            at = text.find(pat, at + 1, at + k + 1)   # starts at most at + k - |w| + 1
+            if at < 0:
                 return False
     return True
 

@@ -408,6 +408,18 @@ def test_certificate_contents(phi_pm):
         assert 0 < cert.mass < 1
 
 
+def test_certificate_has_slots_and_no_instance_dict(phi_pm):
+    """A certificate holds its fields in slots, with no per-instance dict;
+    ``to_dict`` still lists every field but the word, then ``passed``."""
+    dist = small_dist(phi_pm)
+    cert = dist.certify(dist.sample(3, 0))
+    assert not hasattr(cert, "__dict__")
+    assert list(cert.to_dict()) == [f for f in massdist.MassCertificate.__slots__
+                                    if f != "word"] + ["passed"]
+    with pytest.raises(AttributeError):
+        cert.mass = 0.5
+
+
 def test_certificate_window_property(phi_pm):
     dist = small_dist(phi_pm)
     w = dist.sample(6, seed=1)
@@ -434,13 +446,14 @@ def test_certify_a_single_point_cylinder_raises(phi_pm, monkeypatch):
 MASSTREE_DIGEST = "b7915084afea2deed30fe005abf4e76d8aafe3e34095ec40aa2b0012305b8791"
 
 
-def masstree_digest(models_dir, seeds=(1, 2, 3), depth=8, words=40):
-    """sha256 over the ``float.hex`` of the masstree recipe (phipm, marker 01,
-    s = b(0)/2): per seed, every sampled word's certificate fields, then every
-    node the tree built, its picks, log masses and log normaliser."""
-    bundle = load_model(str(models_dir / "phipm.json"))
-    phi, psi = bundle.pair()
-    s = 0.5 * spectrum_at(0.0, phi, psi).value
+# recorded before the stacked stem fold and the trimmed first_landing passes
+CENTRED_DIGEST = "61a745ae694c5b6669561f5db72cf635372932a8dc3324c278aaa24ffd650164"
+
+
+def tree_digest(make_dist, seeds=(1, 2, 3), depth=8, words=40):
+    """sha256 over the ``float.hex`` of rounds on fresh trees from
+    ``make_dist()``: per seed, every sampled word's certificate fields, then
+    every node the tree built, its picks, log masses and log normaliser."""
     digest = hashlib.sha256()
 
     def put(*items):
@@ -448,7 +461,7 @@ def masstree_digest(models_dir, seeds=(1, 2, 3), depth=8, words=40):
             digest.update((x.hex() if isinstance(x, float) else repr(x)).encode() + b"\n")
 
     for seed in seeds:
-        dist = build_mass_distribution(phi, psi, s, [phi.spec.word("01")])
+        dist = make_dist()
         rng = np.random.default_rng(seed)
         for word_seed in rng.integers(0, 2**31 - 1, words).tolist():
             word = dist.sample(depth, word_seed)
@@ -458,6 +471,21 @@ def masstree_digest(models_dir, seeds=(1, 2, 3), depth=8, words=40):
     return digest.hexdigest()
 
 
+def masstree_digest(models_dir):
+    """``tree_digest`` of the masstree recipe: phipm, marker 01, s = b(0)/2."""
+    bundle = load_model(str(models_dir / "phipm.json"))
+    phi, psi = bundle.pair()
+    s = 0.5 * spectrum_at(0.0, phi, psi).value
+    return tree_digest(lambda: build_mass_distribution(phi, psi, s, [phi.spec.word("01")]))
+
+
 def test_masstree_bits_match_the_pinned_digest(models_dir):
     """Every float of three masstree rounds, bit for bit, as first recorded."""
     assert masstree_digest(models_dir) == MASSTREE_DIGEST
+
+
+def test_non_full_shift_tree_bits_match_the_pinned_digest():
+    """The masstree recipe on ``centred_dist(2, 0)``, a mixing shift that is
+    not full, whose connectors have length 2, so every stem is longer than
+    on phipm: every float, bit for bit, as first recorded."""
+    assert tree_digest(lambda: centred_dist(2, 0)) == CENTRED_DIGEST

@@ -91,7 +91,7 @@ def random_admissible_word(rng, spec, length):
 def test_window_sums_extend_a_prefix_bit_for_bit(depth):
     """A prefix's run plus the term-table columns of each extension (suffixes
     of every length in one table, so the shorter ones are padded) equals the
-    whole word's sums bit for bit."""
+    whole word's sums bit for bit, with its padding or without it."""
     rng = np.random.default_rng(60 + depth)
     for _ in range(6):
         spec = helpers.random_mixing_spec(rng)
@@ -101,9 +101,11 @@ def test_window_sums_extend_a_prefix_bit_for_bit(depth):
             for i in range(length + 1):
                 run = phi.window_sums(word[:i])[0]
                 ext = tuple(word[i:k] for k in range(i, length + 1))
-                values, bounds = phi.term_table((phi.automaton.state(word[:i]),), ext)
+                values, bounds, lengths = phi.term_table((phi.automaton.state(word[:i]),), ext)
+                assert lengths == tuple(len(w) for w in ext)
                 for k, suffix in enumerate(ext):
                     acc = add_terms(run, values[:, 0, k])
+                    assert acc.hex() == add_terms(run, values[:lengths[k], 0, k]).hex()
                     whole = phi.word_sum_bounds(word[:i] + suffix)
                     assert ([(acc + b).hex() for b in bounds[:, 0, k]]
                             == [whole.sup.hex(), whole.inf.hex()])

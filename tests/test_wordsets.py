@@ -248,14 +248,15 @@ def test_verify_postfix_matches_reference_on_random_models(depth):
 
 def folded_first_landing(run, ends, terms, band):
     """Oracle: per row, each postfix in turn, its run plus the end's columns
-    one float at a time; the first that lands, or -1."""
-    values, bounds = terms
+    up to the postfix's length one float at a time; the first that lands, or
+    -1."""
+    values, bounds, lengths = terms
     picks = []
     for r, e in zip(run.tolist(), ends.tolist()):
         pick = -1
         for t in range(values.shape[2]):
             acc = r
-            for col in values[:, e, t].tolist():
+            for col in values[:lengths[t], e, t].tolist():
                 acc += col
             if acc + bounds[0, e, t] <= band and acc + bounds[1, e, t] >= -band:
                 pick = t
@@ -267,16 +268,23 @@ def folded_first_landing(run, ends, terms, band):
 @pytest.mark.parametrize("cap", [8, wordsets.LANDING_CELL_CAP])
 def test_first_landing_matches_a_row_by_row_fold(cap, monkeypatch):
     """Seeded term tables through passes of every width the cap allows,
-    against the oracle; some rows land on no postfix."""
+    against the oracle; some rows land on no postfix.  Each postfix has its
+    own length, 0.0 past it as in ``term_table``, and postfix 0 is empty in
+    some tables and not in others."""
     monkeypatch.setattr(wordsets, "LANDING_CELL_CAP", cap)
     rng = np.random.default_rng(29)
     unlanded = late = 0
+    empty_first = set()
     for _ in range(300):
         n_cols, n_ends, n_taus = (int(rng.integers(0, 7)), int(rng.integers(1, 5)),
                                   int(rng.integers(1, 13)))
-        values = rng.uniform(-1.0, 1.0, (n_cols, n_ends, n_taus))
+        lengths = tuple(rng.integers(0, n_cols + 1, n_taus).tolist())
+        values = np.where(np.arange(n_cols)[:, None, None] < np.array(lengths),
+                          rng.uniform(-1.0, 1.0, (n_cols, n_ends, n_taus)), 0.0)
         sup = rng.uniform(0.0, 0.5, (n_ends, n_taus))
-        terms = (values, np.stack([sup, sup - rng.uniform(0.0, 0.5, (n_ends, n_taus))]))
+        terms = (values, np.stack([sup, sup - rng.uniform(0.0, 0.5, (n_ends, n_taus))]),
+                 lengths)
+        empty_first.add(lengths[0] == 0)
         rows = int(rng.integers(0, min(3 * cap + 2, 600)))
         run, ends = rng.uniform(-3.0, 3.0, rows), rng.integers(0, n_ends, rows)
         band = float(rng.uniform(0.3, 1.5))
@@ -284,17 +292,18 @@ def test_first_landing_matches_a_row_by_row_fold(cap, monkeypatch):
         assert np.array_equal(picks, folded_first_landing(run, ends, terms, band))
         unlanded += int((picks < 0).sum())
         late += int((picks > 1).sum())
-    assert unlanded and late
+    assert unlanded and late and empty_first == {False, True}
 
 
 def first_landing_passes(monkeypatch, work):
     """Per ``first_landing`` call during ``work()``: (rows, per pass the
-    postfix columns and the row x postfix cells it added)."""
+    postfix columns, the row x postfix cells and the value columns it
+    added)."""
     calls, add_terms, first_landing = [], wordsets.add_terms, wordsets.first_landing
 
     def recorded_add(acc, values):
         columns = 1 if np.ndim(values) == 2 else np.shape(values)[2]
-        calls[-1][1].append((columns, np.shape(values)[1] * columns))
+        calls[-1][1].append((columns, np.shape(values)[1] * columns, len(values)))
         return add_terms(acc, values)
 
     def recorded_landing(run, *args):
@@ -310,9 +319,10 @@ def first_landing_passes(monkeypatch, work):
 
 
 def test_first_landing_passes_stay_under_the_cell_cap(monkeypatch, phi_pm):
-    """The first pass of a call tests the empty postfix alone, one column per
-    row; no pass adds more than ``LANDING_CELL_CAP`` cells, and some pass adds
-    several postfixes at once."""
+    """The first pass of a call tests the empty postfix alone, one postfix
+    column per row, and adds no value column; no pass adds more than
+    ``LANDING_CELL_CAP`` cells or more value columns than the longest
+    postfix has symbols, and some pass adds several postfixes at once."""
     spec, pm, psi = phi_pm
     pset = build_postfix_set(pm, 2.0, 0.6)
     dist = build_mass_distribution(pm, psi, 0.5 * spectrum_at(0.0, pm, psi).value,
@@ -321,11 +331,11 @@ def test_first_landing_passes_stay_under_the_cell_cap(monkeypatch, phi_pm):
     checks = first_landing_passes(monkeypatch, lambda: verify_postfix(pset, pm, 16))
     node = first_landing_passes(monkeypatch, lambda: dist.children(dist.family.words[0]))
     assert max(rows for rows, _ in checks) > cap and len(node) == 1
-    for calls in (checks, node):
+    for calls, norm in ((checks, pset.norm), (node, dist.postfix.norm)):
         for rows, passes in calls:
-            assert passes[0] == (1, min(rows, cap))
-            assert all(cells <= cap for _, cells in passes)
-        assert any(columns > 1 for _, passes in calls for columns, _ in passes)
+            assert passes[0] == (1, min(rows, cap), 0)
+            assert all(cells <= cap and added <= norm for _, cells, added in passes)
+        assert any(columns > 1 for _, passes in calls for columns, _, _ in passes)
 
 
 def test_verify_postfix_rejects_nonpositive_max_len(phi_pm):
@@ -379,6 +389,27 @@ def test_frequent_set(full2):
     assert in_frequent_set(full2.word("0"), [w01], 3)  # no full window: vacuous
     with pytest.raises(ValidationError):
         in_frequent_set(seq, [full2.word("0101")], 3)
+
+
+def test_frequent_set_matches_a_window_scan():
+    """Occurrence gaps against a scan of every window for every word, on
+    two symbols, so occurrences overlap (01010 holds 010 at 0 and 2):
+    prefixes shorter than the window, families of one and two words."""
+    rng = np.random.default_rng(33)
+    seen = set()
+    for _ in range(4000):
+        n, k = int(rng.integers(0, 20)), int(rng.integers(1, 8))
+        prefix = tuple(rng.integers(0, 2, n).tolist())
+        fam = [tuple(rng.integers(0, 2, int(rng.integers(1, min(k, 3) + 1))).tolist())
+               for _ in range(int(rng.integers(1, 3)))]
+        frequent = all(any(prefix[j:j + len(w)] == w for j in range(i, i + k - len(w) + 1))
+                       for i in range(n - k + 1) for w in fam)
+        assert in_frequent_set(prefix, fam, k) is frequent, (prefix, fam, k)
+        seen.add((n < k, len(fam), frequent))
+    assert seen == {(True, 1, True), (True, 2, True)} | {
+        (False, size, frequent) for size in (1, 2) for frequent in (False, True)}
+    assert in_frequent_set((0, 1, 0, 1, 0), [(0, 1, 0)], 4)
+    assert not in_frequent_set((0, 1, 0, 0, 1, 0), [(0, 1, 0)], 4)
 
 
 def test_repetition_free_set(full2):
