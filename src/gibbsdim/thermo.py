@@ -11,6 +11,15 @@ first tries three inverse steps shifted from the top of the right solve's
 bracket.  So a beta(q) root seeds its first left solve with the left vector
 of its bracket solve at b = 0, and usually makes no eigensolve.
 
+The private solvers (``_transfer``, ``_perron`` and its steps,
+``_stochasticize``, ``_beta``) enter no NumPy error scope of their own.  Each
+public solve -- ``pressure``, ``gibbs_chain``, ``beta`` and ``_beta_pair``,
+the root behind ``beta_prime``, ``spectrum_at`` and ``full_dim_alpha`` --
+holds one (``_quiet``) around all of its work, so a weight that overflows or
+an iterate that underflows shows as a bracket that does not certify, raised
+as NumericalError, never as a NumPy warning.  Code that calls a private
+solver directly enters that scope itself.
+
 The Legendre convention used throughout: with beta(q) the zero-pressure root
 and q_alpha the solution of beta'(q) = alpha, the spectrum value is
 
@@ -50,6 +59,13 @@ _fmin, _fmax, _fsum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
+def _quiet():
+    """The one NumPy error scope of a public solve: overflow, division by zero
+    and invalid operations pass without a warning, and show in the result
+    (a bracket that does not certify raises NumericalError)."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
 # --------------------------------------------------------------------------
 # (coder, weights): several potentials on their one higher-block graph
 # --------------------------------------------------------------------------
@@ -69,12 +85,15 @@ def _edge_space(*potentials: LocallyConstantPotential):
 
 def _transfer(coder: BlockCoder, weights, coeffs) -> np.ndarray:
     """The transfer matrix exp(sum_k coeffs[k] * weights[k]) on the edges of
-    ``coder.block``, 0 off them."""
+    ``coder.block``, 0 off them.
+
+    It runs inside its caller's ``_quiet`` scope: a weight whose exponential
+    overflows becomes inf without a warning, and fails the Perron solve.
+    """
     w = coeffs[0] * weights[0]
     for c, mat in zip(coeffs[1:], weights[1:]):
         w += c * mat
-    with np.errstate(over="ignore"):  # an overflow fails the Perron solve
-        np.exp(w, out=w)
+    np.exp(w, out=w)
     return np.where(coder.block.incidence, w, 0.0)
 
 
@@ -94,8 +113,10 @@ def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
     bracket of a primitive matrix, and a left Perron vector when one came free.
 
     Every iterate x yields a Collatz-Wielandt bracket [min_a (Mx)_a/x_a,
-    max_a (Mx)_a/x_a], whose infinite or NaN ratios (from entries of x that
-    underflowed to 0) are ignored.  The brackets are intersected until
+    max_a (Mx)_a/x_a] (``_cw_bracket``).  An entry of x that underflowed to 0
+    gives an infinite ratio where (Mx)_a > 0, so that iterate adds only its
+    bottom, and a NaN ratio where (Mx)_a = 0, so that iterate adds no bracket
+    at all.  The brackets are intersected until
     narrower than ``PRESSURE_RTOL`` times their top; the solve returns the
     midpoint, M @ x scaled to max 1, the bracket, and the left vector of its
     squaring phase, whose own bracket of M^T is as narrow (None when no phase
@@ -115,7 +136,9 @@ def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
     only the iterates, never a bracket, so a wrong one costs steps, not the
     certificate.  A bracket that is not finite and positive, a power step
     that is not finite, or no certificate by iterate ``PRESSURE_MAX_ITER`` - 1
-    raises NumericalError with the bracket, and no NumPy warning.
+    raises NumericalError with the bracket.  The solve runs inside its
+    caller's ``_quiet`` scope, so an iterate that overflows or underflows
+    shows only in its bracket, with no NumPy warning.
     """
     x = x0 if x0 is not None and _fmin(x0) > 0.0 else np.ones(M.shape[0])
     # from all-ones, each shifted step gains ~16 orders of relative accuracy
@@ -126,30 +149,29 @@ def _perron(M: np.ndarray, x0: np.ndarray | None = None, top: float = math.inf):
     margin = 1.0 + 2 * (M.shape[0] + 1) * math.ulp(1.0)
     lo_best, hi_best = 0.0, math.inf
     left = None
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k in range(PRESSURE_MAX_ITER):
-            y = M @ x
-            lo, hi = _cw_bracket(y, x)
-            lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
-            if not 0.0 < hi_best < math.inf:
+    for k in range(PRESSURE_MAX_ITER):
+        y = M @ x
+        lo, hi = _cw_bracket(y, x)
+        lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
+        if not 0.0 < hi_best < math.inf:
+            break
+        if hi_best - lo_best <= PRESSURE_RTOL * hi_best:
+            y /= _fmax(y)
+            return 0.5 * (lo_best + hi_best), y, (lo_best, hi_best), left
+        if k == PRESSURE_MAX_ITER - 1:
+            break
+        j = k - shifted
+        if j == 1:
+            x, left = _squaring(M, x) or (_eig_vector(M), None)
+        else:
+            x = None if j == 0 else _inverse_step(M, x, min(hi_best, top) * margin)
+        if x is None:
+            # M >= 0, so y / max(y) is finite iff 0 < max(y) < inf
+            top_y = _fmax(y)
+            if not 0.0 < top_y < math.inf:
                 break
-            if hi_best - lo_best <= PRESSURE_RTOL * hi_best:
-                y /= _fmax(y)
-                return 0.5 * (lo_best + hi_best), y, (lo_best, hi_best), left
-            if k == PRESSURE_MAX_ITER - 1:
-                break
-            j = k - shifted
-            if j == 1:
-                x, left = _squaring(M, x) or (_eig_vector(M), None)
-            else:
-                x = None if j == 0 else _inverse_step(M, x, min(hi_best, top) * margin)
-            if x is None:
-                # M >= 0, so y / max(y) is finite iff 0 < max(y) < inf
-                top_y = _fmax(y)
-                if not 0.0 < top_y < math.inf:
-                    break
-                y /= top_y
-                x = y
+            y /= top_y
+            x = y
     raise NumericalError(f"Perron solve did not certify; certified eigenvalue bracket "
                          f"{lo_best, hi_best}", bracket=(lo_best, hi_best))
 
@@ -173,8 +195,8 @@ def _squaring(M: np.ndarray, x: np.ndarray):
     top.  Once it is, x is kept and the rounds go on for v alone, within the
     same limits, until v's own bracket of M^T is as narrow; v is None where
     it is not, or where an entry of v falls below the smallest normal float.
-    The phase suppresses no NumPy warning: ``_perron`` runs it inside its
-    own ``np.errstate``.
+    The phase suppresses no NumPy warning: it runs inside the ``_quiet``
+    scope of the public call whose ``_perron`` solve it serves.
     """
     P, v = M, np.ones(M.shape[0])
     width, found = math.inf, None
@@ -210,9 +232,17 @@ def _squaring(M: np.ndarray, x: np.ndarray):
 
 
 def _cw_bracket(y: np.ndarray, x: np.ndarray):
-    """The Collatz-Wielandt bracket (min, max) of the ratios y / x."""
-    ratios = y / x
-    return float(_fmin(ratios)), float(_fmax(ratios))
+    """The Collatz-Wielandt bracket (min, max) of the ratios y / x of
+    nonnegative y and x, read from one list of Python floats.
+
+    As with ``np.minimum.reduce`` and ``np.maximum.reduce``, one NaN ratio
+    (0/0) makes both ends NaN; an x_a = 0 under y_a > 0 makes the top inf.
+    With no ratio of -inf, the sum of the ratios is NaN exactly when one is.
+    """
+    ratios = (y / x).tolist()
+    if math.isnan(sum(ratios)):
+        return math.nan, math.nan
+    return min(ratios), max(ratios)
 
 
 def _eig_vector(M: np.ndarray):
@@ -262,6 +292,7 @@ def _stochasticize(M: np.ndarray, bracket, h: np.ndarray, nu0: np.ndarray | None
     its midpoint the eigenvalue.  The left Perron solve starts from nu0 with
     the bracket's top as its ``top``.  An h with an entry that is not
     positive (one that underflowed to 0) raises NumericalError with the bracket.
+    Like the solve, it runs inside its caller's ``_quiet`` scope.
     """
     if not _fmin(h) > 0.0:
         raise NumericalError("right Perron vector is not positive", bracket=bracket)
@@ -282,7 +313,8 @@ def _stochasticize(M: np.ndarray, bracket, h: np.ndarray, nu0: np.ndarray | None
 
 def pressure(f: LocallyConstantPotential) -> float:
     """Topological pressure: log of the spectral radius of the weighted edge matrix."""
-    lam, _, _, _ = _perron(_transfer(*_edge_space(f), (1.0,)))
+    with _quiet():
+        lam, _, _, _ = _perron(_transfer(*_edge_space(f), (1.0,)))
     return math.log(lam)
 
 
@@ -363,12 +395,13 @@ def seeded_rng(seed: int) -> np.random.Generator:
 def gibbs_chain(f: LocallyConstantPotential) -> GibbsChain:
     """Eigendata of the weighted transfer matrix; the equilibrium state of f."""
     coder, weights = _edge_space(f)
-    M = _transfer(coder, weights, (1.0,))
-    lam, h, bracket, nu0 = _perron(M)
-    nu, Q, pi = _stochasticize(M, bracket, h, nu0)
-    chain = GibbsChain(spec=f.spec, coder=coder, lam=lam, pressure=math.log(lam),
-                       h=h, nu=nu, Q=Q, pi=pi)
-    chain._validate(M)
+    with _quiet():
+        M = _transfer(coder, weights, (1.0,))
+        lam, h, bracket, nu0 = _perron(M)
+        nu, Q, pi = _stochasticize(M, bracket, h, nu0)
+        chain = GibbsChain(spec=f.spec, coder=coder, lam=lam, pressure=math.log(lam),
+                           h=h, nu=nu, Q=Q, pi=pi)
+        chain._validate(M)
     return chain
 
 
@@ -398,7 +431,8 @@ def _beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential
     eigensolve.  The seeds live within one call, so beta(q) depends on
     (q, phi, psi) alone.
     The last left vector is returned too (the bracket solve's if no step
-    needed one), to seed the left solve of ``_beta_pair``.
+    needed one), to seed the left solve of ``_beta_pair``.  It runs inside
+    the ``_quiet`` scope of ``beta`` or ``_beta_pair``.
     """
     coder, weights = _pair_space(phi, psi)
     psi_min = psi.min_value()
@@ -428,14 +462,18 @@ def beta(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential)
     left of the root and every later one climbs to it without passing it.
     A step below the bracket's lower end (where weights can overflow) stops there.
     """
-    return _beta(q, phi, psi)[0]
+    with _quiet():
+        return _beta(q, phi, psi)[0]
 
 
 def _beta_pair(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential):
-    """(beta(q), beta'(q)) from one root solve and one left Perron solve."""
-    b, (w_phi, w_psi), M, bracket, h, nu = _beta(q, phi, psi)
-    _, Q, pi = _stochasticize(M, bracket, h, nu)
-    return b, 0.0 - _chain_mean(pi, Q, w_phi) / _chain_mean(pi, Q, w_psi)  # not -x: no -0.0
+    """(beta(q), beta'(q)) from one root solve and one left Perron solve, in
+    one ``_quiet`` scope: the solve behind ``beta_prime``, ``spectrum_at``
+    and ``CdfModel.alpha0_report``."""
+    with _quiet():
+        b, (w_phi, w_psi), M, bracket, h, nu = _beta(q, phi, psi)
+        _, Q, pi = _stochasticize(M, bracket, h, nu)
+        return b, 0.0 - _chain_mean(pi, Q, w_phi) / _chain_mean(pi, Q, w_psi)  # not -x: no -0.0
 
 
 def beta_prime(q: float, phi: LocallyConstantPotential, psi: LocallyConstantPotential) -> float:

@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -514,7 +516,7 @@ def test_perron_certifies_near_periodic_matrix():
 
 
 def test_perron_certifies_past_an_underflowed_iterate():
-    from gibbsdim.thermo import _edge_space, _perron, _transfer
+    from gibbsdim.thermo import _edge_space, _perron, _quiet, _transfer
     # entries from 1e-102 to 1e160: the inverse steps give no positive vector,
     # and the power step that stands in underflows one entry to 0; the
     # bracket certifies from that iterate, so the solve must go on with it
@@ -522,15 +524,18 @@ def test_perron_certifies_past_an_underflowed_iterate():
     spec = helpers.random_mixing_spec(rng, int(rng.integers(3, 8)))
     phi = helpers.random_potential(rng, spec, int(rng.integers(1, 4)),
                                    scale=float(rng.choice([1, 3, 10])))
-    m = _transfer(*_edge_space(phi), (-40.0,))
-    lam, vec, (lo, hi), _ = _perron(m)
+    # the solvers run in the error scope of the public call that they serve
+    with _quiet():
+        m = _transfer(*_edge_space(phi), (-40.0,))
+        lam, vec, (lo, hi), _ = _perron(m)
     o_lo, o_hi, certified = helpers.power_perron(m, max_iter=100)
     assert certified
     assert max(lo, o_lo) <= min(hi, o_hi)
     # the vector returned has an entry that underflowed to 0; as a seed it
     # would give an infinite bracket, so the solve starts from all-ones
     assert vec.min() == 0.0
-    again, _, bracket, _ = _perron(m, x0=vec)
+    with _quiet():
+        again, _, bracket, _ = _perron(m, x0=vec)
     assert (again, bracket) == (lam, (lo, hi))
 
 
@@ -589,7 +594,7 @@ def _guard_model(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_transfer_is_the_textbook_formula_bit_for_bit(seed):
-    from gibbsdim.thermo import _transfer
+    from gibbsdim.thermo import _quiet, _transfer
     _, (coder, (w_phi, w_psi)) = _guard_model(seed)
 
     def textbook(weights, coeffs):
@@ -607,7 +612,8 @@ def test_transfer_is_the_textbook_formula_bit_for_bit(seed):
     steep[np.unravel_index(np.argmax(coder.block.incidence), steep.shape)] = 800.0
     cases.append(((steep, w_psi), (1.0, -1.0)))
     for weights, coeffs in cases:
-        got = _transfer(coder, weights, coeffs)
+        with _quiet():  # the scope of the public call that it serves
+            got = _transfer(coder, weights, coeffs)
         assert _hex(got) == _hex(textbook(weights, coeffs)), coeffs
     assert np.isinf(got).sum() == 1
 
@@ -716,15 +722,18 @@ def test_left_solve_from_the_right_bracket_matches_a_cold_solve(monkeypatch):
     went_on, model48 = [], []
     for seed in range(40, 52):
         for case, m, (_, top), nu0 in _left_solves(seed, monkeypatch):
+            # the solves run in the error scope of the public call that they serve
             try:
-                cold = thermo._perron(m.T, x0=nu0)
+                with thermo._quiet():
+                    cold = thermo._perron(m.T, x0=nu0)
             except NumericalError:
                 cold = None
             phases.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(thermo, "_squaring", lambda *a: phases.append(1) or squaring(*a))
                 try:
-                    fast = thermo._perron(m.T, x0=nu0, top=top)
+                    with thermo._quiet():
+                        fast = thermo._perron(m.T, x0=nu0, top=top)
                 except NumericalError:
                     fast = None
             if (seed, *case) == (48, "one", -40.0):
@@ -845,7 +854,8 @@ def test_squaring_phase_certifies_both_vectors(monkeypatch):
         pair = thermo._edge_space(phi)
         for q in (0.0, 1.0, -1.0, 10.0, -10.0, 40.0, -40.0):
             try:
-                thermo._perron(thermo._transfer(*pair, (-q,)))
+                with thermo._quiet():  # the scope of the public call that it serves
+                    thermo._perron(thermo._transfer(*pair, (-q,)))
             except NumericalError:  # a matrix out of the float range
                 pass
     returned = [(M, out) for M, out in phases if out is not None]
@@ -964,6 +974,62 @@ def test_beta_root_reuses_its_perron_vectors(monkeypatch):
         assert (beta(q, phi, psi), beta_prime(q, phi, psi)) == want
 
 
+def _pinned_outputs():
+    """The float.hex of the solver outputs that ``PINNED_OUTPUTS_SHA256`` pins, in order.
+
+    - On ``_stress_model(1..3)``: alpha0, then at lo + t*(hi - lo) for t in
+      0.1, 0.3, ..., 0.9 and at alpha0 the ``spectrum_at`` point's q_alpha,
+      beta and value, with ``beta`` and ``beta_prime`` at its q_alpha.
+    - The README's bin14 spectrum grid 0.5:2.0:0.05 with alpha0, as the CLI
+      builds it: q_alpha, beta and value per point.
+    - ``_beta_pair`` on ``_sweep_model(40..49)`` for both psi kinds at
+      q in 0, +-1, +-10, a root that fails as "NumericalError".
+    """
+    from gibbsdim import thermo
+    from gibbsdim.cli import _parse_grid
+    from gibbsdim.errors import NumericalError
+    out = []
+
+    def put(*values):
+        out.extend(float(v).hex() for v in values)
+
+    for seed in (1, 2, 3):
+        phi, psi = _stress_model(seed)
+        lo, hi = alpha_range(phi, psi)
+        a0 = full_dim_alpha(phi, psi)
+        put(a0)
+        for alpha in [lo + t * (hi - lo) for t in (0.1, 0.3, 0.5, 0.7, 0.9)] + [a0]:
+            pt = spectrum_at(alpha, phi, psi)
+            put(pt.q_alpha, pt.beta, pt.value)
+            if not pt.endpoint:
+                put(beta(pt.q_alpha, phi, psi), beta_prime(pt.q_alpha, phi, psi))
+    _, phi, psi = helpers.bin14()
+    alphas = _parse_grid("0.5:2.0:0.05")
+    a0 = full_dim_alpha(phi, psi)
+    if not any(abs(a - a0) < 1e-12 for a in alphas):
+        alphas = sorted(alphas + [a0])
+    for alpha in alphas:
+        pt = spectrum_at(alpha, phi, psi)
+        put(pt.q_alpha, pt.beta, pt.value)
+    for seed in range(40, 50):
+        phi, psis = _sweep_model(seed)
+        for kind, q in itertools.product(psis, (0.0, 1.0, -1.0, 10.0, -10.0)):
+            try:
+                put(*thermo._beta_pair(q, phi, psis[kind]))
+            except NumericalError:
+                out.append("NumericalError")
+    return out
+
+
+# recorded at 0cf4cec, before the NumPy error scopes moved out of the solvers
+PINNED_OUTPUTS_SHA256 = "87a8c5ba68615f6d0f5a1700f328cca81e69c1015e2aca1789c9342a2502794b"
+
+
+def test_solver_outputs_keep_every_bit():
+    digest = hashlib.sha256("\n".join(_pinned_outputs()).encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS_SHA256
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_beta_root_with_nonconstant_psi(seed):
     from gibbsdim.thermo import BETA_PRESSURE_TOL, PRESSURE_RTOL, _edge_space, _transfer
@@ -993,6 +1059,76 @@ def test_spectrum_overflow_raises_numerical_error(full2, values):
     with pytest.raises(NumericalError) as info:
         spectrum_at(0.5 * (lo + hi), phi, psi)
     assert info.value.bracket is not None
+
+
+def test_public_solves_raise_numerical_error_and_no_numpy_warning(full2, ifs_bin):
+    from gibbsdim import CdfModel
+    from gibbsdim.errors import NumericalError
+    from gibbsdim.thermo import Q_CAP, _edge_space, _transfer
+    # exp(-q*phi) at |q| = Q_CAP leaves the float range on full2 with
+    # phi = [-10, -30]; each public solve holds the one error scope, so it
+    # returns or raises NumericalError, never a RuntimeWarning
+    steep = (LocallyConstantPotential.from_values(full2, [-10.0, -30.0]),
+             LocallyConstantPotential.constant(full2, 1.0))
+    stress = _stress_model(1)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # no scope: it warns
+        _transfer(*_edge_space(steep[0]), (-Q_CAP,))
+    calls = []
+    for q in (-Q_CAP, Q_CAP):
+        scaled = combine(-q, steep[0], 0.0, steep[1])
+        calls += [(pressure, scaled), (gibbs_chain, scaled)]
+        for pair in (steep, stress):
+            calls += [(beta, q, *pair), (beta_prime, q, *pair)]
+    for pair in (steep, stress):
+        lo, hi = alpha_range(*pair)
+        calls += [(spectrum_at, a, *pair) for a in (lo, 0.5 * (lo + hi), hi)]
+        calls.append((full_dim_alpha, *pair))
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, *args in calls:
+            try:
+                f(*args)
+                outcomes.append("returned")
+            except NumericalError:
+                outcomes.append("raised")
+        # the model normalizes phi to [~0, -20]: its cap probes overflow
+        try:
+            CdfModel(ifs_bin, steep[0]).alpha0_report()
+            outcomes.append("returned")
+        except NumericalError:
+            outcomes.append("raised")
+    assert {"returned", "raised"} <= set(outcomes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cw_bracket_is_the_numpy_reduction_bit_for_bit(seed):
+    from gibbsdim.thermo import _cw_bracket
+    rng = np.random.default_rng(500 + seed)
+    for n in (1, 2, 3, 7, 16, 19, 64):
+        for span in (1.0, 30.0, 300.0):  # entries across up to ~260 orders of magnitude
+            x = np.exp(rng.uniform(-span, span, n))
+            y = np.exp(rng.uniform(-span, span, n))
+            got = _cw_bracket(y, x)
+            assert all(type(v) is float for v in got)
+            assert _hex(got) == _hex(_cw(y, x)), (n, span)
+
+
+def test_cw_bracket_of_an_entry_that_underflowed_to_zero():
+    from gibbsdim.thermo import _cw_bracket, _quiet
+    x = np.array([1.0, 0.5, 0.0])
+    # (Mx)_2 = 0 at x_2 = 0: the ratio 0/0 is NaN, and the iterate gives no bracket
+    m = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    with _quiet():
+        got = _cw_bracket(m @ x, x)
+    assert all(math.isnan(v) for v in got)
+    assert all(math.isnan(v) for v in _cw(m @ x, x))
+    # (Mx)_2 > 0 at x_2 = 0: the top is infinite, the bottom is the finite ratios' min
+    m[2, 0] = 1.0
+    with _quiet():
+        got = _cw_bracket(m @ x, x)
+    assert got == (2.5, math.inf)
+    assert _hex(got) == _hex(_cw(m @ x, x))
 
 
 def test_subaction_mirrored_upper(full2):
