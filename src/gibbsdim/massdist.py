@@ -3,12 +3,14 @@
 Generation 1 is a bounded-sum window family; every later generation extends a
 parent by a connector, a fresh window word, a connector, the joined marker
 word (which contains all requested pattern words), and a correcting postfix.
-The connectors all have one length, ``mixing_window() - 2``, so every child
+The connectors all have one length L = ``mixing_window() - 2``, so every child
 stem (connector + member + connector + joined) has one length too and distinct
 members give distinct stems: the children of a node form a prefix code by
-construction.  Masses follow the recursive exponential weighting in the metric
-potential and are normalized within each sibling set, so they are consistent
-along the tree.
+construction.  A member sits at offset L of its stem, so one index of the base
+family finds the member of any tree word's stem, and a stem is spelled from its
+member and its two connectors where it is needed.  Masses follow the recursive
+exponential weighting in the metric potential and are normalized within each
+sibling set, so they are consistent along the tree.
 
 A node's postfixes are picked from arrays taken once per parent state: both
 potentials' window columns on the stems in one stacked array, from ``fold``
@@ -107,7 +109,10 @@ class MassCertificate:
 
 
 class MassDistribution:
-    """Lazy tree of bounded-sum words with consistent cylinder masses."""
+    """Lazy tree of bounded-sum words with consistent cylinder masses.
+
+    The tree keeps one index of its base family and spells each stem from its
+    member and its connectors."""
 
     def __init__(self, phi, psi, s, family, root_logs, postfix, infixes, joined,
                  pattern_words, band, source_band, spectrum_value):
@@ -124,13 +129,11 @@ class MassDistribution:
         self.source_band = float(source_band)  # K'
         self.spectrum_value = float(spectrum_value)
         self._nodes = {}          # parent -> (picks, logs, z)
-        self._stem_cache = {}
         self._term_cache = {}
         self._taus = postfix.followers(self.spec)[joined[-1]]   # every stem ends in joined
-        z = _logsumexp(root_logs)           # root_logs from choose_base_length
-        self._root_words = tuple(family.words)
-        self._root_probs = np.exp(root_logs - z)
-        self._root_logmass = {w: float(l - z) for w, l in zip(self._root_words, root_logs)}
+        self._index = {w: i for i, w in enumerate(family.words)}   # member -> index
+        # generation 1: the members and their normalised log masses
+        self._gen1 = (family.words, root_logs - _logsumexp(root_logs))
 
     # --- structural constants -------------------------------------------
 
@@ -148,19 +151,11 @@ class MassDistribution:
 
     # --- tree ------------------------------------------------------------
 
-    def _stems(self, last: int):
-        """Per root word, the stem rho + member + rho' + joined of a child whose
-        parent ends in symbol ``last``, and the map from stem to member index;
-        memoised and checked with that junction by ``_terms``.  The connectors
-        share one length, so all stems do, and distinct members differ."""
-        stems = self._stem_cache.get(last)
-        if stems is None:
-            infixes, joined = self.infixes, self.joined
-            words = tuple(
-                infixes.get(last, m[0]) + m + infixes.get(m[-1], joined[0]) + joined
-                for m in self._root_words)
-            stems = self._stem_cache[last] = (words, {w: i for i, w in enumerate(words)})
-        return stems
+    def _stem(self, last: int, i: int) -> Word:
+        """rho + member i + rho' + joined: the stem of child i of a parent
+        that ends in symbol ``last``."""
+        m, infixes = self.family.words[i], self.infixes
+        return infixes.get(last, m[0]) + m + infixes.get(m[-1], self.joined[0]) + self.joined
 
     def _terms(self, parent: Word):
         """For ``parent``, memoised by its (phi, psi) state: ``stems[c, k, i]``,
@@ -173,7 +168,8 @@ class MassDistribution:
         key = (self.phi.automaton.state(parent), self.psi.automaton.state(parent))
         terms = self._term_cache.get(key)
         if terms is None:
-            words = np.array(self._stems(parent[-1])[0], dtype=np.min_scalar_type(self.spec.n))
+            words = np.array([self._stem(parent[-1], i) for i in range(len(self.family.words))],
+                             dtype=np.min_scalar_type(self.spec.n))
             stems = np.empty((words.shape[1], 2, len(words)))
             tables = []
             for k, (f, start) in enumerate(zip((self.phi, self.psi), key)):
@@ -207,7 +203,7 @@ class MassDistribution:
         if picks.min() < 0:
             raise NumericalError(
                 "no postfix returns a child into the band; parent length "
-                f"{len(parent)}, member {self._root_words[np.flatnonzero(picks < 0)[0]]}"
+                f"{len(parent)}, member {self.family.words[np.flatnonzero(picks < 0)[0]]}"
             )
         # the picked taus' psi columns, then their sup bounds, a column at a
         # time as they are added: no (columns x children) array
@@ -232,32 +228,31 @@ class MassDistribution:
                      for k, (run, (ends, (values, _, _))) in enumerate(zip(runs, tables)))
 
     def _child(self, parent: Word, picks, i: int) -> Word:
-        return parent + self._stems(parent[-1])[0][i] + self._taus[picks[i]]
+        return parent + self._stem(parent[-1], i) + self._taus[picks[i]]
 
     def children(self, parent: Word):
         """``(words, probs, logs, z)``: the children of ``parent``, their
         conditional masses and log masses, and the log normaliser."""
         parent = tuple(parent)
         picks, logs, z = self._node(parent)
-        stems = self._stems(parent[-1])[0]
-        words = tuple(parent + stem + self._taus[j] for stem, j in zip(stems, picks.tolist()))
+        words = tuple(self._child(parent, picks, i) for i in range(len(picks)))
         return words, np.exp(logs), logs, z
 
     # --- masses ------------------------------------------------------------
 
     def log_mass(self, word: Word) -> float:
         """The log mass of ``word``, summed along its generation path from the
-        root; errors if it is not a node."""
+        root; errors if it is not a node.  Each generation's member is read
+        at its stem's offset L and looked up in the base family's index."""
         word = tuple(word)
-        m = self.base_length
-        if len(word) < m or word[:m] not in self._root_logmass:
+        m, offset = self.base_length, self.infixes.norm
+        i = self._index.get(word[:m])
+        if i is None:
             raise ValidationError("word is not a member of the tree")
-        cur = word[:m]
-        log_mass = self._root_logmass[cur]
+        cur, log_mass = word[:m], float(self._gen1[1][i])
         while cur != word:
             picks, logcond, _ = self._node(cur)
-            stems, member = self._stems(cur[-1])
-            i = member.get(word[len(cur):len(cur) + len(stems[0])])
+            i = self._index.get(word[len(cur) + offset:len(cur) + offset + m])
             nxt = None if i is None else self._child(cur, picks, i)
             if nxt is None or word[:len(nxt)] != nxt:
                 raise ValidationError("word is not a member of the tree")
@@ -272,7 +267,7 @@ class MassDistribution:
         """All generation-k words with their masses, for small families (``LEVEL_CAP`` words)."""
         if k < 1:
             raise ValidationError("generation index must be positive")
-        current = {w: self._root_logmass[w] for w in self._root_words}
+        current = {w: float(lm) for w, lm in zip(*self._gen1)}
         for _ in range(k - 1):
             nxt = {}
             for w, lm in current.items():
@@ -292,8 +287,9 @@ class MassDistribution:
         if self.base_length + (k - 1) * stem > sft.WORD_CAP:
             raise CapacityError(f"a generation-{k} word is longer than the cap {sft.WORD_CAP}")
         rng = seeded_rng(seed)
-        idx = int(np.searchsorted(np.cumsum(self._root_probs), rng.random(), side="left"))
-        cur = self._root_words[min(idx, len(self._root_words) - 1)]
+        members, logs = self._gen1
+        idx = int(np.searchsorted(np.cumsum(np.exp(logs)), rng.random(), side="left"))
+        cur = members[min(idx, len(members) - 1)]
         runs = (self.phi.window_sums(cur)[0], self.psi.window_sums(cur)[0])
         for _ in range(k - 1):
             picks, logs, _ = self._node(cur, runs)

@@ -413,3 +413,69 @@ def reference_cdf_descend(x, eps, max_depth, root_next, root_mass, succ, step_pr
     if frac > 1.0:
         frac = 1.0
     return acc + mass * frac
+
+
+# --- strip-subshift oracle --------------------------------------------------
+
+def _strip(edges, n, bound, b, tilt):
+    """The strip matrix on (symbol, level) states, |level| <= ``bound``: edge
+    a -> c moves the level by its rise and weighs exp(-b * psi - tilt * rise).
+    With ``bound`` None every level is lumped into one, a symbol matrix."""
+    size = 1 if bound is None else 2 * bound + 1
+    m = np.zeros((n * size, n * size))
+    for a, c, rise, cost in edges:
+        w = math.exp(-b * cost - tilt * rise)
+        for lvl in range(size):
+            to = lvl if bound is None else lvl + rise
+            if 0 <= to < size:
+                m[a * size + lvl, c * size + to] = w
+    return m
+
+
+def _radius(m):
+    return float(np.abs(np.linalg.eigvals(m)).max())
+
+
+def _strip_radius(edges, n, bound, b):
+    """Spectral radius of the strip matrix at b, by NumPy ``eigvals``.
+
+    The tilt is a diagonal similarity, so it leaves the radius as it is; the
+    untilted strip is far from normal (its Perron vector grows geometrically
+    across the levels), and ``eigvals`` overshot its radius by ~1 % at
+    bound 80.  The tilt used makes the lumped symbol matrix's radius least,
+    found by ternary search (its log is convex in the tilt), so the strip's
+    Perron vector is nearly flat across the levels."""
+    lo, hi = -20.0, 20.0
+    for _ in range(60):
+        t1, t2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if _radius(_strip(edges, n, None, b, t1)) < _radius(_strip(edges, n, None, b, t2)):
+            hi = t2
+        else:
+            lo = t1
+    return _radius(_strip(edges, n, bound, b, (lo + hi) / 2))
+
+
+def strip_dimension(phi, psi, step, bound, tol=1e-10):
+    """u-dimension of the points whose Birkhoff sums of phi all lie within
+    ±``bound`` * ``step``, for depth-1 phi and psi > 0 whose phi values are
+    integer multiples of ``step``.
+
+    Those points form a subshift of finite type on (symbol, level) pairs, so
+    by Bowen's formula the dimension is the root b of rho(strip weighted by
+    exp(-b * psi)) = 1: log rho / c for psi = c, else bisection in b, the
+    root lying in [0, log n / min psi].  It calls no ``thermo`` solver."""
+    assert phi.depth == psi.depth == 1
+    spec, edges = phi.spec, []
+    for a in range(spec.n):
+        for c in spec.successors(a):
+            rise = round(phi.table[(c,)] / step)
+            assert rise * step == phi.table[(c,)], "phi is not on the step's lattice"
+            edges.append((a, c, rise, psi.table[(c,)]))
+    costs = {cost for *_, cost in edges}
+    if len(costs) == 1:
+        return math.log(_strip_radius(edges, spec.n, bound, 0.0)) / costs.pop()
+    lo, hi = 0.0, math.log(spec.n) / min(costs)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _strip_radius(edges, spec.n, bound, mid) > 1.0 else (lo, mid)
+    return 0.5 * (lo + hi)

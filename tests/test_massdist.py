@@ -121,7 +121,8 @@ def test_build_takes_each_base_word_psi_bounds_once(monkeypatch):
     assert dist.base_length > 1
     assert walks == [words for words in families if words]
     assert walks[-1] == dist.family.words and len(set(walks[-1])) == len(walks[-1])
-    assert len(dist._root_probs) == len(dist.family.words)
+    members, logs = dist._gen1
+    assert members == dist.family.words and len(logs) == len(members)
 
 
 def test_build_infeasible_one_sided(phi_neg):
@@ -338,6 +339,38 @@ def test_log_mass_rejects_words_off_the_tree(s, phi_pm):
     assert other_tau > 0
 
 
+@pytest.mark.parametrize("depth,seed", [(1, 2), (2, 0)])
+def test_log_mass_rejects_other_connectors_or_joined_around_a_member(depth, seed):
+    """On a shift that is not full, connectors have length L >= 1 and a
+    stem's member sits at offset L.  A child with one connector or joined
+    symbol changed still holds a family member at that offset, and is not a
+    tree word; it is rejected where it leaves the tree, so no node is built
+    for the child it does not match."""
+    dist = centred_dist(depth, seed)
+    offset, m = dist.infixes.norm, dist.base_length
+    assert offset >= 1
+    stem_len = 2 * offset + m + len(dist.joined)
+    changed = 0
+    parents = list(dist.family.words[:2])
+    parents += [c for p in parents for c in dist.children(p)[0][:2]]
+    for parent in parents:
+        start = len(parent)
+        around = [*range(start, start + offset), *range(start + offset + m, start + stem_len)]
+        for child in dist.children(parent)[0][:4]:
+            for pos in around:
+                for b in range(dist.spec.n):
+                    if b == child[pos]:
+                        continue
+                    word = child[:pos] + (b,) + child[pos + 1:]
+                    assert word[start + offset:start + offset + m] in dist.family.words
+                    built = len(dist._nodes)
+                    with pytest.raises(ValidationError):
+                        dist.log_mass(word)
+                    assert len(dist._nodes) == built  # no node below the change
+                    changed += 1
+    assert changed > 0
+
+
 @pytest.mark.parametrize("depth,seed", [(1, None)] + TREE_MODELS)
 def test_children_form_a_prefix_code(depth, seed, phi_pm):
     dist = small_dist(phi_pm) if seed is None else centred_dist(depth, seed)
@@ -471,12 +504,16 @@ def tree_digest(make_dist, seeds=(1, 2, 3), depth=8, words=40):
     return digest.hexdigest()
 
 
-def masstree_digest(models_dir):
-    """``tree_digest`` of the masstree recipe: phipm, marker 01, s = b(0)/2."""
-    bundle = load_model(str(models_dir / "phipm.json"))
-    phi, psi = bundle.pair()
+def masstree_dist(models_dir):
+    """A fresh tree of the masstree recipe: phipm, marker 01, s = b(0)/2."""
+    phi, psi = load_model(str(models_dir / "phipm.json")).pair()
     s = 0.5 * spectrum_at(0.0, phi, psi).value
-    return tree_digest(lambda: build_mass_distribution(phi, psi, s, [phi.spec.word("01")]))
+    return build_mass_distribution(phi, psi, s, [phi.spec.word("01")])
+
+
+def masstree_digest(models_dir):
+    """``tree_digest`` of the masstree recipe."""
+    return tree_digest(lambda: masstree_dist(models_dir))
 
 
 def test_masstree_bits_match_the_pinned_digest(models_dir):
@@ -489,3 +526,23 @@ def test_non_full_shift_tree_bits_match_the_pinned_digest():
     not full, whose connectors have length 2, so every stem is longer than
     on phipm: every float, bit for bit, as first recorded."""
     assert tree_digest(lambda: centred_dist(2, 0)) == CENTRED_DIGEST
+
+
+@pytest.mark.parametrize("model", ["masstree", (2, 0), (3, 1)])
+def test_a_node_depends_on_its_parent_only_by_states_and_running_sums(model, models_dir):
+    """Nodes whose parents share the phi and psi automaton states and the phi
+    and psi running sums (by ``float.hex``) hold the same picks, log masses
+    and z, so a tree could build one node per such class; after one
+    40-word, depth-8 round each model has fewer classes than nodes (phipm:
+    61 classes for 274 nodes)."""
+    dist = masstree_dist(models_dir) if model == "masstree" else centred_dist(*model)
+    rng = np.random.default_rng(1)
+    for word_seed in rng.integers(0, 2**31 - 1, 40).tolist():
+        dist.sample(8, word_seed)
+    classes = {}
+    for parent, (picks, logs, z) in dist._nodes.items():
+        key = (dist.phi.automaton.state(parent), dist.psi.automaton.state(parent),
+               dist.phi.window_sums(parent)[0].hex(), dist.psi.window_sums(parent)[0].hex())
+        node = (picks.tolist(), [x.hex() for x in logs.tolist()], z.hex())
+        assert classes.setdefault(key, node) == node
+    assert len(classes) < len(dist._nodes)

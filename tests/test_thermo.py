@@ -347,6 +347,45 @@ def test_spectrum_outside_range(bin14):
         spectrum_at(0.1, phi, psi)
 
 
+def _strip_model(name):
+    """(phi, psi, step) of a lattice model: phi's values are multiples of step."""
+    spec = helpers.gold() if name == "gold" else helpers.full2()
+    values = {"phipm": [-0.5, 0.5], "full2": [-1.0, 0.5], "gold": [-0.5, 1.0],
+              "full2-psi": [-1.0, 0.5]}[name]
+    psi = (LocallyConstantPotential.from_values(spec, [math.log(2.0), math.log(3.0)])
+           if name == "full2-psi" else LocallyConstantPotential.constant(spec, math.log(2.0)))
+    return LocallyConstantPotential.from_values(spec, values), psi, 0.5
+
+
+@pytest.mark.parametrize("name,bounds", [("phipm", (10, 20, 40, 80)),
+                                         ("full2", (10, 20, 40, 80)),
+                                         ("gold", (10, 20, 40, 80)),
+                                         ("full2-psi", (5, 10, 20))])
+def test_bounded_sum_strips_rise_to_the_spectrum_value_at_zero(name, bounds):
+    """The points whose sums of phi stay within ±K steps lie in the level set
+    of ratio 0, and their union over K holds its full dimension: the strips'
+    dimensions d_K, by an oracle that calls no thermo solver, rise with K and
+    stay below b(0); d_80 is within 1e-3 of it (about 4x closer per doubling
+    of K, as a 1/K^2 law gives).  psi = (log 2, log 3) takes the bisection."""
+    phi, psi, step = _strip_model(name)
+    b0 = spectrum_at(0.0, phi, psi).value
+    dims = [helpers.strip_dimension(phi, psi, step, k) for k in bounds]
+    assert dims == sorted(set(dims)) and dims[-1] < b0
+    if bounds[-1] == 80:
+        assert b0 - dims[-1] < 1e-3
+
+
+def test_golden_mean_spectrum_value_at_zero_is_two_thirds(record_property):
+    """On the golden mean shift with phi = (-0.5, 1) and psi = log 2, ratio 0
+    means symbol frequency 1/3 for 1, whose largest entropy is (2/3) log 2:
+    b(0) = 2/3 exactly.  The gap in ulps is recorded (35 when written); a
+    certified enclosure of b(0) must hold 2/3."""
+    phi, psi, _ = _strip_model("gold")
+    gap = (spectrum_at(0.0, phi, psi).value - 2 / 3) / math.ulp(2 / 3)
+    record_property("ulps_above_two_thirds", gap)
+    assert abs(gap) <= 64, f"b(0) is {gap:g} ulps from 2/3"
+
+
 def test_full_dim_alpha_degenerate(full2):
     psi = LocallyConstantPotential.constant(full2, math.log(2.0))
     phi = combine(-1.0, psi, 0.0, psi)
