@@ -375,14 +375,15 @@ def test_bounded_sum_strips_rise_to_the_spectrum_value_at_zero(name, bounds):
         assert b0 - dims[-1] < 1e-3
 
 
-def test_golden_mean_spectrum_value_at_zero_is_two_thirds(record_property):
+def test_golden_mean_spectrum_value_at_zero_is_two_thirds():
     """On the golden mean shift with phi = (-0.5, 1) and psi = log 2, ratio 0
     means symbol frequency 1/3 for 1, whose largest entropy is (2/3) log 2:
-    b(0) = 2/3 exactly.  The gap in ulps is recorded (35 when written); a
-    certified enclosure of b(0) must hold 2/3."""
+    b(0) = 2/3 exactly.  The gap in ulps (35 when written) is in the failure
+    message, not a ``record_property``, which a JUnit XML report of family
+    xunit2 turns into a warning and so an error; a certified enclosure of
+    b(0) must hold 2/3."""
     phi, psi, _ = _strip_model("gold")
     gap = (spectrum_at(0.0, phi, psi).value - 2 / 3) / math.ulp(2 / 3)
-    record_property("ulps_above_two_thirds", gap)
     assert abs(gap) <= 64, f"b(0) is {gap:g} ulps from 2/3"
 
 
